@@ -32,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="deterministic seed (default 0)")
-    common.add_argument("--jobs", type=int, default=None, help="worker parallelism (default 1)")
+    common.add_argument("--seed", type=int, default=None, help="shuffle seed of split (default 0)")
+    common.add_argument("--jobs", type=int, default=None, help="client threads of curate (default 1)")
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
     return common
 
@@ -72,12 +72,6 @@ def _sibling(path: Path, suffix: str) -> Path:
     return path.parent / (path.stem + suffix)
 
 
-def _write_jsonl(path: Path, objs) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 # --- curate -------------------------------------------------------------------
 
 
@@ -88,8 +82,7 @@ def _cmd_curate(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     result = curation.filter_dataset(dataset.images, args.min_image_side, args.min_area)
     dropped_out = args.dropped_out or _sibling(args.out, ".dropped.jsonl")
-    _write_jsonl(
-        dropped_out,
+    dataset_io.write_jsonl(
         (
             {
                 "schema_version": dataset_io.SCHEMA_VERSION,
@@ -99,6 +92,7 @@ def _cmd_curate(args) -> int:
             }
             for d in result.dropped
         ),
+        dropped_out,
     )
 
     builders = {
@@ -140,7 +134,7 @@ def _cmd_curate(args) -> int:
             "attempts": res.attempts if res else 0,
         }
 
-    _write_jsonl(args.out, (job_obj(j, r) for j, r in zip(prompt_jobs, outcomes)))
+    dataset_io.write_jsonl((job_obj(j, r) for j, r in zip(prompt_jobs, outcomes)), args.out)
     failed = sum(1 for r in outcomes if r is not None and r.error is not None)
     print(
         f"curate: kept {len(result.kept)} image(s), dropped {len(result.dropped)} entr"
@@ -209,7 +203,7 @@ def _cmd_parse(args) -> int:
 
     dataset_io.write_records(records, args.out)
     diagnostics_out = args.diagnostics or _sibling(args.out, ".diagnostics.jsonl")
-    _write_jsonl(diagnostics_out, diag_rows)
+    dataset_io.write_jsonl(diag_rows, diagnostics_out)
     print(
         f"parse: {len(records)} record(s) from {n_parsed_files} response(s), "
         f"{len(diag_rows)} diagnostic(s)"
@@ -230,7 +224,7 @@ _TRANSFORM_TARGETS = {
 
 
 def _cmd_transform(args) -> int:
-    seed, _ = _resolve_runtime(args)
+    _resolve_runtime(args)  # validates --seed, --jobs and --config; transform uses neither
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
     ann_map = None
@@ -251,7 +245,6 @@ def _cmd_transform(args) -> int:
             elif target in ("semseg", "sid_semseg"):
                 record, merged = transforms.to_semantic(record, ann_map)
                 for m in merged:
-                    rle = mask.rle_encode(m.mask)
                     merged_rows.append(
                         {
                             "schema_version": dataset_io.SCHEMA_VERSION,
@@ -261,17 +254,17 @@ def _cmd_transform(args) -> int:
                             "category_id": m.category_id,
                             "label_name": m.label_name,
                             "member_ids": list(m.member_ids),
-                            "rle": {"size": [rle.height, rle.width], "counts": list(rle.counts)},
+                            "rle": dataset_io.rle_to_obj(mask.rle_encode(m.mask)),
                         }
                     )
-            record = transforms.append_task_template(record, target, rng_seed=seed)
+            record = transforms.append_task_template(record, target)
             out_records.append(parsing.to_training_record(record))
         except ValueError as exc:
             raise transforms.TransformError(f"record {n} (image {srec.image_id}): {exc}") from exc
 
     dataset_io.write_records(out_records, args.out)
     if args.merged_out is not None:
-        _write_jsonl(args.merged_out, merged_rows)
+        dataset_io.write_jsonl(merged_rows, args.merged_out)
     print(f"transform: wrote {len(out_records)} {args.to} record(s)")
     return 0
 
@@ -313,7 +306,7 @@ def _cmd_match(args) -> int:
                 "total_cost": assignment.total_cost,
             }
         )
-    _write_jsonl(args.out, rows)
+    dataset_io.write_jsonl(rows, args.out)
     print(f"match: wrote assignments for {len(rows)} image(s)")
     return 0
 

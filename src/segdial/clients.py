@@ -103,7 +103,6 @@ class JobResult:
 
 
 def _run_one(job: PromptJob, client: ModelClient, max_retries: int) -> JobResult:
-    last_error = "no attempts made"
     for attempt in range(1, max_retries + 2):
         try:
             return JobResult(job=job, response=client.complete(job), error=None, attempts=attempt)
@@ -128,8 +127,8 @@ def run_jobs(
     """Run every job, retrying failures; results come back in input order."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if not jobs:
-        return []
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
     if parallelism == 1:
         return [_run_one(job, client, max_retries) for job in jobs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -29,6 +29,7 @@ __all__ = [
     "build_caption_prompt",
     "build_instseg_prompt",
     "build_qa_prompt",
+    "decode_geometry",
     "filter_dataset",
 ]
 
@@ -40,6 +41,13 @@ class CurationError(ValueError):
 Geometry = Union[tuple[Polygon, ...], Rle]
 
 
+def decode_geometry(geometry: Geometry, width: int, height: int) -> RasterMask:
+    """Decode an rle on its own canvas, or rasterize polygons onto width x height."""
+    if isinstance(geometry, Rle):
+        return rle_decode(geometry)
+    return mask_union([rasterize(p, width, height) for p in geometry])
+
+
 @dataclass(frozen=True)
 class InstanceAnnotation:
     """One object instance; mask, bbox, area, and center are derived from geometry."""
@@ -47,7 +55,6 @@ class InstanceAnnotation:
     instance_id: int
     category_id: int
     label_name: str
-    geometry: Geometry
     mask: RasterMask
     bbox: Optional[BBox]
     area: int
@@ -69,18 +76,16 @@ class InstanceAnnotation:
                     f"annotation {instance_id}: rle canvas {geometry.width}x{geometry.height} "
                     f"does not match image {width}x{height}"
                 )
-            mask = rle_decode(geometry)
         else:
             geometry = tuple(geometry)
             if not geometry:
                 raise CurationError(f"annotation {instance_id}: empty geometry")
-            mask = mask_union([rasterize(p, width, height) for p in geometry])
+        mask = decode_geometry(geometry, width, height)
         box = bbox_of(mask)
         return cls(
             instance_id=instance_id,
             category_id=category_id,
             label_name=label_name,
-            geometry=geometry,
             mask=mask,
             bbox=box,
             area=area(mask),

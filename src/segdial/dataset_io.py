@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from segdial.curation import ImageRecord, InstanceAnnotation
+from segdial.curation import ImageRecord, InstanceAnnotation, decode_geometry
 from segdial.mask import Polygon, Rle, rle_encode
 from segdial.metrics import PredictionInstance
 from segdial.parsing import TASK_MODES, Provenance, SerializedRecord, SerializedTurn
@@ -23,6 +23,8 @@ __all__ = [
     "load_coco",
     "read_predictions",
     "read_records",
+    "rle_to_obj",
+    "write_jsonl",
     "write_predictions",
     "write_records",
 ]
@@ -222,10 +224,15 @@ def _record_to_obj(record: SerializedRecord) -> dict:
     }
 
 
-def write_records(records: Sequence[SerializedRecord], path: str | Path) -> None:
+def write_jsonl(objs: Iterable[dict], path: str | Path) -> None:
+    """Write one sorted-keys JSON object per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(_record_to_obj(record), sort_keys=True) + "\n")
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def write_records(records: Sequence[SerializedRecord], path: str | Path) -> None:
+    write_jsonl((_record_to_obj(r) for r in records), path)
 
 
 def _parse_record_obj(obj: dict, where: str) -> SerializedRecord:
@@ -275,8 +282,8 @@ def _parse_record_obj(obj: dict, where: str) -> SerializedRecord:
     )
 
 
-def read_records(path: str | Path) -> list[SerializedRecord]:
-    records = []
+def _read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
+    """(position, decoded object) for each non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -286,8 +293,11 @@ def read_records(path: str | Path) -> list[SerializedRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{where}: invalid JSON ({exc.msg})") from exc
-            records.append(_parse_record_obj(obj, where))
-    return records
+            yield where, obj
+
+
+def read_records(path: str | Path) -> list[SerializedRecord]:
+    return [_parse_record_obj(obj, where) for where, obj in _read_jsonl(path)]
 
 
 # --- predictions JSONL ----------------------------------------------------------
@@ -302,69 +312,61 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     evaluation ignores it).
     """
     preds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {n}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise RecordError(f"{where}: prediction must be a JSON object")
-            image_id = obj.get("image_id")
-            if not isinstance(image_id, int):
-                raise RecordError(f"{where}: image_id must be an integer")
-            category_id = obj.get("category_id")
-            if category_id is not None and not isinstance(category_id, int):
-                raise RecordError(f"{where}: category_id must be an integer when present")
-            score = obj.get("score", 1.0)
-            if not isinstance(score, (int, float)):
-                raise RecordError(f"{where}: score must be a number")
-            errors: list[str] = []
-            if "rle" in obj:
-                geometry = _coerce_geometry(obj["rle"], -1, errors)
-            elif "polygon" in obj:
-                width, height = obj.get("width"), obj.get("height")
-                if not isinstance(width, int) or not isinstance(height, int):
-                    raise RecordError(f"{where}: polygon predictions need width and height")
-                geometry = _coerce_geometry(obj["polygon"], -1, errors)
-                if geometry is not None and isinstance(geometry, Rle):
-                    geometry = None
-                    errors.append("expected polygons")
-            else:
-                raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
-            if geometry is None:
-                raise RecordError(f"{where}: {errors[0] if errors else 'bad geometry'}")
-            try:
-                if isinstance(geometry, Rle):
-                    built = InstanceAnnotation.from_geometry(
-                        -1, -1, "", geometry, geometry.width, geometry.height
-                    )
-                else:
-                    built = InstanceAnnotation.from_geometry(-1, -1, "", geometry, width, height)
-                pred = PredictionInstance(
-                    image_id=image_id,
-                    mask=built.mask,
-                    score=float(score),
-                    category_id=category_id,
-                )
-            except ValueError as exc:
-                raise RecordError(f"{where}: {exc}") from exc
-            preds.append(pred)
+    for where, obj in _read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise RecordError(f"{where}: prediction must be a JSON object")
+        image_id = obj.get("image_id")
+        if not isinstance(image_id, int):
+            raise RecordError(f"{where}: image_id must be an integer")
+        category_id = obj.get("category_id")
+        if category_id is not None and not isinstance(category_id, int):
+            raise RecordError(f"{where}: category_id must be an integer when present")
+        score = obj.get("score", 1.0)
+        if not isinstance(score, (int, float)):
+            raise RecordError(f"{where}: score must be a number")
+        errors: list[str] = []
+        if "rle" in obj:
+            width = height = None  # an rle carries its own canvas
+            geometry = _coerce_geometry(obj["rle"], -1, errors)
+        elif "polygon" in obj:
+            width, height = obj.get("width"), obj.get("height")
+            if not isinstance(width, int) or not isinstance(height, int):
+                raise RecordError(f"{where}: polygon predictions need width and height")
+            geometry = _coerce_geometry(obj["polygon"], -1, errors)
+            if isinstance(geometry, Rle):
+                geometry = None
+                errors.append("expected polygons")
+        else:
+            raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
+        if geometry is None:
+            raise RecordError(f"{where}: {errors[0] if errors else 'bad geometry'}")
+        try:
+            pred = PredictionInstance(
+                image_id=image_id,
+                mask=decode_geometry(geometry, width, height),
+                score=float(score),
+                category_id=category_id,
+            )
+        except ValueError as exc:
+            raise RecordError(f"{where}: {exc}") from exc
+        preds.append(pred)
     return preds
+
+
+def rle_to_obj(rle: Rle) -> dict:
+    """The JSON form of an rle that load_coco and read_predictions accept."""
+    return {"size": [rle.height, rle.width], "counts": list(rle.counts)}
 
 
 def write_predictions(preds: Sequence[PredictionInstance], path: str | Path) -> None:
     """Write predictions in the rle flavor of the predictions JSONL format."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in preds:
-            rle = rle_encode(p.mask)
-            obj = {
-                "image_id": p.image_id,
-                "category_id": p.category_id,
-                "score": p.score,
-                "rle": {"size": [rle.height, rle.width], "counts": list(rle.counts)},
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    rows = (
+        {
+            "image_id": p.image_id,
+            "category_id": p.category_id,
+            "score": p.score,
+            "rle": rle_to_obj(rle_encode(p.mask)),
+        }
+        for p in preds
+    )
+    write_jsonl(rows, path)

@@ -22,6 +22,7 @@ __all__ = [
     "bbox_of",
     "mask_iou",
     "mask_union",
+    "overlap",
     "rasterize",
     "rle_decode",
     "rle_encode",
@@ -198,14 +199,18 @@ def _check_same_canvas(a: RasterMask, b: RasterMask) -> None:
         )
 
 
-def mask_iou(a: RasterMask, b: RasterMask) -> float:
-    """Intersection over union of two same-canvas masks; 0.0 when both are empty."""
+def overlap(a: RasterMask, b: RasterMask) -> tuple[int, int]:
+    """(intersection, union) pixel counts of two same-canvas masks."""
     _check_same_canvas(a, b)
     inter = int(np.count_nonzero(a.pixels & b.pixels))
     union = int(np.count_nonzero(a.pixels | b.pixels))
-    if union == 0:
-        return 0.0
-    return inter / union
+    return inter, union
+
+
+def mask_iou(a: RasterMask, b: RasterMask) -> float:
+    """Intersection over union of two same-canvas masks; 0.0 when both are empty."""
+    inter, union = overlap(a, b)
+    return inter / union if union else 0.0
 
 
 def mask_union(masks: Sequence[RasterMask]) -> RasterMask:

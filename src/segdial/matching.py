@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from segdial.mask import RasterMask, mask_iou
+from segdial.mask import RasterMask, mask_iou, overlap
 
 __all__ = ["Assignment", "build_cost_matrix", "hungarian", "assign_targets"]
 
@@ -25,11 +25,8 @@ class Assignment:
 
 
 def _dice(a: RasterMask, b: RasterMask) -> float:
-    inter = int(np.count_nonzero(a.pixels & b.pixels))
-    size = int(np.count_nonzero(a.pixels)) + int(np.count_nonzero(b.pixels))
-    if size == 0:
-        return 0.0
-    return 2.0 * inter / size
+    inter, union = overlap(a, b)  # |a| + |b| == inter + union
+    return 2.0 * inter / (inter + union) if union else 0.0
 
 
 def build_cost_matrix(

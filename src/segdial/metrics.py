@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from segdial.curation import ImageRecord
-from segdial.mask import RasterMask, mask_iou
+from segdial.mask import RasterMask, area, mask_iou, overlap
 
 __all__ = [
     "ApBlock",
@@ -238,7 +238,7 @@ def evaluate_ap(
 
     dets: dict[tuple[int, int], list[_Det]] = {}
     for n, p in enumerate(preds):
-        entry = _Det(index=n, score=p.score, area=int(np.count_nonzero(p.mask.pixels)), mask=p.mask)
+        entry = _Det(index=n, score=p.score, area=area(p.mask), mask=p.mask)
         dets.setdefault((p.image_id, p.category_id), []).append(entry)
     for key, cell in dets.items():
         cell.sort(key=lambda d: (-d.score, d.index))
@@ -349,18 +349,19 @@ def evaluate_semseg(
         if pred is None:
             warnings.append(f"image {image_id}: no prediction, scored as IoU 0")
             per_image.append(0.0)
-            union_total += int(np.count_nonzero(gt.pixels))
+            union_total += area(gt)
             continue
-        if pred.pixels.shape != gt.pixels.shape:
+        if (pred.width, pred.height) != (gt.width, gt.height):
             raise EvalValidationError(
                 [
                     f"image {image_id}: prediction is {pred.width}x{pred.height}, "
                     f"ground truth is {gt.width}x{gt.height}"
                 ]
             )
-        per_image.append(mask_iou(pred, gt))
-        inter_total += int(np.count_nonzero(pred.pixels & gt.pixels))
-        union_total += int(np.count_nonzero(pred.pixels | gt.pixels))
+        inter, union = overlap(pred, gt)
+        per_image.append(inter / union if union else 0.0)
+        inter_total += inter
+        union_total += union
     giou = math.fsum(per_image) / len(per_image)
     ciou = inter_total / union_total if union_total else 0.0
     return SemSegScore(gIoU=giou, cIoU=ciou, warnings=tuple(warnings))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -26,8 +25,7 @@ class TransformError(ValueError):
 
 
 # Task templates appended to the person turn so the trained model knows which
-# flavor of supervision a record carries. One fixed phrasing per mode today;
-# append_task_template draws from these pools with the caller's seed.
+# flavor of supervision a record carries. One fixed phrasing per mode.
 TASK_TEMPLATES = {
     "semseg": (
         "The mask(s) are for semantic segmentation. No need to differentiate "
@@ -51,8 +49,6 @@ TASK_TEMPLATES = {
     ),
     "pure_text": "Please answer the question only with text, do not output mask.",
 }
-
-_TEMPLATE_POOLS = {mode: (text,) for mode, text in TASK_TEMPLATES.items()}
 
 _SEMANTIC_MODE = {"instseg": "semseg", "sid_instseg": "sid_semseg"}
 
@@ -175,7 +171,7 @@ def to_pure_text(record: DialogueRecord) -> DialogueRecord:
     return replace(record, turns=tuple(new_turns), task_mode="pure_text")
 
 
-def append_task_template(record: DialogueRecord, mode: str, rng_seed: int = 0) -> DialogueRecord:
+def append_task_template(record: DialogueRecord, mode: str) -> DialogueRecord:
     """Append the task template for `mode` to the record's first person turn.
 
     The record's task_mode must already equal `mode` (templates and modes are
@@ -197,7 +193,7 @@ def append_task_template(record: DialogueRecord, mode: str, rng_seed: int = 0) -
         for template in TASK_TEMPLATES.values():
             if template in text:
                 raise TransformError("task template already present")
-    template = random.Random(rng_seed).choice(_TEMPLATE_POOLS[mode])
+    template = TASK_TEMPLATES[mode]
     first = record.turns[0]
     body = "".join(s.text for s in first.segments if isinstance(s, TextSpan))
     stamped = f"{body} {template}" if body else template

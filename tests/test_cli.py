@@ -115,6 +115,19 @@ class TestExitCodes:
         assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst"]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    def test_negative_max_retries_is_validation_error(self, tmp_path, capsys):
+        gt = write_gt(tmp_path)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        out = tmp_path / "jobs.jsonl"
+        code = main(
+            ["curate", "--input", str(gt), "--task", "qa", "--out", str(out),
+             "--client", "fixture", "--fixture-dir", str(fixtures), "--max-retries", "-1"]
+        )
+        assert code == 1
+        assert "validation error: max_retries must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_script_is_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "segdial.cli", "--help"], capture_output=True, text=True

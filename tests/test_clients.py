@@ -176,3 +176,9 @@ class TestRunJobs:
         with pytest.raises(ValueError):
             run_jobs([job_for(1)], EchoClient(), parallelism=0)
         assert run_jobs([], EchoClient()) == []
+
+    def test_negative_retries_rejected(self):
+        # -1 used to record zero attempts and -2 a negative count
+        for max_retries in (-1, -2):
+            with pytest.raises(ValueError, match="max_retries"):
+                run_jobs([job_for(1)], EchoClient(), max_retries=max_retries)

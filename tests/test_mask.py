@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from segdial.mask import (
     bbox_of,
     mask_iou,
     mask_union,
+    overlap,
     rasterize,
     rle_decode,
     rle_encode,
@@ -144,6 +147,19 @@ class TestIou:
             mask_iou(RasterMask.zeros(4, 4), RasterMask.zeros(4, 5))
 
     @given(mask_array_pairs())
+    def test_overlap_counts_shared_and_covered_pixels(self, arrs):
+        a, b = RasterMask(arrs[0]), RasterMask(arrs[1])
+        inter, union = overlap(a, b)
+        assert inter == int((arrs[0] & arrs[1]).sum())
+        assert union == int((arrs[0] | arrs[1]).sum())
+        assert inter + union == area(a) + area(b)
+        assert mask_iou(a, b) == (inter / union if union else 0.0)
+
+    def test_overlap_rejects_canvas_mismatch(self):
+        with pytest.raises(ValueError, match="canvases differ"):
+            overlap(RasterMask.zeros(4, 4), RasterMask.zeros(5, 4))
+
+    @given(mask_array_pairs())
     def test_symmetric_and_bounded(self, arrs):
         a, b = RasterMask(arrs[0]), RasterMask(arrs[1])
         v = mask_iou(a, b)
@@ -223,3 +239,19 @@ class TestRasterMaskType:
             RasterMask(np.zeros((2, 2, 2), dtype=bool))
         with pytest.raises(ValueError):
             RasterMask(np.zeros((0, 4), dtype=bool))
+
+
+class TestPixelFormatOwnership:
+    def test_only_the_mask_module_reads_pixels(self):
+        # A change of mask storage (cropped or run-length) must touch mask.py alone.
+        package = Path(__file__).resolve().parents[1] / "src" / "segdial"
+        modules = sorted(package.glob("*.py"))
+        assert any(p.name == "mask.py" for p in modules)
+        offenders = [
+            f"{path.name}:{n}"
+            for path in modules
+            if path.name != "mask.py"
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if ".pixels" in line or "count_nonzero" in line
+        ]
+        assert offenders == []

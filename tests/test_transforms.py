@@ -278,9 +278,3 @@ class TestAppendTaskTemplate:
         bare = DialogueRecord(image_id=None, turns=(), task_mode="pure_text")
         with pytest.raises(TransformError, match="no person turn"):
             append_task_template(bare, "pure_text")
-
-    def test_seed_is_deterministic(self):
-        record = sid_record(CANONICAL, KEYBOARDS)
-        assert append_task_template(record, "sid_instseg", rng_seed=0) == append_task_template(
-            record, "sid_instseg", rng_seed=99
-        )
