@@ -18,6 +18,7 @@ from pathlib import Path
 from segdial import clients, curation, dataset_io, mask, matching, metrics, parsing, transforms
 
 ENV_PREFIX = "SEGDIAL_"
+MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
 _REPORT_FIELDS = ("AP50", "AP75", "mAP", "AP-small", "AP-medium", "AP-large")
 
 
@@ -33,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
 def _common_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="shuffle seed of split (default 0)")
-    common.add_argument("--jobs", type=int, default=None, help="client threads of curate (default 1)")
+    common.add_argument(
+        "--jobs", type=int, default=None, help=f"client threads of curate (default 1, at most {MAX_JOBS})"
+    )
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
     return common
 
@@ -65,6 +68,8 @@ def _resolve_runtime(args) -> tuple[int, int]:
     jobs = pick(args.jobs, "jobs", 1)
     if jobs < 1:
         raise CliUsageError("--jobs must be >= 1")
+    if jobs > MAX_JOBS:
+        raise CliUsageError(f"--jobs must be <= {MAX_JOBS}, got {jobs}")
     return seed, jobs
 
 

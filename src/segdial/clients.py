@@ -7,11 +7,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 from segdial.curation import PromptJob
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "FixtureModelClient",
@@ -52,7 +53,8 @@ class HttpModelClient:
     """POSTs {"prompt", "image", "image_name"} as JSON and expects {"text": ...} back.
 
     The image is attached base64-encoded when `image_root` is given and the
-    job's file exists there; bearer auth when `auth_token` is set.
+    job's file exists there; bearer auth when `auth_token` is set. `requests`
+    is imported on first use, so nothing else pays for loading it.
     """
 
     def __init__(
@@ -67,9 +69,15 @@ class HttpModelClient:
         self.auth_token = auth_token
         self.image_root = Path(image_root) if image_root is not None else None
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def complete(self, job: PromptJob) -> str:
+        import requests
+
         payload = {"prompt": job.prompt_text, "image": None, "image_name": job.file_name}
         if self.image_root is not None:
             image_path = self.image_root / job.file_name

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from segdial.mask import RasterMask, mask_iou, overlap
 
@@ -52,6 +51,53 @@ def build_cost_matrix(
     return costs
 
 
+def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's solver, imported on first call so that only matching pays for scipy."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(costs)
+
+
+def _viable_pairs(c: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mask of the pairs that may belong to an optimal assignment of `c`.
+
+    (rows, cols) is an optimal assignment. The problem is padded with zero
+    costs to N x N, N = max(n, m), and the assignment extended through the
+    padding. Bellman-Ford over the residual graph (row -> column at +c off
+    the matching, column -> row at -c on it, every row reachable at 0) gives
+    row distances du and column distances dv; the reduced cost
+    rho = c + du - dv is >= 0 off the matching and <= 0 on it, so every
+    assignment that uses (i, j) costs at least rho[i, j] more than the
+    optimum. A pair is ruled out when rho exceeds a tolerance above the
+    rounding error of N-term sums: it can then neither reproduce the optimal
+    fsum total nor be the best total of the float fallback. If the distances
+    have not settled after N + 1 rounds, no pair is ruled out.
+    """
+    n, m = c.shape
+    size = max(n, m)
+    off_matching = np.zeros((size, size))
+    off_matching[:n, :m] = c
+    free_rows = np.ones(size, dtype=bool)
+    free_rows[rows] = False
+    free_cols = np.ones(size, dtype=bool)
+    free_cols[cols] = False
+    match = np.empty(size, dtype=np.intp)  # match[i]: column of row i
+    match[rows] = cols
+    match[free_rows] = np.flatnonzero(free_cols)
+    on_matching = (np.arange(size), match)
+    matched_cost = off_matching[on_matching]  # fancy indexing copies
+    off_matching[on_matching] = np.inf
+    tol = max(1e-9, 64 * size * size * np.finfo(np.float64).eps) * max(1.0, float(c.max()))
+    du = np.zeros(size)
+    for _ in range(size + 1):
+        dv = (du[:, None] + off_matching).min(axis=0)
+        new_du = np.minimum(0.0, dv[match] - matched_cost)
+        if (new_du == du).all():
+            return c + du[:n, None] - dv[None, :m] <= tol
+        du = new_du
+    return np.ones(c.shape, dtype=bool)
+
+
 def _subproblem_cost(costs: np.ndarray, rows: list[int], cols: list[int], need: int) -> list[float] | None:
     """Cost terms of an optimal size-`need` completion, or None if infeasible."""
     if need == 0:
@@ -69,6 +115,9 @@ def hungarian(costs: np.ndarray) -> Assignment:
     Among all assignments attaining the optimal total (compared exactly via
     math.fsum of the selected entries), returns the one whose sorted
     (prediction, groundtruth) pair list is lexicographically smallest.
+    Candidate pairs whose reduced cost at the first optimum exceeds a
+    rounding tolerance cannot be part of any optimal assignment, so they are
+    skipped without solving their completion.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
@@ -89,6 +138,9 @@ def hungarian(costs: np.ndarray) -> Assignment:
 
     rows, cols = linear_sum_assignment(c)
     target = math.fsum(float(c[i, j]) for i, j in zip(rows, cols))
+    # Only completions (k > 1) cost a solve, so only they are worth ruling out.
+    # Columns already fixed are cleared from `viable` as the scan goes.
+    viable = _viable_pairs(c, rows, cols) if k > 1 else np.ones(c.shape, dtype=bool)
 
     # Fix pairs one at a time in lexicographic order, keeping the remaining
     # subproblem completable at the optimal total. Totals are compared with
@@ -104,7 +156,7 @@ def hungarian(costs: np.ndarray) -> Assignment:
         for i in range(row_floor, n_pred):
             if n_pred - i - 1 < need:
                 break  # too few rows left to complete, and later i only shrinks that
-            for j in free_cols:
+            for j in np.flatnonzero(viable[i]).tolist():
                 rest_rows = list(range(i + 1, n_pred))
                 rest_cols = [col for col in free_cols if col != j]
                 completion = _subproblem_cost(c, rest_rows, rest_cols, need)
@@ -129,6 +181,7 @@ def hungarian(costs: np.ndarray) -> Assignment:
         pairs.append((i, j))
         fixed_terms.append(float(c[i, j]))
         free_cols.remove(j)
+        viable[:, j] = False
         row_floor = i + 1
 
     matched_rows = {i for i, _ in pairs}

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,19 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "curate" in proc.stdout and "evaluate" in proc.stdout
 
+    def test_import_loads_neither_scipy_nor_requests(self):
+        # Only `match` needs scipy and only `curate --client http` needs
+        # requests; every other subcommand must not pay for importing them.
+        import segdial
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(segdial.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = "import sys, segdial.cli; print(sorted({'scipy', 'requests'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestRuntimeResolution:
     def test_flag_env_config_default_precedence(self, tmp_path, monkeypatch):
@@ -199,6 +213,25 @@ class TestRuntimeResolution:
         )
         assert code == 1
         assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    def test_jobs_capped_before_any_thread_starts(self, tmp_path, monkeypatch, capsys):
+        from segdial import cli, clients
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(clients, "ThreadPoolExecutor", no_pool)
+        gt = write_gt(tmp_path)
+        out = tmp_path / "jobs.jsonl"
+        argv = ["curate", "--input", str(gt), "--task", "qa", "--out", str(out),
+                "--client", "fixture", "--fixture-dir", str(write_qa_responses(tmp_path))]
+        too_many = str(cli.MAX_JOBS + 1)
+        assert main(argv + ["--jobs", too_many]) == 1
+        assert f"--jobs must be <= {cli.MAX_JOBS}, got {too_many}" in capsys.readouterr().err
+        monkeypatch.setenv("SEGDIAL_JOBS", too_many)
+        assert main(argv) == 1
+        assert f"--jobs must be <= {cli.MAX_JOBS}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCurate:

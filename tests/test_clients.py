@@ -61,6 +61,10 @@ class FakeSession:
 
 
 class TestHttpClient:
+    def test_default_session_is_a_requests_session(self):
+        # constructing a session opens no connection
+        assert isinstance(HttpModelClient("http://a").session, requests.Session)
+
     def test_posts_prompt_and_reads_text(self):
         session = FakeSession(FakeResponse({"text": "the reply"}))
         client = HttpModelClient("http://annotator/v1", timeout=7.5, session=session)

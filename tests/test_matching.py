@@ -4,10 +4,39 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 from conftest import rect_mask
+from segdial import matching
 from segdial.matching import Assignment, assign_targets, build_cost_matrix, hungarian
+
+# Reaches the float fallback branch of `hungarian` (see test_float_fallback_branch).
+FALLBACK_COSTS = np.array([
+    [0.1, 0.0, 0.2, 0.3],
+    [0.2, 1 / 3, 0.6, 1 / 3],
+    [0.7, 1 / 3, 0.3, 0.9],
+    [2 / 3, 0.7, 0.6, 0.2],
+    [0.7, 0.2, 0.2, 0.1],
+])
+# More near-tie matrices that reach the fallback branch.
+FALLBACK_NEAR_TIES = [
+    np.array([
+        [0.9, 0.0, 0.7, 0.1, 0.0],
+        [0.6, 0.7, 2 / 3, 0.7, 0.6],
+        [0.3, 0.2, 2 / 3, 0.6, 0.6],
+        [0.3, 0.9, 0.9, 2 / 3, 0.1],
+        [0.2, 0.6, 0.1, 0.9, 2 / 3],
+        [0.6, 0.1, 0.1, 2 / 3, 0.2],
+    ]),
+    np.array([
+        [0.9, 1 / 3, 0.1, 1 / 3, 0.1, 0.7],
+        [0.6, 0.0, 0.3, 0.2, 2 / 3, 0.1],
+        [0.6, 0.3, 0.2, 0.9, 2 / 3, 0.9],
+        [0.1, 0.2, 0.1, 0.7, 0.6, 0.7],
+        [0.0, 0.2, 0.3, 0.6, 0.1, 0.2],
+    ]),
+]
 
 
 class TestHungarian:
@@ -97,6 +126,155 @@ class TestHungarian:
             cols = [j for _, j in got.pairs] + list(got.unmatched_groundtruths)
             assert sorted(rows) == list(range(n))
             assert sorted(cols) == list(range(m))
+
+
+    def test_float_fallback_branch(self):
+        # No candidate for the second pair reproduces the first solve's fsum
+        # total (0.2 + 0.2 + 0.2 and 0.2 + 0.3 + 0.1 round differently), so the
+        # scan re-anchors on its best completion. The exhaustive oracle finds
+        # 0.6 with ((0,1),(1,0),(2,2),(4,3)): on such near-ties the fallback
+        # misses the exact minimum. This pins today's result.
+        got = hungarian(FALLBACK_COSTS)
+        assert got.pairs == ((0, 1), (1, 0), (3, 3), (4, 2))
+        assert got.unmatched_predictions == (2,)
+        assert got.total_cost == 0.6000000000000001
+
+
+def _reference_subproblem_cost(costs, rows, cols, need):
+    """Copy of the full-scan matcher's completion solve, kept as a reference."""
+    if need == 0:
+        return []
+    if len(rows) < need or len(cols) < need:
+        return None
+    sub = costs[np.ix_(rows, cols)]
+    rr, cc = linear_sum_assignment(sub)
+    return [float(sub[i, j]) for i, j in zip(rr, cc)]
+
+
+def _reference_hungarian(costs):
+    """Copy of the full-scan matcher: one completion solve per candidate pair."""
+    c = np.asarray(costs, dtype=np.float64)
+    n_pred, n_gt = c.shape
+    k = min(n_pred, n_gt)
+    if k == 0:
+        return Assignment(
+            pairs=(),
+            unmatched_predictions=tuple(range(n_pred)),
+            unmatched_groundtruths=tuple(range(n_gt)),
+            total_cost=0.0,
+        )
+
+    rows, cols = linear_sum_assignment(c)
+    target = math.fsum(float(c[i, j]) for i, j in zip(rows, cols))
+
+    pairs = []
+    fixed_terms = []
+    free_cols = list(range(n_gt))
+    row_floor = 0
+    while len(pairs) < k:
+        need = k - len(pairs) - 1
+        chosen = None
+        fallback_best = None
+        for i in range(row_floor, n_pred):
+            if n_pred - i - 1 < need:
+                break
+            for j in free_cols:
+                rest_rows = list(range(i + 1, n_pred))
+                rest_cols = [col for col in free_cols if col != j]
+                completion = _reference_subproblem_cost(c, rest_rows, rest_cols, need)
+                if completion is None:
+                    continue
+                total = math.fsum(fixed_terms + [float(c[i, j])] + completion)
+                if total == target:
+                    chosen = (i, j)
+                    break
+                if fallback_best is None or total < fallback_best[0]:
+                    fallback_best = (total, (i, j), completion)
+            if chosen is not None:
+                break
+        if chosen is None:
+            if fallback_best is None:
+                raise RuntimeError("assignment infeasible")
+            target = fallback_best[0]
+            chosen = fallback_best[1]
+        i, j = chosen
+        pairs.append((i, j))
+        fixed_terms.append(float(c[i, j]))
+        free_cols.remove(j)
+        row_floor = i + 1
+
+    matched_rows = {i for i, _ in pairs}
+    matched_cols = {j for _, j in pairs}
+    return Assignment(
+        pairs=tuple(pairs),
+        unmatched_predictions=tuple(i for i in range(n_pred) if i not in matched_rows),
+        unmatched_groundtruths=tuple(j for j in range(n_gt) if j not in matched_cols),
+        total_cost=math.fsum(fixed_terms),
+    )
+
+
+def _iou_like(rng, n, m, duplicates):
+    """DETR-shaped costs: mostly 1.0 (no overlap), two-decimal IoU costs, and
+    `duplicates` prediction rows copied from others."""
+    costs = rng.random((n, m))
+    costs[costs < 0.7] = 1.0
+    costs = np.round(costs, 2)
+    src = rng.choice(n, duplicates, replace=False)
+    dst = rng.choice(np.setdiff1d(np.arange(n), src), duplicates, replace=False)
+    costs[dst] = costs[src]
+    return costs
+
+
+class TestReducedCostSkip:
+    """`hungarian` skips candidates its reduced costs rule out; the result
+    must equal the full scan's on every matrix, fallback branch included."""
+
+    @staticmethod
+    def _small_matrices():
+        rng = np.random.default_rng(2024)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
+        near_ties = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3]
+        for trial in range(1200):
+            shape = tuple(int(v) for v in rng.integers(1, 9, size=2))
+            family = trial % 4
+            if family == 0:
+                yield rng.choice(grid, size=shape)
+            elif family == 1:
+                yield rng.choice(near_ties, size=shape)
+            elif family == 2:
+                yield np.full(shape, float(rng.choice([0.0, 0.1, 1 / 3, 1.0])))
+            else:
+                yield rng.random(shape)
+
+    def test_equals_the_full_scan(self):
+        matrices = [FALLBACK_COSTS, *FALLBACK_NEAR_TIES, *self._small_matrices()]
+        rng = np.random.default_rng(60)
+        matrices += [_iou_like(rng, 100, 60, 10) for _ in range(2)]
+        matrices += [_iou_like(rng, 30, 45, 5) for _ in range(4)]
+        for costs in matrices:
+            want = _reference_hungarian(costs)
+            got = hungarian(costs)
+            assert got.pairs == want.pairs, costs.tolist()
+            assert got.unmatched_predictions == want.unmatched_predictions
+            assert got.unmatched_groundtruths == want.unmatched_groundtruths
+            assert got.total_cost == want.total_cost, costs.tolist()
+
+    def test_dense_matrices_need_few_solves(self, monkeypatch):
+        # The full scan makes up to ~2300 solves on these matrices.
+        calls = []
+        solve = matching.linear_sum_assignment
+
+        def counted(costs):
+            calls.append(costs.shape)
+            return solve(costs)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            costs = _iou_like(rng, 100, 60, 10)
+            calls.clear()
+            hungarian(costs)
+            assert len(calls) <= 2 * 60 + 1
 
 
 class TestCostMatrix:
