@@ -81,7 +81,6 @@ def _sibling(path: Path, suffix: str) -> Path:
 
 
 def _cmd_curate(args) -> int:
-    _, jobs_n = _resolve_runtime(args)
     dataset = dataset_io.load_coco(args.input)
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -108,13 +107,11 @@ def _cmd_curate(args) -> int:
     prompt_jobs = [builders[args.task](img) for img in result.kept]
 
     outcomes: list = [None] * len(prompt_jobs)
+    client = None
     if args.client == "fixture":
         if args.fixture_dir is None:
             raise CliUsageError("--client fixture requires --fixture-dir")
         client = clients.FixtureModelClient(args.fixture_dir)
-        outcomes = clients.run_jobs(
-            prompt_jobs, client, max_retries=args.max_retries, parallelism=jobs_n
-        )
     elif args.client == "http":
         if args.endpoint is None:
             raise CliUsageError("--client http requires --endpoint")
@@ -122,8 +119,9 @@ def _cmd_curate(args) -> int:
         client = clients.HttpModelClient(
             args.endpoint, auth_token=token, image_root=args.image_root
         )
+    if client is not None:
         outcomes = clients.run_jobs(
-            prompt_jobs, client, max_retries=args.max_retries, parallelism=jobs_n
+            prompt_jobs, client, max_retries=args.max_retries, parallelism=args.jobs
         )
 
     def job_obj(job, res):
@@ -229,7 +227,6 @@ _TRANSFORM_TARGETS = {
 
 
 def _cmd_transform(args) -> int:
-    _resolve_runtime(args)  # validates --seed, --jobs and --config; transform uses neither
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
     ann_map = None
@@ -405,14 +402,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    seed, _ = _resolve_runtime(args)
     if not (0.0 <= args.eval_fraction <= 1.0):
         raise CliUsageError("--eval-fraction must be in [0, 1]")
     dataset_io.read_records(args.in_path)  # validate before touching outputs
     with open(args.in_path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     indices = list(range(len(lines)))
-    random.Random(seed).shuffle(indices)
+    random.Random(args.seed).shuffle(indices)
     n_eval = int(len(lines) * args.eval_fraction + 0.5)
     eval_set = set(indices[:n_eval])
     with open(args.train_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -499,6 +495,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("segdial: error: a command is required", file=sys.stderr)
             return 1
+        args.seed, args.jobs = _resolve_runtime(args)
         return args.func(args)
     except CliUsageError as exc:
         print(str(exc), file=sys.stderr)

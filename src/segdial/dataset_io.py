@@ -107,7 +107,6 @@ def load_coco(
         categories[cid] = str(cat.get("name", cid))
 
     image_meta: dict[int, dict] = {}
-    image_order: list[int] = []
     for img in raw.get("images", []):
         iid = img.get("id")
         if not isinstance(iid, int):
@@ -123,9 +122,8 @@ def load_coco(
             errors.append(f"image {iid}: missing file_name")
             continue
         image_meta[iid] = img
-        image_order.append(iid)
 
-    per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_order}
+    per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_meta}
     seen_ann_ids: set[int] = set()
     for ann in raw.get("annotations", []):
         aid = ann.get("id")
@@ -191,12 +189,12 @@ def load_coco(
     images = tuple(
         ImageRecord(
             image_id=iid,
-            width=image_meta[iid]["width"],
-            height=image_meta[iid]["height"],
-            file_name=image_meta[iid]["file_name"],
+            width=meta["width"],
+            height=meta["height"],
+            file_name=meta["file_name"],
             annotations=tuple(per_image[iid]),
         )
-        for iid in image_order
+        for iid, meta in image_meta.items()
     )
     return CocoDataset(images=images, categories=categories, warnings=tuple(warnings))
 

@@ -143,7 +143,7 @@ def _validate_predictions(
 
 
 def _greedy_match(
-    ious: np.ndarray,
+    ious: list[list[float]],
     gt_order: Sequence[int],
     gt_ignored: Sequence[bool],
     dets: Sequence[_Det],
@@ -166,7 +166,7 @@ def _greedy_match(
                 continue
             if best >= 0 and not gt_ignored[best] and gt_ignored[gi]:
                 break
-            v = ious[di, gi]
+            v = ious[di][gi]
             if best < 0:
                 if v < threshold:
                     continue
@@ -240,89 +240,57 @@ def evaluate_ap(
     for n, p in enumerate(preds):
         entry = _Det(index=n, score=p.score, area=area(p.mask), mask=p.mask)
         dets.setdefault((p.image_id, p.category_id), []).append(entry)
-    for key, cell in dets.items():
+    for cell in dets.values():
         cell.sort(key=lambda d: (-d.score, d.index))
         del cell[protocol.max_dets :]
 
     cats = sorted(gt_categories)
-    image_order = list(images.values())
-    iou_cache: dict[tuple[int, int], np.ndarray] = {}
+    bands = protocol.bands()
+    # per (band, category): one row list per threshold, in image order, and
+    # the count of ground truths inside the band
+    rows = {(b, cat): [[] for _ in protocol.iou_thresholds] for b, _ in bands for cat in cats}
+    positives = dict.fromkeys(rows, 0)
+    for cat in cats:
+        for img in images.values():
+            gts = [a for a in img.annotations if a.category_id == cat]
+            ds = dets.get((img.image_id, cat), [])
+            ious = [[mask_iou(d.mask, g.mask) for g in gts] for d in ds]
+            for band_name, in_band in bands:
+                gt_ignored = [not in_band(g.area) for g in gts]
+                gt_order = sorted(range(len(gts)), key=gt_ignored.__getitem__)
+                positives[band_name, cat] += gt_ignored.count(False)
+                for t, thr_rows in zip(protocol.iou_thresholds, rows[band_name, cat]):
+                    thr_rows.extend(_greedy_match(ious, gt_order, gt_ignored, ds, t, in_band))
 
-    def cell_ious(img: ImageRecord, cat: int) -> tuple[np.ndarray, list[int]]:
-        key = (img.image_id, cat)
-        gt_idx = [k for k, a in enumerate(img.annotations) if a.category_id == cat]
-        if key not in iou_cache:
-            ds = dets.get(key, [])
-            m = np.zeros((len(ds), len(gt_idx)), dtype=np.float64)
-            for i, d in enumerate(ds):
-                for j, k in enumerate(gt_idx):
-                    m[i, j] = mask_iou(d.mask, img.annotations[k].mask)
-            iou_cache[key] = m
-        return iou_cache[key], gt_idx
+    # per (band, category): the AP at each threshold, or None when the band
+    # holds no ground truth of that category
+    curves = {
+        key: [_average_precision(r, positives[key], protocol.recall_points) for r in rows[key]]
+        if positives[key]
+        else None
+        for key in rows
+    }
 
-    # cell value: mean-over-threshold AP list per (band, category), or None
-    # when the band holds no ground truth for that category
-    curves: dict[tuple[str, int], Optional[dict[float, float]]] = {}
-    for band_name, in_band in protocol.bands():
-        for cat in cats:
-            rows_by_thr: dict[float, list] = {t: [] for t in protocol.iou_thresholds}
-            n_positive = 0
-            for img in image_order:
-                ious, gt_idx = cell_ious(img, cat)
-                gt_areas = [img.annotations[k].area for k in gt_idx]
-                gt_ignored = [not in_band(a) for a in gt_areas]
-                gt_order = sorted(range(len(gt_idx)), key=lambda gi: gt_ignored[gi])
-                n_positive += sum(1 for ig in gt_ignored if not ig)
-                ds = dets.get((img.image_id, cat), [])
-                for t in protocol.iou_thresholds:
-                    rows_by_thr[t].extend(
-                        _greedy_match(ious, gt_order, gt_ignored, ds, t, in_band)
-                    )
-            if n_positive == 0:
-                curves[(band_name, cat)] = None
-            else:
-                curves[(band_name, cat)] = {
-                    t: _average_precision(rows_by_thr[t], n_positive, protocol.recall_points)
-                    for t in protocol.iou_thresholds
-                }
+    def block(over: Sequence[int]) -> dict[str, float]:
+        """The six fields averaged over the categories of `over` whose band holds ground truth."""
 
-    def thr_mean(cell: dict[float, float]) -> float:
-        return sum(cell.values()) / len(cell)
+        def mean(band_name: str, pick) -> float:
+            vals = [pick(curves[band_name, c]) for c in over if curves[band_name, c] is not None]
+            return sum(vals) / len(vals) if vals else 0.0
 
-    def band_mean(band_name: str, pick) -> float:
-        vals = [
-            pick(curves[(band_name, cat)])
-            for cat in cats
-            if curves[(band_name, cat)] is not None
-        ]
-        return sum(vals) / len(vals) if vals else 0.0
+        def thr_mean(curve: list[float]) -> float:
+            return sum(curve) / len(curve)
 
-    t50 = protocol.iou_thresholds[0]
-    t75 = protocol.iou_thresholds[5]
-
-    def block_for(cat: int) -> ApBlock:
-        def banded(band_name: str, pick) -> float:
-            cell = curves[(band_name, cat)]
-            return pick(cell) if cell is not None else 0.0
-
-        return ApBlock(
-            mAP=banded("all", thr_mean),
-            AP50=banded("all", lambda c: c[t50]),
-            AP75=banded("all", lambda c: c[t75]),
-            AP_small=banded("small", thr_mean),
-            AP_medium=banded("medium", thr_mean),
-            AP_large=banded("large", thr_mean),
+        return dict(
+            mAP=mean("all", thr_mean),
+            AP50=mean("all", lambda c: c[0]),
+            AP75=mean("all", lambda c: c[5]),
+            AP_small=mean("small", thr_mean),
+            AP_medium=mean("medium", thr_mean),
+            AP_large=mean("large", thr_mean),
         )
 
-    return ApReport(
-        mAP=band_mean("all", thr_mean),
-        AP50=band_mean("all", lambda c: c[t50]),
-        AP75=band_mean("all", lambda c: c[t75]),
-        AP_small=band_mean("small", thr_mean),
-        AP_medium=band_mean("medium", thr_mean),
-        AP_large=band_mean("large", thr_mean),
-        per_category={cat: block_for(cat) for cat in cats},
-    )
+    return ApReport(**block(cats), per_category={cat: ApBlock(**block([cat])) for cat in cats})
 
 
 def evaluate_semseg(

@@ -233,6 +233,40 @@ class TestRuntimeResolution:
         assert f"--jobs must be <= {cli.MAX_JOBS}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["match", "evaluate", "parse", "report"])
+    @pytest.mark.parametrize("source, value", [("--jobs", "0"), ("--jobs", "65"), ("SEGDIAL_JOBS", "abc")])
+    def test_every_subcommand_checks_jobs(self, tmp_path, monkeypatch, capsys, command, source, value):
+        gt = write_gt(tmp_path)
+        out = tmp_path / "out.json"
+        report = tmp_path / "report.json"
+        report.write_text(
+            json.dumps({"mode": "sem", "metrics": {"gIoU": 1.0, "cIoU": 1.0}}), encoding="utf-8"
+        )
+        argv = {
+            "match": ["match", "--preds", str(write_perfect_preds(tmp_path)), "--gt", str(gt),
+                      "--out", str(out)],
+            "evaluate": ["evaluate", "--gt", str(gt), "--preds", str(write_perfect_preds(tmp_path)),
+                         "--mode", "inst", "--out", str(out)],
+            "parse": ["parse", "--responses", str(write_qa_responses(tmp_path)),
+                      "--annotations", str(gt), "--task", "qa", "--out", str(out)],
+            "report": ["report", "--in", str(report)],
+        }[command]
+        inputs = set(tmp_path.iterdir())
+
+        if source == "--jobs":
+            assert main(argv + [source, value]) == 1
+        else:
+            monkeypatch.setenv(source, value)
+            assert main(argv) == 1
+            monkeypatch.delenv(source)
+        captured = capsys.readouterr()
+        assert "SEGDIAL_JOBS must be an integer" in captured.err or "--jobs must be" in captured.err
+        assert captured.out == ""
+        assert set(tmp_path.iterdir()) == inputs
+
+        assert main(argv) == 0  # the same command with a valid --jobs runs
+        assert capsys.readouterr().out
+
 
 class TestCurate:
     def test_builds_jobs_and_dropped_report(self, tmp_path, capsys):
