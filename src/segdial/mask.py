@@ -3,11 +3,20 @@
 Masks are immutable boolean grids indexed [y, x] with x growing right and
 y growing down. The run-length code is column-major with the first run
 counting zeros, so an all-ones mask starts with a zero-length run.
+
+A `RasterMask` stores its canvas size, the tight box of its set pixels, the
+read-only bits cropped to that box and its area, counted once; its memory
+scales with the object, not the canvas. Every operation here works on the
+crops: `overlap` returns at once for masks whose boxes are disjoint and
+otherwise counts only where the boxes meet. This module is the only reader
+of that format. `RasterMask.pixels` allocates a new full canvas on each
+call, so it is for callers that need the whole grid, not for hot paths.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,44 +82,74 @@ class Polygon:
 
 
 class RasterMask:
-    """Immutable binary occupancy grid of shape (height, width)."""
+    """Immutable binary occupancy grid of shape (height, width).
 
-    __slots__ = ("_pixels",)
+    Only the tight box of the set pixels is stored; an empty mask keeps a
+    0x0 crop at the origin.
+    """
+
+    __slots__ = ("_width", "_height", "_top", "_left", "_bottom", "_right", "_bits", "_area")
 
     def __init__(self, pixels: np.ndarray) -> None:
-        arr = np.array(pixels, dtype=bool, copy=True)
+        arr = np.asarray(pixels, dtype=bool)
         if arr.ndim != 2:
             raise ValueError(f"mask must be 2-d, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"mask must span at least one pixel, got shape {arr.shape}")
-        arr.setflags(write=False)
-        self._pixels = arr
+        self._store(arr.shape[1], arr.shape[0], *_crop(0, 0, arr))
+
+    def _store(
+        self, width: int, height: int, top: int, left: int, bits: np.ndarray, area: int
+    ) -> None:
+        """Keep `bits`, a tight crop at (top, left) that nothing else holds, and its count."""
+        bits.setflags(write=False)
+        self._width = operator.index(width)
+        self._height = operator.index(height)
+        self._top, self._left = top, left
+        self._bottom, self._right = top + bits.shape[0], left + bits.shape[1]
+        self._bits = bits
+        self._area = area
+
+    @classmethod
+    def _from_crop(
+        cls, width: int, height: int, top: int, left: int, bits: np.ndarray, area: int
+    ) -> "RasterMask":
+        mask = cls.__new__(cls)
+        mask._store(width, height, top, left, bits, area)
+        return mask
 
     @classmethod
     def zeros(cls, width: int, height: int) -> "RasterMask":
-        return cls(np.zeros((height, width), dtype=bool))
+        if width < 1 or height < 1:
+            raise ValueError(f"mask must span at least one pixel, got shape {(height, width)}")
+        return cls._from_crop(width, height, 0, 0, np.zeros((0, 0), dtype=bool), 0)
 
     @property
     def pixels(self) -> np.ndarray:
-        return self._pixels
+        """A new read-only (height, width) array; each call allocates the full canvas."""
+        out = np.zeros((self._height, self._width), dtype=bool)
+        out[self._top : self._bottom, self._left : self._right] = self._bits
+        out.setflags(write=False)
+        return out
 
     @property
     def width(self) -> int:
-        return self._pixels.shape[1]
+        return self._width
 
     @property
     def height(self) -> int:
-        return self._pixels.shape[0]
+        return self._height
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self._width, self._height, self._top, self._left)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RasterMask):
             return NotImplemented
-        return self._pixels.shape == other._pixels.shape and bool(
-            np.array_equal(self._pixels, other._pixels)
-        )
+        return self._key() == other._key() and bool(np.array_equal(self._bits, other._bits))
 
     def __hash__(self) -> int:
-        return hash((self._pixels.shape, self._pixels.tobytes()))
+        return hash((self._key(), self._bits.shape, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"RasterMask({self.width}x{self.height}, area={area(self)})"
@@ -142,6 +181,20 @@ class Rle:
             )
 
 
+def _crop(top: int, left: int, window: np.ndarray) -> tuple[int, int, np.ndarray, int]:
+    """(top, left, bits, area) of the set pixels of `window` placed at (top, left).
+
+    The bits are a copy, so no caller array is kept or shared; an empty
+    window gives a 0x0 crop at the origin.
+    """
+    rows = np.flatnonzero(window.any(axis=1))
+    if not rows.size:
+        return 0, 0, np.zeros((0, 0), dtype=bool), 0
+    cols = np.flatnonzero(window.any(axis=0))
+    bits = window[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
+    return top + int(rows[0]), left + int(cols[0]), bits, int(np.count_nonzero(bits))
+
+
 def rasterize(poly: Polygon, width: int, height: int) -> RasterMask:
     """Fill a polygon onto a width x height canvas.
 
@@ -154,57 +207,110 @@ def rasterize(poly: Polygon, width: int, height: int) -> RasterMask:
     verts = poly.vertices
     if len(verts) < 3:
         return RasterMask.zeros(width, height)
-    xs = np.arange(width, dtype=np.float64) + 0.5
-    ys = np.arange(height, dtype=np.float64) + 0.5
-    inside = np.zeros((height, width), dtype=bool)
-    n = len(verts)
-    for k in range(n):
-        x1, y1 = verts[k]
-        x2, y2 = verts[(k + 1) % n]
-        if y1 == y2:
-            continue
-        crosses = (y1 > ys) != (y2 > ys)
-        if not crosses.any():
-            continue
-        # operand order matters: this must stay the same IEEE expression as
-        # the scalar crossing test so edge-touching centers agree exactly
-        xint = (x2 - x1) * (ys[crosses] - y1) / (y2 - y1) + x1
-        inside[crosses] ^= xs[None, :] < xint[:, None]
-    return RasterMask(inside)
+    # Only rows whose center lies in [min y, max y) cross an edge, and in
+    # such a row a center left of every crossing, or at or right of every
+    # crossing, is passed an even number of times and stays clear. So only
+    # the vertex box, clipped to the canvas, is filled.
+    x1, y1 = np.array(verts, dtype=np.float64).T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    top = max(0, math.ceil(float(y1.min()) - 0.5))
+    bottom = min(height, math.ceil(float(y1.max()) - 0.5))
+    ys = np.arange(top, bottom, dtype=np.float64) + 0.5
+    # horizontal edges cross no row, so they never divide by zero below
+    edge, row = np.nonzero((y1[:, None] > ys) != (y2[:, None] > ys))
+    if not edge.size:
+        return RasterMask.zeros(width, height)
+    # operand order matters: this must stay the same IEEE expression as
+    # the scalar crossing test so edge-touching centers agree exactly
+    xint = (x2[edge] - x1[edge]) * (ys[row] - y1[edge]) / (y2[edge] - y1[edge]) + x1[edge]
+    left = max(0, math.ceil(float(xint.min()) - 0.5))
+    right = min(width, math.ceil(float(xint.max()) - 0.5))
+    if left >= right:
+        return RasterMask.zeros(width, height)
+    xs = np.arange(left, right, dtype=np.float64) + 0.5
+    # A crossing flips the centers left of it, the first `passed` of its
+    # row, so a center is inside when an odd number of crossings have
+    # `passed` beyond it: a running xor from the right end of the row.
+    passed = np.searchsorted(xs, xint, side="left")
+    n = xs.size + 1
+    flips = np.zeros(ys.size * n, dtype=bool)
+    np.logical_xor.at(flips, row * n + passed, True)
+    flips = flips.reshape(ys.size, n)
+    inside = np.logical_xor.accumulate(flips[:, :0:-1], axis=1)[:, ::-1]
+    return RasterMask._from_crop(width, height, *_crop(top, left, inside))
 
 
 def rle_encode(mask: RasterMask) -> Rle:
     """Encode a mask; decoding the result restores it exactly."""
-    flat = mask.pixels.flatten(order="F")
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    counts = [int(c) for c in np.diff(bounds)]
-    if flat[0]:
-        counts.insert(0, 0)
-    return Rle(mask.width, mask.height, tuple(counts))
+    h = mask.height
+    total = mask.width * h
+    if not mask._area:
+        return Rle(mask.width, h, (total,))
+    # the full-height columns of the box, flattened column-major between two
+    # clear sentinels, so runs that wrap into the next column stay whole
+    bits = mask._bits
+    flat = np.zeros(bits.shape[1] * h + 2, dtype=np.int8)
+    flat[1:-1].reshape(bits.shape[1], h)[:, mask._top : mask._bottom] = bits.T
+    step = np.diff(flat)
+    starts = np.flatnonzero(step == 1)
+    bounds = np.empty(2 * starts.size, dtype=np.int64)
+    bounds[0::2] = starts
+    bounds[1::2] = np.flatnonzero(step == -1)
+    bounds += mask._left * h
+    counts = np.diff(bounds, prepend=0, append=total).tolist()
+    if counts[-1] == 0:
+        counts.pop()
+    return Rle(mask.width, h, tuple(counts))
 
 
 def rle_decode(rle: Rle) -> RasterMask:
     """Expand a run-length code back into a mask."""
-    values = np.zeros(len(rle.counts), dtype=bool)
+    h = rle.height
+    counts = np.fromiter(rle.counts, dtype=np.int64, count=len(rle.counts))
+    stops = np.cumsum(counts)[1::2]  # set run k is counts[2k + 1] and ends at stops[k]
+    if not stops.size:
+        return RasterMask.zeros(rle.width, h)
+    # expand only the columns the set runs touch: trim the first clear run
+    # and pad the last column
+    left = int(counts[0]) // h
+    right = (int(stops[-1]) - 1) // h + 1
+    lengths = np.append(counts[: 2 * stops.size], right * h - int(stops[-1]))
+    lengths[0] -= left * h
+    values = np.zeros(lengths.size, dtype=bool)
     values[1::2] = True
-    flat = np.repeat(values, rle.counts)
-    return RasterMask(flat.reshape((rle.height, rle.width), order="F"))
+    columns = np.repeat(values, lengths).reshape(right - left, h)
+    rows = np.flatnonzero(columns.any(axis=0))
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    bits = columns[:, top:bottom].T.copy()
+    return RasterMask._from_crop(rle.width, h, top, left, bits, int(counts[1::2].sum()))
 
 
 def _check_same_canvas(a: RasterMask, b: RasterMask) -> None:
-    if a.pixels.shape != b.pixels.shape:
+    if a._width != b._width or a._height != b._height:
         raise ValueError(
             f"mask canvases differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
 
 
 def overlap(a: RasterMask, b: RasterMask) -> tuple[int, int]:
-    """(intersection, union) pixel counts of two same-canvas masks."""
+    """(intersection, union) pixel counts of two same-canvas masks.
+
+    Masks whose boxes are disjoint (an empty mask has an empty box) share no
+    pixel; otherwise only the intersection of the boxes is counted.
+    """
     _check_same_canvas(a, b)
-    inter = int(np.count_nonzero(a.pixels & b.pixels))
-    union = int(np.count_nonzero(a.pixels | b.pixels))
-    return inter, union
+    total = a._area + b._area
+    top, bottom = max(a._top, b._top), min(a._bottom, b._bottom)
+    left, right = max(a._left, b._left), min(a._right, b._right)
+    if top >= bottom or left >= right:
+        return 0, total
+    inter = int(
+        np.count_nonzero(
+            a._bits[top - a._top : bottom - a._top, left - a._left : right - a._left]
+            & b._bits[top - b._top : bottom - b._top, left - b._left : right - b._left]
+        )
+    )
+    return inter, total - inter
 
 
 def mask_iou(a: RasterMask, b: RasterMask) -> float:
@@ -218,21 +324,30 @@ def mask_union(masks: Sequence[RasterMask]) -> RasterMask:
     if not masks:
         raise ValueError("mask_union needs at least one mask")
     first = masks[0]
-    out = first.pixels.copy()
     for m in masks[1:]:
         _check_same_canvas(first, m)
-        out |= m.pixels
-    return RasterMask(out)
+    parts = [m for m in masks if m._area]
+    if len(parts) <= 1:
+        return parts[0] if parts else first  # masks are immutable, so no copy
+    top = min(m._top for m in parts)
+    left = min(m._left for m in parts)
+    out = np.zeros(
+        (max(m._bottom for m in parts) - top, max(m._right for m in parts) - left), dtype=bool
+    )
+    for m in parts:
+        out[m._top - top : m._bottom - top, m._left - left : m._right - left] |= m._bits
+    # the union of tight boxes is tight
+    count = int(np.count_nonzero(out))
+    return RasterMask._from_crop(first.width, first.height, top, left, out, count)
 
 
 def area(mask: RasterMask) -> int:
     """Number of set pixels."""
-    return int(np.count_nonzero(mask.pixels))
+    return mask._area
 
 
 def bbox_of(mask: RasterMask) -> Optional[BBox]:
     """Tight inclusive bbox of the set pixels, or None for an empty mask."""
-    ys, xs = np.nonzero(mask.pixels)
-    if ys.size == 0:
+    if not mask._area:
         return None
-    return BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return BBox(mask._left, mask._top, mask._right - 1, mask._bottom - 1)

@@ -63,13 +63,24 @@ class PredictionInstance:
 
 @dataclass(frozen=True)
 class ApProtocol:
-    """Evaluation constants; the defaults are the ones reported everywhere."""
+    """Evaluation constants; the defaults are the ones reported everywhere.
+
+    `iou_thresholds` must rise strictly within (0, 1] and hold 0.5 and 0.75,
+    the thresholds that AP50 and AP75 report.
+    """
 
     iou_thresholds: tuple[float, ...] = _IOU_THRESHOLDS
     recall_points: tuple[float, ...] = _RECALL_POINTS
     max_dets: int = 100
     small_ceiling: int = 32 ** 2  # areas strictly below are small
     large_floor: int = 96 ** 2  # areas strictly above are large
+
+    def __post_init__(self) -> None:
+        thr = tuple(self.iou_thresholds)
+        if not all(0.0 < t <= 1.0 for t in thr) or any(a >= b for a, b in zip(thr, thr[1:])):
+            raise ValueError(f"iou_thresholds must be strictly increasing in (0, 1], got {thr}")
+        if 0.5 not in thr or 0.75 not in thr:
+            raise ValueError(f"iou_thresholds must hold 0.5 and 0.75 (AP50, AP75), got {thr}")
 
     def bands(self):
         return (
@@ -271,6 +282,9 @@ def evaluate_ap(
         for key in rows
     }
 
+    i50 = protocol.iou_thresholds.index(0.5)
+    i75 = protocol.iou_thresholds.index(0.75)
+
     def block(over: Sequence[int]) -> dict[str, float]:
         """The six fields averaged over the categories of `over` whose band holds ground truth."""
 
@@ -283,8 +297,8 @@ def evaluate_ap(
 
         return dict(
             mAP=mean("all", thr_mean),
-            AP50=mean("all", lambda c: c[0]),
-            AP75=mean("all", lambda c: c[5]),
+            AP50=mean("all", lambda c: c[i50]),
+            AP75=mean("all", lambda c: c[i75]),
             AP_small=mean("small", thr_mean),
             AP_medium=mean("medium", thr_mean),
             AP_large=mean("large", thr_mean),

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,189 @@ class TestRasterMaskType:
             RasterMask(np.zeros((2, 2, 2), dtype=bool))
         with pytest.raises(ValueError):
             RasterMask(np.zeros((0, 4), dtype=bool))
+
+
+def _rle_reference(arr):
+    """Column-major run lengths of the full canvas, the first run counting zeros."""
+    flat = arr.flatten(order="F").astype(np.int8)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(flat)) + 1, [flat.size]))
+    counts = np.diff(bounds).tolist()
+    return tuple([0] + counts if flat[0] else counts)
+
+
+@st.composite
+def placed_shape(draw, width, height, max_side=12):
+    """A canvas holding one small random shape whose tight box is the drawn rectangle."""
+    h = draw(st.integers(1, min(max_side, height)))
+    w = draw(st.integers(1, min(max_side, width)))
+    top = draw(st.integers(0, height - h))
+    left = draw(st.integers(0, width - w))
+    return _canvas_with_box(draw, width, height, top, left, h, w)
+
+
+def _canvas_with_box(draw, width, height, top, left, h, w):
+    bits = draw(hnp.arrays(bool, (h, w)))
+    # one set pixel on each edge of the box makes it the tight box
+    bits[0, draw(st.integers(0, w - 1))] = True
+    bits[-1, draw(st.integers(0, w - 1))] = True
+    bits[draw(st.integers(0, h - 1)), 0] = True
+    bits[draw(st.integers(0, h - 1)), -1] = True
+    canvas = np.zeros((height, width), dtype=bool)
+    canvas[top : top + h, left : left + w] = bits
+    return canvas
+
+
+@st.composite
+def canvas_pairs(draw):
+    """Two same-canvas arrays on up to 300x300: empty, one-pixel, disjoint,
+    edge-touching, one-line-overlapping, nested, or independent shapes."""
+    width = draw(st.integers(1, 300))
+    height = draw(st.integers(1, 300))
+    a = draw(placed_shape(width, height))
+    kind = draw(st.sampled_from(["empty", "pixel", "any", "beside", "shared_edge", "nested"]))
+    ys, xs = np.nonzero(a)
+    top, bottom, left, right = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+    if kind == "empty":
+        b = np.zeros_like(a)
+    elif kind == "pixel":
+        b = np.zeros_like(a)
+        b[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    elif kind == "any":
+        b = draw(placed_shape(width, height))
+    elif kind == "nested":
+        h = draw(st.integers(1, bottom - top))
+        w = draw(st.integers(1, right - left))
+        t = draw(st.integers(top, bottom - h))
+        l = draw(st.integers(left, right - w))
+        b = _canvas_with_box(draw, width, height, t, l, h, w)
+    else:
+        # the second box starts one line past the first ("beside": the boxes
+        # are disjoint but touch) or on its last line ("shared_edge")
+        shift = 0 if kind == "beside" else 1
+        side = draw(st.sampled_from(["right", "below", "left", "above"]))
+        h = draw(st.integers(1, 12))
+        w = draw(st.integers(1, 12))
+        if side == "right":
+            l, t = right - shift, draw(st.integers(top - h + 1, bottom - 1))
+        elif side == "left":
+            l, t = left - w + shift, draw(st.integers(top - h + 1, bottom - 1))
+        elif side == "below":
+            t, l = bottom - shift, draw(st.integers(left - w + 1, right - 1))
+        else:
+            t, l = top - h + shift, draw(st.integers(left - w + 1, right - 1))
+        if not (0 <= t and t + h <= height and 0 <= l and l + w <= width):
+            b = np.zeros_like(a)
+        else:
+            b = _canvas_with_box(draw, width, height, t, l, h, w)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _polygons_past_the_edge(max_side=24):
+    def verts(size):
+        width, height = size
+        coord = lambda hi: st.one_of(  # noqa: E731
+            st.integers(0, 4 * hi).map(lambda v: v / 2),  # lands on pixel centers and edges
+            st.floats(0, 2 * hi, allow_nan=False),
+        )
+        return st.tuples(
+            st.just(width),
+            st.just(height),
+            st.lists(st.tuples(coord(width), coord(height)), min_size=3, max_size=8),
+        )
+
+    return shapes(max_side).flatmap(verts)
+
+
+class TestCroppedStorage:
+    """The cropped masks against full-canvas numpy on the same pixels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(canvas_pairs())
+    def test_set_operations_match_full_canvas_numpy(self, arrs):
+        a_arr, b_arr = arrs
+        a, b = RasterMask(a_arr), RasterMask(b_arr)
+        inter = int(np.count_nonzero(a_arr & b_arr))
+        union = int(np.count_nonzero(a_arr | b_arr))
+        assert overlap(a, b) == (inter, union)
+        assert mask_iou(a, b) == (inter / union if union else 0.0)
+        joined = mask_union([a, b])
+        assert np.array_equal(joined.pixels, a_arr | b_arr)
+        assert joined == RasterMask(a_arr | b_arr)
+        assert area(joined) == union
+        for m, arr in ((a, a_arr), (b, b_arr)):
+            assert np.array_equal(m.pixels, arr)
+            assert area(m) == int(np.count_nonzero(arr))
+            ys, xs = np.nonzero(arr)
+            want = BBox(xs.min(), ys.min(), xs.max(), ys.max()) if ys.size else None
+            assert bbox_of(m) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(canvas_pairs())
+    def test_run_length_round_trip_matches_full_canvas_runs(self, arrs):
+        for arr in arrs:
+            m = RasterMask(arr)
+            rle = rle_encode(m)
+            assert rle.counts == _rle_reference(arr)
+            back = rle_decode(rle)
+            assert np.array_equal(back.pixels, arr)
+            assert back == m and hash(back) == hash(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(canvas_pairs(), st.data())
+    def test_equality_and_hash_follow_the_pixels(self, arrs, data):
+        a_arr, b_arr = arrs
+        a, b = RasterMask(a_arr), RasterMask(b_arr)
+        same = bool(np.array_equal(a_arr, b_arr))
+        assert (a == b) is same
+        if same:
+            assert hash(a) == hash(b)
+        assert RasterMask(a_arr.copy()) == a and hash(RasterMask(a_arr.copy())) == hash(a)
+        flipped = a_arr.copy()
+        y = data.draw(st.integers(0, a_arr.shape[0] - 1))
+        x = data.draw(st.integers(0, a_arr.shape[1] - 1))
+        flipped[y, x] = not flipped[y, x]
+        assert RasterMask(flipped) != a
+
+    @settings(max_examples=200, deadline=None)
+    @given(_polygons_past_the_edge())
+    def test_rasterize_polygons_crossing_the_canvas_edge(self, case):
+        width, height, verts = case
+        got = rasterize(Polygon(verts), width, height)
+        want = oracles.rasterize_reference(verts, width, height)
+        assert np.array_equal(got.pixels, want)
+        assert area(got) == int(np.count_nonzero(want))
+        assert got == RasterMask(want)
+
+    def test_pixels_is_a_fresh_read_only_canvas(self):
+        m = rect_mask(9, 7, 2, 3, 5, 6)
+        first, second = m.pixels, m.pixels
+        assert first is not second and first.shape == (7, 9)
+        assert not first.flags.writeable
+        assert RasterMask.zeros(9, 7).pixels.shape == (7, 9)
+        with pytest.raises(ValueError):
+            RasterMask.zeros(0, 7)
+
+
+class TestMemory:
+    def test_small_objects_on_a_huge_canvas_stay_small(self):
+        side = 4096  # a full canvas is 16 MiB of bools
+        counts = [side * 100 + 200]  # a 5x3 block at column 100, row 200
+        for col in range(3):
+            counts += [5, side - 5] if col < 2 else [5, side * side - (side * 102 + 205)]
+        rle = Rle(side, side, tuple(counts))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            drawn = rasterize(Polygon(((98, 198), (106, 198), (106, 208), (98, 208))), side, side)
+            decoded = rle_decode(rle)
+            iou = mask_iou(drawn, decoded)
+            joined = mask_union([drawn, decoded])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (area(drawn), area(decoded), area(joined)) == (80, 15, 80)
+        assert iou == 15 / 80
+        assert peak < 1 << 20, peak
 
 
 class TestPixelFormatOwnership:

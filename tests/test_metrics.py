@@ -40,6 +40,40 @@ class TestProtocol:
         assert len(p.recall_points) == 101
         assert p.recall_points[0] == 0.0 and p.recall_points[-1] == 1.0
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (),
+            (0.75, 0.5),  # reordered
+            (0.5, 0.5, 0.75),  # repeated
+            (0.0, 0.5, 0.75),
+            (0.5, 0.75, 1.01),
+            (0.5, 0.7),  # no 0.75
+            (0.6, 0.75),  # no 0.5
+        ],
+    )
+    def test_rejects_grids_without_increasing_thresholds_or_ap50_ap75(self, grid):
+        with pytest.raises(ValueError, match="iou_thresholds"):
+            ApProtocol(iou_thresholds=grid)
+
+    @pytest.mark.parametrize("grid", [(0.5, 0.75), (0.25, 0.5, 0.6, 0.75, 1.0)])
+    def test_ap50_and_ap75_read_their_own_thresholds(self, grid):
+        protocol = ApProtocol(iou_thresholds=grid)
+        for seed in range(20):
+            preds_pkg, images_pkg, preds_dict, images_dict, categories = random_micro_dataset(
+                random.Random(3000 + seed)
+            )
+            got = evaluate_ap(preds_pkg, images_pkg, protocol=protocol, categories=categories)
+            want = oracles.reference_ap(preds_dict, images_dict)
+            for field in ("AP50", "AP75"):
+                assert getattr(got, field) == pytest.approx(want[field], abs=1e-9), (seed, field)
+            assert set(got.per_category) == set(want["per_category"])
+            for cat, block in want["per_category"].items():
+                for field in ("AP50", "AP75"):
+                    assert getattr(got.per_category[cat], field) == pytest.approx(
+                        block[field], abs=1e-9
+                    ), (seed, cat, field)
+
     def test_band_boundaries(self):
         bands = dict(ApProtocol().bands())
         for area, expect in [(1023, "small"), (1024, "medium"), (9216, "medium"), (9217, "large")]:
