@@ -166,19 +166,45 @@ class Rle:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("rle canvas must span at least one pixel")
-        counts = tuple(int(c) for c in self.counts)
+        runs = _int64_runs(self.counts)
+        if runs is None:  # int() converts or raises, as for any single count
+            counts = tuple(int(c) for c in self.counts)
+            runs = np.array(counts, dtype=object)
+        else:
+            counts = tuple(runs.tolist())
         object.__setattr__(self, "counts", counts)
         if not counts:
             raise ValueError("rle counts must be non-empty")
-        if any(c < 0 for c in counts):
+        if (runs < 0).any():
             raise ValueError("rle counts must be non-negative")
-        if any(c == 0 for c in counts[1:]):
+        if not runs[1:].all():
             raise ValueError("rle has a zero-length run after the first")
         total = sum(counts)
         if total != self.width * self.height:
             raise ValueError(
                 f"rle counts sum to {total}, expected {self.width * self.height}"
             )
+
+
+_EXACT_FLOAT_INTS = 2.0**53  # floats below this truncate to int64 exactly
+
+
+def _int64_runs(counts) -> Optional[np.ndarray]:
+    """`int(c)` of every count as one int64 array, or None where NumPy cannot
+    promise that: counts that are not a flat list of numbers, floats that are
+    not finite or not below 2**53, and ints beyond int64."""
+    try:
+        runs = np.asarray(counts)
+    except (OverflowError, ValueError):
+        return None
+    kind = runs.dtype.kind
+    if runs.ndim != 1 or kind not in "biuf":
+        return None
+    if kind == "f" and not (np.abs(runs) < _EXACT_FLOAT_INTS).all():
+        return None  # also rejects nan and inf
+    if kind == "u" and runs.size and runs.max() > np.iinfo(np.int64).max:
+        return None
+    return runs.astype(np.int64)  # float to int truncates toward zero, as int() does
 
 
 def _crop(top: int, left: int, window: np.ndarray) -> tuple[int, int, np.ndarray, int]:
@@ -257,10 +283,8 @@ def rle_encode(mask: RasterMask) -> Rle:
     bounds[0::2] = starts
     bounds[1::2] = np.flatnonzero(step == -1)
     bounds += mask._left * h
-    counts = np.diff(bounds, prepend=0, append=total).tolist()
-    if counts[-1] == 0:
-        counts.pop()
-    return Rle(mask.width, h, tuple(counts))
+    counts = np.diff(bounds, prepend=0, append=total)
+    return Rle(mask.width, h, counts[:-1] if counts[-1] == 0 else counts)
 
 
 def rle_decode(rle: Rle) -> RasterMask:

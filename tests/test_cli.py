@@ -137,8 +137,8 @@ class TestExitCodes:
         assert "curate" in proc.stdout and "evaluate" in proc.stdout
 
     def test_import_loads_neither_scipy_nor_requests(self):
-        # Only `match` needs scipy and only `curate --client http` needs
-        # requests; every other subcommand must not pay for importing them.
+        # No subcommand needs scipy, and only `curate --client http` needs
+        # requests; no other subcommand may pay for importing them.
         import segdial
 
         env = dict(os.environ)
@@ -149,6 +149,41 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+
+    def test_match_runs_without_scipy(self, tmp_path):
+        # `match` solves its assignments with NumPy alone: a fresh interpreter
+        # that cannot import scipy writes the same bytes as this process.
+        import segdial
+
+        gt = write_gt(tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        write_predictions([
+            PredictionInstance(image_id=1, mask=M_KEY2, score=0.9, category_id=3),
+            PredictionInstance(image_id=1, mask=M_KEY1, score=1.0, category_id=3),
+            PredictionInstance(image_id=1, mask=M_KEY1, score=0.8, category_id=3),
+            PredictionInstance(image_id=2, mask=M_LAMP, score=1.0, category_id=5),
+        ], preds)
+        here, fresh = tmp_path / "here.jsonl", tmp_path / "fresh.jsonl"
+        args = ["match", "--preds", str(preds), "--gt", str(gt), "--out"]
+        assert main([*args, str(here)]) == 0
+        code = (
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy is not installed')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from segdial.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(segdial.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args, str(fresh)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == here.read_bytes()
 
 class TestRuntimeResolution:
     def test_flag_env_config_default_precedence(self, tmp_path, monkeypatch):

@@ -112,6 +112,39 @@ class TestRle:
             Rle(2, 2, (-1, 5))
         Rle(2, 2, (0, 4))  # leading zero run is the all-ones spelling
 
+    def test_count_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^rle counts must be non-negative$"):
+            Rle(2, 2, (2, -1, 3))
+        with pytest.raises(ValueError, match="^rle has a zero-length run after the first$"):
+            Rle(2, 2, (0, 2, 0, 2))
+        with pytest.raises(ValueError, match="^rle counts sum to 3, expected 4$"):
+            Rle(2, 2, (1, 2))
+        with pytest.raises(ValueError, match="^rle counts must be non-empty$"):
+            Rle(2, 2, [])
+
+    def test_counts_beyond_int64_are_checked_exactly(self):
+        with pytest.raises(ValueError, match=f"^rle counts sum to {2**70}, expected 4$"):
+            Rle(2, 2, (2**70,))
+        with pytest.raises(ValueError, match=f"^rle counts sum to {2**63 + 4}, expected 4$"):
+            Rle(2, 2, (2**63, 4))
+        with pytest.raises(ValueError, match="^rle counts must be non-negative$"):
+            Rle(2, 2, (-(2**70), 4))
+        # each count fits int64, but their int64 sum wraps around to 4
+        with pytest.raises(ValueError, match=f"^rle counts sum to {2**64 + 4}, expected 4$"):
+            Rle(2, 2, (2**62, 2**62, 2**62, 2**62 + 4))
+
+    def test_counts_become_a_tuple_of_python_ints(self):
+        truncated = Rle(2, 2, (1.9, 2.2, 1))  # as int() truncates
+        assert truncated.counts == (1, 2, 1)
+        from_numpy = Rle(2, 2, np.array([1, 2, 1], dtype=np.uint8))
+        assert from_numpy == truncated
+        for rle in (truncated, from_numpy):
+            assert all(type(c) is int for c in rle.counts)
+        with pytest.raises(ValueError):
+            Rle(2, 2, (float("nan"), 4))
+        with pytest.raises(OverflowError):
+            Rle(2, 2, (float("inf"),))
+
     @given(mask_arrays())
     def test_round_trip(self, arr):
         m = RasterMask(arr)

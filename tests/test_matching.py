@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,35 @@ FALLBACK_NEAR_TIES = [
         [0.6, 0.3, 0.2, 0.9, 2 / 3, 0.9],
         [0.1, 0.2, 0.1, 0.7, 0.6, 0.7],
         [0.0, 0.2, 0.3, 0.6, 0.1, 0.2],
+    ]),
+]
+
+# On these the tie-break takes exchanges whose exact cost is positive while
+# the fsum total stays the same, so the rows after them need fresh
+# potentials. On the 4x7 one the first solve's float optimum is not the exact
+# optimum either.
+POSITIVE_EXCHANGES = [
+    np.array([
+        [0.3, 1 / 3, 0.2, 0.7, 1 / 3, 0.7, 0.3],
+        [0.7, 1 / 3, 0.7, 0.1, 0.3, 0.3, 2 / 3],
+        [0.1, 0.3, 0.3, 2 / 3, 0.7, 0.7, 0.2],
+        [0.0, 0.2, 0.0, 0.7, 0.1, 1 / 3, 1 / 3],
+        [2 / 3, 0.2, 1 / 3, 0.0, 0.7, 2 / 3, 1 / 3],
+    ]),
+    np.array([
+        [0.4, 0.9, 0.3, 0.4, 0.8, 0.5, 0.8],
+        [0.8, 0.5, 0.4, 0.8, 0.7, 1.0, 0.7],
+        [0.2, 0.6, 0.7, 0.1, 0.7, 1.0, 1.0],
+        [0.7, 0.0, 1.0, 0.6, 0.4, 0.0, 0.2],
+    ]),
+    np.array([
+        [0.7, 0.4, 0.8, 0.3, 0.0],
+        [0.2, 0.7, 0.8, 0.5, 0.7],
+        [0.6, 0.2, 0.3, 0.6, 0.1],
+        [0.8, 0.8, 1.0, 0.7, 0.4],
+        [1.0, 0.5, 0.3, 0.8, 0.7],
+        [0.6, 1.0, 0.1, 1.0, 0.3],
+        [0.6, 0.9, 0.4, 0.9, 1.0],
     ]),
 ]
 
@@ -129,15 +159,14 @@ class TestHungarian:
 
 
     def test_float_fallback_branch(self):
-        # No candidate for the second pair reproduces the first solve's fsum
-        # total (0.2 + 0.2 + 0.2 and 0.2 + 0.3 + 0.1 round differently), so the
-        # scan re-anchors on its best completion. The exhaustive oracle finds
-        # 0.6 with ((0,1),(1,0),(2,2),(4,3)): on such near-ties the fallback
-        # misses the exact minimum. This pins today's result.
+        # A first solve can pick pairs whose float sum ties the optimum while
+        # their fsum total does not: 0.2 + 0.2 + 0.2 and 0.2 + 0.3 + 0.1 round
+        # differently. The exact tie-break still finds the oracle's minimum.
         got = hungarian(FALLBACK_COSTS)
-        assert got.pairs == ((0, 1), (1, 0), (3, 3), (4, 2))
-        assert got.unmatched_predictions == (2,)
-        assert got.total_cost == 0.6000000000000001
+        want_total, want_pairs = oracles.brute_force_assignment(FALLBACK_COSTS)
+        assert got.pairs == ((0, 1), (1, 0), (2, 2), (4, 3)) == tuple(want_pairs)
+        assert got.unmatched_predictions == (3,)
+        assert got.total_cost == 0.6 == want_total
 
 
 def _reference_subproblem_cost(costs, rows, cols, need):
@@ -227,7 +256,8 @@ def _iou_like(rng, n, m, duplicates):
 
 class TestReducedCostSkip:
     """`hungarian` skips candidates its reduced costs rule out; the result
-    must equal the full scan's on every matrix, fallback branch included."""
+    must equal the full scan's on every matrix where the full scan reaches
+    the oracle's minimum, and the oracle's on FALLBACK_COSTS, where it does not."""
 
     @staticmethod
     def _small_matrices():
@@ -252,15 +282,21 @@ class TestReducedCostSkip:
         matrices += [_iou_like(rng, 100, 60, 10) for _ in range(2)]
         matrices += [_iou_like(rng, 30, 45, 5) for _ in range(4)]
         for costs in matrices:
-            want = _reference_hungarian(costs)
             got = hungarian(costs)
+            if costs is FALLBACK_COSTS:
+                want_total, want_pairs = oracles.brute_force_assignment(costs)
+                assert list(got.pairs) == want_pairs
+                assert got.total_cost == want_total
+                continue
+            want = _reference_hungarian(costs)
             assert got.pairs == want.pairs, costs.tolist()
             assert got.unmatched_predictions == want.unmatched_predictions
             assert got.unmatched_groundtruths == want.unmatched_groundtruths
             assert got.total_cost == want.total_cost, costs.tolist()
 
     def test_dense_matrices_need_few_solves(self, monkeypatch):
-        # The full scan makes up to ~2300 solves on these matrices.
+        # The full scan makes up to ~2300 solves on these matrices; the exact
+        # tie-break needs none beyond the first.
         calls = []
         solve = matching.linear_sum_assignment
 
@@ -274,7 +310,85 @@ class TestReducedCostSkip:
             costs = _iou_like(rng, 100, 60, 10)
             calls.clear()
             hungarian(costs)
-            assert len(calls) <= 2 * 60 + 1
+            assert calls == [(100, 60)]
+
+
+class TestExactTieBreak:
+    """The one-solve matcher against independent references: the exhaustive
+    oracle on small matrices, scipy's solver on large ones."""
+
+    @staticmethod
+    def _small_matrices(count, seed=606):
+        rng = np.random.default_rng(seed)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
+        thirds = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3]
+        tenths = [k / 10 for k in range(11)]
+        for trial in range(count):
+            shape = tuple(int(v) for v in rng.integers(1, 7, size=2))
+            family = trial % 5
+            if family < 3:
+                yield rng.choice((grid, thirds, tenths)[family], size=shape)
+            elif family == 3:
+                yield np.full(shape, float(rng.choice([0.0, 0.1, 1 / 3, 1.0])))
+            else:
+                yield rng.random(shape)
+
+    @staticmethod
+    def _assert_oracle(costs):
+        want_total, want_pairs = oracles.brute_force_assignment(costs.tolist())
+        got = hungarian(costs)
+        assert list(got.pairs) == want_pairs, costs.tolist()
+        assert got.total_cost == want_total, costs.tolist()
+
+    def test_matches_the_oracle_on_small_matrices(self):
+        fsum_tie = np.array([[0.5, 1 / 3], [2 / 3, 0.5]])
+        fixed = [fsum_tie, FALLBACK_COSTS, *FALLBACK_NEAR_TIES, *POSITIVE_EXCHANGES]
+        for costs in [*fixed, *self._small_matrices(3000)]:
+            self._assert_oracle(costs)
+
+    def test_ties_are_settled_on_fsum_totals_not_exact_sums(self):
+        # Both assignments have fsum total 1.0, so the diagonal sorts first,
+        # though the anti-diagonal's exact sum is smaller.
+        assert Fraction(1 / 3) + Fraction(2 / 3) == 1 - Fraction(1, 2**54)
+        assert math.fsum([1 / 3, 2 / 3]) == math.fsum([0.5, 0.5]) == 1.0
+        got = hungarian(np.array([[0.5, 1 / 3], [2 / 3, 0.5]]))
+        assert got.pairs == ((0, 0), (1, 1))
+        assert got.total_cost == 1.0
+
+    def test_a_non_optimal_first_solve_is_repaired(self, monkeypatch):
+        # The diagonal is rarely optimal: the exact potentials must cancel the
+        # negative cycles it leaves before the tie-break starts.
+        monkeypatch.setattr(matching, "linear_sum_assignment", lambda c: (np.arange(min(c.shape)),) * 2)
+        for costs in self._small_matrices(600, seed=607):
+            self._assert_oracle(costs)
+
+    def test_solver_reaches_scipys_optimum(self):
+        rng = np.random.default_rng(61)
+        near_ties = np.array([0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3])
+        for trial in range(60):
+            shape = int(rng.integers(1, 101)), int(rng.integers(1, 61))
+            shape = shape[::-1] if trial % 2 else shape
+            kind = trial % 6
+            if kind == 0:
+                costs = np.full(shape, 0.5)
+            elif kind == 1:
+                costs = np.zeros(shape)
+            elif kind == 2:
+                costs = rng.choice(near_ties, size=shape) * 1e-7
+            elif kind == 3:
+                costs = rng.choice(near_ties, size=shape) * 1e3
+            elif kind == 4:  # duplicated rows
+                costs = rng.random(shape)
+                costs[rng.integers(0, shape[0], shape[0] // 3)] = costs[0]
+            else:
+                costs = rng.random(shape)
+            rows, cols = matching.linear_sum_assignment(costs)
+            assert rows.tolist() == sorted(set(rows.tolist()))
+            assert len(set(cols.tolist())) == len(rows) == min(shape)
+            want_rows, want_cols = linear_sum_assignment(costs)
+            optimum = math.fsum(costs[want_rows, want_cols])
+            assert math.fsum(costs[rows, cols]) == pytest.approx(optimum, rel=1e-12, abs=0)
+            assert hungarian(costs).total_cost == pytest.approx(optimum, rel=1e-12, abs=0)
 
 
 class TestCostMatrix:
