@@ -11,11 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from segdial import clients, curation, dataset_io, mask, matching, metrics, parsing, transforms
+if TYPE_CHECKING:
+    from segdial import metrics
+
+# Each command imports the modules it runs, so `import segdial.cli` loads no
+# NumPy, `split` and `report` never do, and no command loads a module it
+# does not use.
 
 ENV_PREFIX = "SEGDIAL_"
 MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
@@ -81,6 +86,8 @@ def _sibling(path: Path, suffix: str) -> Path:
 
 
 def _cmd_curate(args) -> int:
+    from segdial import clients, curation, dataset_io
+
     dataset = dataset_io.load_coco(args.input)
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -151,6 +158,8 @@ def _cmd_curate(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from segdial import dataset_io, parsing
+
     dataset = dataset_io.load_coco(args.annotations)
     ann_by_image = {
         img.image_id: {a.instance_id: a for a in img.annotations} for img in dataset.images
@@ -227,6 +236,8 @@ _TRANSFORM_TARGETS = {
 
 
 def _cmd_transform(args) -> int:
+    from segdial import dataset_io, mask, parsing, transforms
+
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
     ann_map = None
@@ -275,6 +286,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from segdial import dataset_io, matching, metrics
+
     dataset = dataset_io.load_coco(args.gt)
     preds = dataset_io.read_predictions(args.preds)
     known = {img.image_id for img in dataset.images}
@@ -317,6 +330,8 @@ def _cmd_match(args) -> int:
 
 
 def _inst_metrics_obj(report: metrics.ApReport) -> dict:
+    from segdial import dataset_io
+
     def block(b: metrics.ApBlock) -> dict:
         return {
             "AP50": b.AP50,
@@ -348,6 +363,8 @@ def _render_report(obj: dict) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    from segdial import dataset_io, mask, metrics
+
     dataset = dataset_io.load_coco(args.gt)
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -402,6 +419,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    import random
+
+    from segdial import dataset_io
+
     if not (0.0 <= args.eval_fraction <= 1.0):
         raise CliUsageError("--eval-fraction must be in [0, 1]")
     dataset_io.read_records(args.in_path)  # validate before touching outputs

@@ -1,7 +1,10 @@
 """File formats: COCO-style ground truth, records JSONL, predictions JSONL.
 
 All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
-with "\n" endings, so identical inputs produce byte-identical files.
+with "\n" endings, so identical inputs produce byte-identical files. The
+geometry modules (and NumPy) and the record types load inside the functions
+that use them, so reading records never loads NumPy and reading masks never
+loads the parser.
 """
 
 from __future__ import annotations
@@ -9,12 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from segdial.curation import ImageRecord, InstanceAnnotation, decode_geometry
-from segdial.mask import Polygon, Rle, rle_encode
-from segdial.metrics import PredictionInstance
-from segdial.parsing import TASK_MODES, Provenance, SerializedRecord, SerializedTurn
+if TYPE_CHECKING:
+    from segdial.curation import ImageRecord
+    from segdial.mask import Rle
+    from segdial.metrics import PredictionInstance
+    from segdial.parsing import SerializedRecord
 
 __all__ = [
     "CocoDataset",
@@ -53,6 +57,8 @@ class CocoDataset:
 
 def _coerce_geometry(seg, ann_id: int, errors: list[str]):
     """COCO segmentation field: list of flat polygons, or {size, counts} rle."""
+    from segdial.mask import Polygon, Rle
+
     if isinstance(seg, dict):
         size = seg.get("size")
         counts = seg.get("counts")
@@ -90,6 +96,8 @@ def load_coco(
     warnings (recomputed values win). Missing image/category references,
     malformed geometry, and duplicate ids are hard errors.
     """
+    from segdial.curation import ImageRecord, InstanceAnnotation
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     errors: list[str] = []
@@ -234,6 +242,8 @@ def write_records(records: Sequence[SerializedRecord], path: str | Path) -> None
 
 
 def _parse_record_obj(obj: dict, where: str) -> SerializedRecord:
+    from segdial.parsing import TASK_MODES, Provenance, SerializedRecord, SerializedTurn
+
     if not isinstance(obj, dict):
         raise RecordError(f"{where}: record must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -309,6 +319,10 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     category_id is optional (instance evaluation requires it, whole-image
     evaluation ignores it).
     """
+    from segdial.curation import decode_geometry
+    from segdial.mask import Rle
+    from segdial.metrics import PredictionInstance
+
     preds = []
     for where, obj in _read_jsonl(path):
         if not isinstance(obj, dict):
@@ -358,6 +372,8 @@ def rle_to_obj(rle: Rle) -> dict:
 
 def write_predictions(preds: Sequence[PredictionInstance], path: str | Path) -> None:
     """Write predictions in the rle flavor of the predictions JSONL format."""
+    from segdial.mask import rle_encode
+
     rows = (
         {
             "image_id": p.image_id,

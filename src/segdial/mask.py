@@ -8,9 +8,10 @@ A `RasterMask` stores its canvas size, the tight box of its set pixels, the
 read-only bits cropped to that box and its area, counted once; its memory
 scales with the object, not the canvas. Every operation here works on the
 crops: `overlap` returns at once for masks whose boxes are disjoint and
-otherwise counts only where the boxes meet. This module is the only reader
-of that format. `RasterMask.pixels` allocates a new full canvas on each
-call, so it is for callers that need the whole grid, not for hot paths.
+otherwise counts only where the boxes meet, and `overlaps` counts every
+pair of two lists into exact integer matrices. This module is the only
+reader of that format. `RasterMask.pixels` allocates a new full canvas on
+each call, so it is for callers that need the whole grid, not for hot paths.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "mask_iou",
     "mask_union",
     "overlap",
+    "overlaps",
     "rasterize",
     "rle_decode",
     "rle_encode",
@@ -316,6 +318,20 @@ def _check_same_canvas(a: RasterMask, b: RasterMask) -> None:
         )
 
 
+def _shared(a: RasterMask, b: RasterMask) -> int:
+    """Pixels set in both masks, counted where their boxes meet (0 if they do not)."""
+    top, bottom = max(a._top, b._top), min(a._bottom, b._bottom)
+    left, right = max(a._left, b._left), min(a._right, b._right)
+    if top >= bottom or left >= right:
+        return 0
+    return int(
+        np.count_nonzero(
+            a._bits[top - a._top : bottom - a._top, left - a._left : right - a._left]
+            & b._bits[top - b._top : bottom - b._top, left - b._left : right - b._left]
+        )
+    )
+
+
 def overlap(a: RasterMask, b: RasterMask) -> tuple[int, int]:
     """(intersection, union) pixel counts of two same-canvas masks.
 
@@ -323,18 +339,124 @@ def overlap(a: RasterMask, b: RasterMask) -> tuple[int, int]:
     pixel; otherwise only the intersection of the boxes is counted.
     """
     _check_same_canvas(a, b)
-    total = a._area + b._area
-    top, bottom = max(a._top, b._top), min(a._bottom, b._bottom)
-    left, right = max(a._left, b._left), min(a._right, b._right)
-    if top >= bottom or left >= right:
-        return 0, total
-    inter = int(
-        np.count_nonzero(
-            a._bits[top - a._top : bottom - a._top, left - a._left : right - a._left]
-            & b._bits[top - b._top : bottom - b._top, left - b._left : right - b._left]
-        )
-    )
-    return inter, total - inter
+    inter = _shared(a, b)
+    return inter, a._area + b._area - inter
+
+
+# Costs of the ways `overlaps` counts shared pixels, in nanoseconds, measured
+# on a 2-vCPU x86-64 host: a call of `_shared` and each pixel it ANDs; the
+# setup of a stacked product, each float32 pixel pasted into a stack and each
+# multiply-add of the product. Up to _FEW_PAIRS pairs, `overlap` runs on each
+# pair without any NumPy setup.
+_PAIR_NS, _PAIR_PIXEL_NS = 4000.0, 0.25
+_STACK_NS, _PASTE_NS, _PRODUCT_NS = 45000.0, 0.4, 0.05
+_FEW_PAIRS = 16
+# float32 pixels of the two stacks of one band (2 MiB); far below 2**24, so
+# every count a band's product sums is an exact float32
+_STACK_ELEMENTS = 2**19
+
+
+def _boxes(masks: Sequence[RasterMask]) -> np.ndarray:
+    """(n, 4) int64 rows of top, left, bottom, right (exclusive); empty masks get an empty box."""
+    rows = [(m._top, m._left, m._bottom, m._right) for m in masks]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+def _stack(masks: Sequence[RasterMask], top: int, bottom: int, left: int, width: int) -> np.ndarray:
+    """Rows [top, bottom) of the crops, pasted into a window `width` wide at
+    column `left`; one float32 row per mask."""
+    out = np.zeros((len(masks), bottom - top, width), dtype=np.float32)
+    for k, m in enumerate(masks):
+        t, b = max(m._top, top), min(m._bottom, bottom)
+        out[k, t - top : b - top, m._left - left : m._right - left] = m._bits[t - m._top : b - m._top]
+    return out.reshape(len(masks), -1)
+
+
+def _stack_pays(by_pair: float, rows: int, cols: int, height: int, width: int) -> bool:
+    """True when one window row of all `rows + cols` masks fits in
+    _STACK_ELEMENTS and the stacked products over the `height` x `width`
+    window cost less than `by_pair` nanoseconds."""
+    stacked = _STACK_NS + height * width * ((rows + cols) * _PASTE_NS + rows * cols * _PRODUCT_NS)
+    return (rows + cols) * width <= _STACK_ELEMENTS and stacked < by_pair
+
+
+def _stacked_shared(
+    masks_a: Sequence[RasterMask],
+    masks_b: Sequence[RasterMask],
+    box_a: np.ndarray,
+    box_b: np.ndarray,
+    pixels: np.ndarray,
+    by_pair: float,
+) -> Optional[np.ndarray]:
+    """The shared pixels of every pair from float32 products, or None unless
+    `_stack_pays`.
+
+    The masks that meet something are pasted into the box around all of
+    them, one band of its rows at a time; each band holds the masks that
+    reach into it and stays within _STACK_ELEMENTS, and its product adds
+    that band's counts.
+    """
+    rows, cols = np.flatnonzero(pixels.any(axis=1)), np.flatnonzero(pixels.any(axis=0))
+    boxes = np.concatenate([box_a[rows], box_b[cols]])
+    top, left = boxes[:, :2].min(axis=0).tolist()
+    bottom, right = boxes[:, 2:].max(axis=0).tolist()
+    width = right - left
+    if not _stack_pays(by_pair, rows.size, cols.size, bottom - top, width):
+        return None
+    inter = np.zeros(pixels.shape, dtype=np.int64)
+    band = _STACK_ELEMENTS // ((rows.size + cols.size) * width)
+    for y0 in range(top, bottom, band):
+        y1 = min(y0 + band, bottom)
+        part_a = rows[(box_a[rows, 0] < y1) & (box_a[rows, 2] > y0)]
+        part_b = cols[(box_b[cols, 0] < y1) & (box_b[cols, 2] > y0)]
+        if part_a.size and part_b.size:
+            stack_a = _stack([masks_a[i] for i in part_a], y0, y1, left, width)
+            stack_b = _stack([masks_b[j] for j in part_b], y0, y1, left, width)
+            inter[np.ix_(part_a, part_b)] += (stack_a @ stack_b.T).astype(np.int64)
+    return inter
+
+
+def overlaps(
+    masks_a: Sequence[RasterMask], masks_b: Sequence[RasterMask]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(intersection, union) pixel counts of every pair as two int64 matrices.
+
+    Entry (i, j) equals `overlap(masks_a[i], masks_b[j])`, and a canvas
+    mismatch raises for the first mismatching pair in row-major order. One
+    NumPy test finds the pairs whose boxes meet; the others share nothing.
+    The shared pixels of those pairs come from `_stacked_shared` when its
+    estimated cost is lower, and otherwise pair by pair.
+    """
+    if len(masks_a) * len(masks_b) <= _FEW_PAIRS:
+        counts = [overlap(a, b) for a in masks_a for b in masks_b]
+        both = np.array(counts, dtype=np.int64).reshape(len(masks_a), len(masks_b), 2)
+        return both[..., 0], both[..., 1]
+    _check_canvases(masks_a, masks_b)
+    box_a, box_b = _boxes(masks_a), _boxes(masks_b)
+    low = np.maximum(box_a[:, None, :2], box_b[None, :, :2])
+    extent = np.maximum(np.minimum(box_a[:, None, 2:], box_b[None, :, 2:]) - low, 0)
+    pixels = extent[..., 0] * extent[..., 1]  # area of the shared box, 0 when disjoint
+    ii, jj = np.nonzero(pixels)
+    by_pair = ii.size * _PAIR_NS + int(pixels.sum()) * _PAIR_PIXEL_NS
+    inter = None
+    if by_pair > _STACK_NS:  # otherwise no stacked product can cost less
+        inter = _stacked_shared(masks_a, masks_b, box_a, box_b, pixels, by_pair)
+    if inter is None:
+        inter = np.zeros(pixels.shape, dtype=np.int64)
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            inter[i, j] = _shared(masks_a[i], masks_b[j])
+    areas_a = np.array([m._area for m in masks_a], dtype=np.int64)
+    areas_b = np.array([m._area for m in masks_b], dtype=np.int64)
+    return inter, areas_a[:, None] + areas_b[None, :] - inter
+
+
+def _check_canvases(masks_a: Sequence[RasterMask], masks_b: Sequence[RasterMask]) -> None:
+    """Raise as `overlap` would for the first pair, in row-major order, whose canvases differ."""
+    sizes_b = {(m._width, m._height) for m in masks_b}
+    for a in masks_a:
+        if len(sizes_b) > 1 or (a._width, a._height) not in sizes_b:
+            for b in masks_b:
+                _check_same_canvas(a, b)
 
 
 def mask_iou(a: RasterMask, b: RasterMask) -> float:

@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from segdial.mask import RasterMask, mask_iou, overlap
+from segdial.mask import RasterMask, overlaps
+from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it here)
 
 __all__ = ["Assignment", "build_cost_matrix", "hungarian", "assign_targets"]
 
@@ -25,11 +26,6 @@ class Assignment:
     total_cost: float
 
 
-def _dice(a: RasterMask, b: RasterMask) -> float:
-    inter, union = overlap(a, b)  # |a| + |b| == inter + union
-    return 2.0 * inter / (inter + union) if union else 0.0
-
-
 def build_cost_matrix(
     predictions: Sequence[RasterMask],
     groundtruths: Sequence[RasterMask],
@@ -39,17 +35,16 @@ def build_cost_matrix(
     """Pairwise matching costs, shape (len(predictions), len(groundtruths)).
 
     Entry (i, j) is w_iou * (1 - IoU) + w_dice * (1 - Dice); with non-negative
-    weights every entry is finite and non-negative.
+    weights every entry is finite and non-negative. IoU and Dice are 0 for two
+    empty masks.
     """
     if w_iou < 0 or w_dice < 0:
         raise ValueError("cost weights must be non-negative")
-    costs = np.zeros((len(predictions), len(groundtruths)), dtype=np.float64)
-    for i, pred in enumerate(predictions):
-        for j, gt in enumerate(groundtruths):
-            c = w_iou * (1.0 - mask_iou(pred, gt))
-            if w_dice:
-                c += w_dice * (1.0 - _dice(pred, gt))
-            costs[i, j] = c
+    inter, union = overlaps(predictions, groundtruths)
+    # a zero union has a zero intersection, and 0 / 1 gives the 0 of two empty masks
+    costs = w_iou * (1.0 - inter / np.maximum(union, 1))
+    if w_dice:  # |a| + |b| == inter + union
+        costs += w_dice * (1.0 - 2.0 * inter / np.maximum(inter + union, 1))
     return costs
 
 
@@ -379,8 +374,12 @@ def hungarian(costs: np.ndarray) -> Assignment:
             total_cost=0.0,
         )
 
-    rows, cols = linear_sum_assignment(c)
-    pairs = _lexmin_pairs(c, rows, cols, _viable_pairs(c, rows, cols))
+    if min(n_pred, n_gt) == 1:
+        # one pair is matched: the first minimum in row-major order
+        pairs = [divmod(int(c.argmin()), n_gt)]
+    else:
+        rows, cols = linear_sum_assignment(c)
+        pairs = _lexmin_pairs(c, rows, cols, _viable_pairs(c, rows, cols))
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     return Assignment(

@@ -19,7 +19,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from segdial.curation import ImageRecord
-from segdial.mask import RasterMask, area, mask_iou, overlap
+from segdial.mask import RasterMask, area, overlap, overlaps
+from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it here)
 
 __all__ = [
     "ApBlock",
@@ -153,74 +154,70 @@ def _validate_predictions(
         raise EvalValidationError(offenders)
 
 
-def _greedy_match(
-    ious: list[list[float]],
-    gt_order: Sequence[int],
-    gt_ignored: Sequence[bool],
-    dets: Sequence[_Det],
-    threshold: float,
-    in_band,
-) -> list[tuple[float, int, bool, bool]]:
-    """Match one (image, category) cell at one threshold.
+def _candidates(iou: np.ndarray, floor: float) -> list[list[tuple[float, int]]]:
+    """Per detection, the (IoU, ground-truth index) pairs with IoU >= `floor`,
+    IoU descending, then index ascending."""
+    cands: list[list[tuple[float, int]]] = [[] for _ in range(iou.shape[0])]
+    di, gi = np.nonzero(iou >= floor)
+    vals = iou[di, gi]
+    order = np.lexsort((gi, -vals, di))
+    for d, v, g in zip(di[order].tolist(), vals[order].tolist(), gi[order].tolist()):
+        cands[d].append((v, g))
+    return cands
 
-    Returns a (score, input_index, true_positive, ignored) row per detection.
-    Ground truths are visited non-ignored first; once a detection holds a
-    non-ignored match it never trades it for an ignored one.
+
+def _greedy_match(
+    cands: list[list[tuple[float, int]]], thresholds: Sequence[float], repeats: Sequence[bool]
+) -> list[list[int]]:
+    """Per threshold, the ground truth each detection takes, or -1.
+
+    Detections go in score order; each takes the first ground truth of its
+    candidate order that is still free and reaches the threshold. Where
+    `repeats[k]`, threshold k admits the same candidates as k - 1 and so
+    shares its matching.
     """
-    taken: set[int] = set()
-    rows = []
-    for di, det in enumerate(dets):
-        best = -1
-        best_iou = 0.0
-        for gi in gt_order:
-            if gi in taken:
-                continue
-            if best >= 0 and not gt_ignored[best] and gt_ignored[gi]:
-                break
-            v = ious[di][gi]
-            if best < 0:
-                if v < threshold:
-                    continue
-            elif v <= best_iou:
-                continue
-            best = gi
-            best_iou = v
-        if best >= 0:
-            taken.add(best)
-            rows.append((det.score, det.index, not gt_ignored[best], bool(gt_ignored[best])))
-        else:
-            rows.append((det.score, det.index, False, not in_band(det.area)))
-    return rows
+    per_threshold: list[list[int]] = []
+    for threshold, repeat in zip(thresholds, repeats):
+        if repeat:
+            per_threshold.append(per_threshold[-1])
+            continue
+        taken: set[int] = set()
+        matched = []
+        for cand in cands:
+            for v, g in cand:
+                if v >= threshold and g not in taken:
+                    taken.add(g)
+                    matched.append(g)
+                    break
+            else:
+                matched.append(-1)
+        per_threshold.append(matched)
+    return per_threshold
+
+
+# the outcome of one detection at one threshold in one band
+_FP, _TP, _IGNORED = 0, 1, 2
 
 
 def _average_precision(
-    rows: list[tuple[float, int, bool, bool]],
-    n_positive: int,
-    recall_points: Sequence[float],
-) -> float:
-    rows = sorted(rows, key=lambda r: (-r[0], r[1]))
-    tp = fp = 0
-    tp_cum: list[int] = []
-    fp_cum: list[int] = []
-    for _, _, is_tp, ignored in rows:
-        if ignored:
-            continue
-        tp += is_tp
-        fp += not is_tp
-        tp_cum.append(tp)
-        fp_cum.append(fp)
-    if not tp_cum:
-        return 0.0
-    tps = np.asarray(tp_cum, dtype=np.float64)
-    fps = np.asarray(fp_cum, dtype=np.float64)
+    outcomes: np.ndarray, n_positive: int, recall_points: np.ndarray
+) -> list[float]:
+    """Interpolated AP of each row of `outcomes`: one threshold's
+    _FP/_TP/_IGNORED per detection, in score order.
+
+    An ignored detection repeats the precision and recall of the last one
+    counted before it (0 before the first), so it changes neither the
+    monotone envelope nor the first point that reaches each recall: every
+    row reads the same points as its detections without the ignored ones.
+    """
+    tps = np.cumsum(outcomes == _TP, axis=1, dtype=np.float64)
+    counted = np.cumsum(outcomes != _IGNORED, axis=1, dtype=np.float64)
     recall = tps / n_positive
-    precision = tps / (tps + fps)
-    for i in range(len(precision) - 2, -1, -1):  # monotone envelope from the right
-        if precision[i] < precision[i + 1]:
-            precision[i] = precision[i + 1]
-    spots = np.searchsorted(recall, recall_points, side="left")
-    interpolated = [float(precision[s]) if s < len(precision) else 0.0 for s in spots]
-    return sum(interpolated) / len(interpolated)
+    precision = tps / np.maximum(counted, 1.0)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    spots = np.stack([np.searchsorted(r, recall_points, side="left") for r in recall])
+    padded = np.concatenate([envelope, np.zeros((len(envelope), 1))], axis=1)
+    return [sum(row) / len(row) for row in np.take_along_axis(padded, spots, axis=1).tolist()]
 
 
 def evaluate_ap(
@@ -254,33 +251,59 @@ def evaluate_ap(
     for cell in dets.values():
         cell.sort(key=lambda d: (-d.score, d.index))
         del cell[protocol.max_dets :]
+    truths: dict[tuple[int, int], list] = {}
+    for img in images.values():
+        for a in img.annotations:
+            truths.setdefault((img.image_id, a.category_id), []).append(a)
 
     cats = sorted(gt_categories)
     bands = protocol.bands()
-    # per (band, category): one row list per threshold, in image order, and
-    # the count of ground truths inside the band
-    rows = {(b, cat): [[] for _ in protocol.iou_thresholds] for b, _ in bands for cat in cats}
-    positives = dict.fromkeys(rows, 0)
-    for cat in cats:
-        for img in images.values():
-            gts = [a for a in img.annotations if a.category_id == cat]
-            ds = dets.get((img.image_id, cat), [])
-            ious = [[mask_iou(d.mask, g.mask) for g in gts] for d in ds]
-            for band_name, in_band in bands:
-                gt_ignored = [not in_band(g.area) for g in gts]
-                gt_order = sorted(range(len(gts)), key=gt_ignored.__getitem__)
-                positives[band_name, cat] += gt_ignored.count(False)
-                for t, thr_rows in zip(protocol.iou_thresholds, rows[band_name, cat]):
-                    thr_rows.extend(_greedy_match(ious, gt_order, gt_ignored, ds, t, in_band))
+    thresholds = protocol.iou_thresholds
+    # per (band, category): one outcome list per threshold, cell after cell,
+    # and the count of ground truths inside the band
+    outcomes = {(b, cat): [[] for _ in thresholds] for b, _ in bands for cat in cats}
+    positives = dict.fromkeys(outcomes, 0)
+    # per category: the detections of its cells, in the same order
+    cat_dets: dict[int, list[_Det]] = {cat: [] for cat in cats}
+    # the cells holding detections or ground truth, category by category in image order
+    rank = {image_id: n for n, image_id in enumerate(images)}
+    cells = sorted((c for c in {*truths, *dets} if c[1] in cat_dets), key=lambda c: (c[1], rank[c[0]]))
+    for image_id, cat in cells:
+        gts = truths.get((image_id, cat), ())
+        ds = dets.get((image_id, cat), ())
+        cat_dets[cat].extend(ds)
+        inter, union = overlaps([d.mask for d in ds], [g.mask for g in gts])
+        iou = inter / np.maximum(union, 1)  # 0 for two empty masks, as mask_iou
+        cands = _candidates(iou, thresholds[0])
+        # threshold k admits the pairs of k - 1 unless an IoU lies in [t[k-1], t[k])
+        changes = set(np.searchsorted(thresholds, iou[iou >= thresholds[0]], side="right").tolist())
+        repeats = [k > 0 and k not in changes for k in range(len(thresholds))]
+        matched = _greedy_match(cands, thresholds, repeats)  # every ground truth in band
+        for band_name, in_band in bands:
+            gt_out = [not in_band(g.area) for g in gts]
+            det_miss = [_FP if in_band(d.area) else _IGNORED for d in ds]
+            positives[band_name, cat] += gt_out.count(False)
+            # ground truths outside the band go last in each candidate order
+            band_cands = [sorted(c, key=lambda vg: gt_out[vg[1]]) for c in cands]
+            per_thr = matched if band_cands == cands else _greedy_match(band_cands, thresholds, repeats)
+            for k, m in enumerate(per_thr):
+                if not (k and m is per_thr[k - 1]):
+                    row = [det_miss[i] if g < 0 else _IGNORED if gt_out[g] else _TP for i, g in enumerate(m)]
+                outcomes[band_name, cat][k].extend(row)
 
-    # per (band, category): the AP at each threshold, or None when the band
-    # holds no ground truth of that category
-    curves = {
-        key: [_average_precision(r, positives[key], protocol.recall_points) for r in rows[key]]
-        if positives[key]
-        else None
-        for key in rows
-    }
+    recall_points = np.asarray(protocol.recall_points, dtype=np.float64)
+    curves = {}  # per (band, category): the AP at each threshold, or None without ground truth
+    for cat in cats:
+        ds = cat_dets[cat]
+        order = sorted(range(len(ds)), key=lambda x: (-ds[x].score, ds[x].index))
+        for band_name, _ in bands:
+            key = (band_name, cat)
+            if not positives[key]:
+                curves[key] = None
+                continue
+            curves[key] = _average_precision(
+                np.array(outcomes[key], dtype=np.int8)[:, order], positives[key], recall_points
+            )
 
     i50 = protocol.iou_thresholds.index(0.5)
     i75 = protocol.iou_thresholds.index(0.75)

@@ -85,6 +85,31 @@ INST_REPORT = (
 )
 
 
+def _run_fresh(args, refused, tmp_path):
+    """`segdial <args>` in a fresh interpreter in which importing any module
+    named in `refused`, or a submodule of one, fails; (exit code, stdout, stderr)."""
+    import segdial
+
+    code = (
+        "import sys\n"
+        f"REFUSED = {tuple(refused)!r}\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if any(name == r or name.startswith(r + '.') for r in REFUSED):\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "from segdial.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(segdial.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestExitCodes:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 1
@@ -153,8 +178,6 @@ class TestExitCodes:
     def test_match_runs_without_scipy(self, tmp_path):
         # `match` solves its assignments with NumPy alone: a fresh interpreter
         # that cannot import scipy writes the same bytes as this process.
-        import segdial
-
         gt = write_gt(tmp_path)
         preds = tmp_path / "preds.jsonl"
         write_predictions([
@@ -166,24 +189,110 @@ class TestExitCodes:
         here, fresh = tmp_path / "here.jsonl", tmp_path / "fresh.jsonl"
         args = ["match", "--preds", str(preds), "--gt", str(gt), "--out"]
         assert main([*args, str(here)]) == 0
-        code = (
-            "import sys\n"
-            "class NoScipy:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.split('.')[0] == 'scipy':\n"
-            "            raise ImportError('scipy is not installed')\n"
-            "sys.meta_path.insert(0, NoScipy())\n"
-            "from segdial.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
+        code, _, err = _run_fresh([*args, fresh], ["scipy"], tmp_path)
+        assert code == 0, err
+        assert fresh.read_bytes() == here.read_bytes()
+
+
+class TestImportBoundary:
+    """Each subcommand loads only the modules it runs."""
+
+    def test_cli_import_loads_no_numpy_and_no_other_module(self):
+        import segdial
+
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(segdial.__file__))
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *args, str(fresh)], capture_output=True, text=True, env=env
+        code = (
+            "import sys, segdial.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'segdial.'))))"
         )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert fresh.read_bytes() == here.read_bytes()
+        assert proc.stdout.strip() == "['segdial.cli']"
+
+    def test_split_runs_without_numpy(self, tmp_path, capsys):
+        records = write_sid_records(tmp_path)
+
+        def args(how):
+            return ["split", "--in", records, "--train-out", tmp_path / f"{how}-train.jsonl",
+                    "--eval-out", tmp_path / f"{how}-eval.jsonl", "--eval-fraction", "0.5"]
+
+        assert main([str(a) for a in args("here")]) == 0
+        here = capsys.readouterr().out
+        code, fresh, err = _run_fresh(args("fresh"), ["numpy"], tmp_path)
+        assert code == 0, err
+        assert fresh == here
+        for name in ("train", "eval"):
+            assert (tmp_path / f"fresh-{name}.jsonl").read_bytes() == (tmp_path / f"here-{name}.jsonl").read_bytes()
+
+    def test_report_runs_without_numpy(self, tmp_path, capsys):
+        report = tmp_path / "inst.json"
+        assert main(["evaluate", "--gt", str(write_gt(tmp_path)), "--preds", str(write_perfect_preds(tmp_path)),
+                     "--mode", "inst", "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--in", str(report)]) == 0
+        here = capsys.readouterr().out
+        code, fresh, err = _run_fresh(["report", "--in", report], ["numpy"], tmp_path)
+        assert code == 0, err
+        assert fresh == here == INST_REPORT + "\n"
+
+    def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
+        gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)
+        sem_preds = tmp_path / "sem_preds.jsonl"
+        write_predictions(
+            [
+                PredictionInstance(image_id=1, mask=mask_union([M_KEY1, M_KEY2]), score=1.0),
+                PredictionInstance(image_id=2, mask=M_LAMP, score=1.0),
+            ],
+            sem_preds,
+        )
+        refused = ["segdial.parsing", "segdial.clients", "segdial.transforms", "scipy"]
+        runs = {
+            "assign.jsonl": ["match", "--preds", preds, "--gt", gt, "--w-dice", "0.5", "--out"],
+            "inst.json": ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out"],
+            "sem.json": ["evaluate", "--gt", gt, "--preds", sem_preds, "--mode", "sem", "--out"],
+        }
+        for name, args in runs.items():
+            assert main(list(map(str, [*args, tmp_path / f"here-{name}"]))) == 0
+            code, _, err = _run_fresh([*args, tmp_path / f"fresh-{name}"], refused, tmp_path)
+            assert code == 0, err
+            assert (tmp_path / f"fresh-{name}").read_bytes() == (tmp_path / f"here-{name}").read_bytes()
+
+    def test_public_names_are_the_module_objects(self):
+        import importlib
+
+        import segdial
+
+        owners = {
+            "mask": ["BBox", "Polygon", "RasterMask", "Rle", "area", "bbox_of", "mask_iou", "mask_union",
+                     "rasterize", "rle_decode", "rle_encode"],
+            "matching": ["Assignment", "assign_targets", "build_cost_matrix", "hungarian"],
+            "metrics": ["ApBlock", "ApProtocol", "ApReport", "EvalValidationError", "PredictionInstance",
+                        "SemSegScore", "evaluate_ap", "evaluate_semseg"],
+            "curation": ["CurationError", "DropEntry", "FilterResult", "ImageRecord", "InstanceAnnotation",
+                         "PromptJob", "annotation_digest", "build_caption_prompt", "build_instseg_prompt",
+                         "build_qa_prompt", "filter_dataset"],
+            "clients": ["FixtureModelClient", "HttpModelClient", "JobResult", "ModelClientError", "run_jobs"],
+            "parsing": ["DialogueRecord", "Diagnostic", "ParseResult", "Provenance", "SegRef", "SerializedRecord",
+                        "SerializedTurn", "TextSpan", "Turn", "from_training_record", "parse_caption_response",
+                        "parse_instseg_response", "parse_sid_response", "render_dialogue", "to_training_record"],
+            "transforms": ["TASK_MODES", "TASK_TEMPLATES", "MergedAnnotation", "TransformError",
+                           "append_task_template", "to_pure_text", "to_semantic"],
+            "dataset_io": ["CocoDataset", "DatasetError", "RecordError", "load_coco", "read_predictions",
+                           "read_records", "write_records"],
+        }
+        assert sorted(segdial.__all__) == sorted(n for names in owners.values() for n in names)
+        for module, names in owners.items():
+            assert getattr(segdial, module) is importlib.import_module(f"segdial.{module}")
+            for name in names:
+                assert getattr(segdial, name) is getattr(getattr(segdial, module), name), name
+        star: dict = {}
+        exec("from segdial import *", star)
+        assert all(star[name] is getattr(segdial, name) for name in segdial.__all__)
+        with pytest.raises(AttributeError):
+            segdial.no_such_name
+
 
 class TestRuntimeResolution:
     def test_flag_env_config_default_precedence(self, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import math
+import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import make_mask, random_star_polygon, rect_mask
+from segdial import mask as mask_module
 from segdial.mask import (
     BBox,
     Polygon,
@@ -19,6 +23,7 @@ from segdial.mask import (
     mask_iou,
     mask_union,
     overlap,
+    overlaps,
     rasterize,
     rle_decode,
     rle_encode,
@@ -305,6 +310,49 @@ def _canvas_with_box(draw, width, height, top, left, h, w):
     return canvas
 
 
+def _partner(draw, a, kind):
+    """A canvas like `a` (which has set pixels) holding a shape of `kind`
+    relative to a's box: empty, one pixel, independent, beside it (touching
+    but disjoint boxes), sharing its last line, or nested inside it."""
+    height, width = a.shape
+    ys, xs = np.nonzero(a)
+    top, bottom, left, right = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+    if kind == "empty":
+        return np.zeros_like(a)
+    if kind == "pixel":
+        b = np.zeros_like(a)
+        b[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+        return b
+    if kind == "any":
+        return draw(placed_shape(width, height))
+    if kind == "nested":
+        h = draw(st.integers(1, bottom - top))
+        w = draw(st.integers(1, right - left))
+        t = draw(st.integers(top, bottom - h))
+        l = draw(st.integers(left, right - w))
+        return _canvas_with_box(draw, width, height, t, l, h, w)
+    # the second box starts one line past the first ("beside": the boxes
+    # are disjoint but touch) or on its last line ("shared_edge")
+    shift = 0 if kind == "beside" else 1
+    side = draw(st.sampled_from(["right", "below", "left", "above"]))
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    if side == "right":
+        l, t = right - shift, draw(st.integers(top - h + 1, bottom - 1))
+    elif side == "left":
+        l, t = left - w + shift, draw(st.integers(top - h + 1, bottom - 1))
+    elif side == "below":
+        t, l = bottom - shift, draw(st.integers(left - w + 1, right - 1))
+    else:
+        t, l = top - h + shift, draw(st.integers(left - w + 1, right - 1))
+    if not (0 <= t and t + h <= height and 0 <= l and l + w <= width):
+        return np.zeros_like(a)
+    return _canvas_with_box(draw, width, height, t, l, h, w)
+
+
+PARTNER_KINDS = ["empty", "pixel", "any", "beside", "shared_edge", "nested"]
+
+
 @st.composite
 def canvas_pairs(draw):
     """Two same-canvas arrays on up to 300x300: empty, one-pixel, disjoint,
@@ -312,41 +360,7 @@ def canvas_pairs(draw):
     width = draw(st.integers(1, 300))
     height = draw(st.integers(1, 300))
     a = draw(placed_shape(width, height))
-    kind = draw(st.sampled_from(["empty", "pixel", "any", "beside", "shared_edge", "nested"]))
-    ys, xs = np.nonzero(a)
-    top, bottom, left, right = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
-    if kind == "empty":
-        b = np.zeros_like(a)
-    elif kind == "pixel":
-        b = np.zeros_like(a)
-        b[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
-    elif kind == "any":
-        b = draw(placed_shape(width, height))
-    elif kind == "nested":
-        h = draw(st.integers(1, bottom - top))
-        w = draw(st.integers(1, right - left))
-        t = draw(st.integers(top, bottom - h))
-        l = draw(st.integers(left, right - w))
-        b = _canvas_with_box(draw, width, height, t, l, h, w)
-    else:
-        # the second box starts one line past the first ("beside": the boxes
-        # are disjoint but touch) or on its last line ("shared_edge")
-        shift = 0 if kind == "beside" else 1
-        side = draw(st.sampled_from(["right", "below", "left", "above"]))
-        h = draw(st.integers(1, 12))
-        w = draw(st.integers(1, 12))
-        if side == "right":
-            l, t = right - shift, draw(st.integers(top - h + 1, bottom - 1))
-        elif side == "left":
-            l, t = left - w + shift, draw(st.integers(top - h + 1, bottom - 1))
-        elif side == "below":
-            t, l = bottom - shift, draw(st.integers(left - w + 1, right - 1))
-        else:
-            t, l = top - h + shift, draw(st.integers(left - w + 1, right - 1))
-        if not (0 <= t and t + h <= height and 0 <= l and l + w <= width):
-            b = np.zeros_like(a)
-        else:
-            b = _canvas_with_box(draw, width, height, t, l, h, w)
+    b = _partner(draw, a, draw(st.sampled_from(PARTNER_KINDS)))
     return (a, b) if draw(st.booleans()) else (b, a)
 
 
@@ -472,3 +486,113 @@ class TestPixelFormatOwnership:
             if ".pixels" in line or "count_nonzero" in line
         ]
         assert offenders == []
+
+
+@st.composite
+def mask_lists(draw):
+    """Two lists of same-canvas masks, 20 in all, on up to 40x40: each
+    mask is empty, one pixel, independent, beside, sharing a line with, or
+    nested in an anchor shape or an earlier mask."""
+    width = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 40))
+    shapes = [draw(placed_shape(width, height))]
+    for _ in range(draw(st.integers(0, 19))):
+        base = draw(st.sampled_from([s for s in shapes if s.any()]))
+        shapes.append(_partner(draw, base, draw(st.sampled_from(PARTNER_KINDS))))
+    shapes = draw(st.permutations(shapes))
+    cut = draw(st.integers(0, len(shapes)))
+    return [RasterMask(s) for s in shapes[:cut]], [RasterMask(s) for s in shapes[cut:]]
+
+
+def _pairwise(masks_a, masks_b):
+    """The per-pair reference: `overlap` on every pair, row by row."""
+    counts = [[overlap(a, b) for b in masks_b] for a in masks_a]
+    inter = [[c[0] for c in row] for row in counts]
+    union = [[c[1] for c in row] for row in counts]
+    return inter, union
+
+
+# each way `overlaps` can count: its own choice, every pair by `overlap`, or
+# stacked products in bands as tall as the budget allows or one row tall
+PATHS = ("auto", "pairs", "stack", "row_bands")
+
+
+def _overlaps_by(path, masks_a, masks_b):
+    if path == "auto":
+        return overlaps(masks_a, masks_b)
+    patches = {"_FEW_PAIRS": -1}
+    if path == "pairs":
+        patches["_STACK_NS"] = math.inf
+    else:
+        patches["_PAIR_NS"] = math.inf
+    if path == "row_bands":
+        width = next((m.width for m in [*masks_a, *masks_b]), 1)
+        patches["_STACK_ELEMENTS"] = (len(masks_a) + len(masks_b)) * width
+    with mock.patch.multiple(mask_module, **patches):
+        return overlaps(masks_a, masks_b)
+
+
+class TestOverlaps:
+    """The overlap matrices against `overlap` on each pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_lists(), st.sampled_from(PATHS))
+    def test_every_entry_equals_the_pair_overlap(self, lists, path):
+        masks_a, masks_b = lists
+        inter, union = _overlaps_by(path, masks_a, masks_b)
+        assert inter.shape == union.shape == (len(masks_a), len(masks_b))
+        assert inter.dtype == union.dtype == np.int64
+        assert (inter.tolist(), union.tolist()) == _pairwise(masks_a, masks_b)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_workload_shapes(self, path):
+        rng = random.Random(8)
+        for width, height, n, m in ((128, 128, 60, 40), (640, 480, 24, 7), (50, 40, 3, 2)):
+            masks = [
+                rasterize(Polygon(random_star_polygon(rng, width, height)), width, height)
+                for _ in range(n + m)
+            ]
+            masks += masks[:5]  # duplicates
+            a, b = masks[:n], masks[n:]
+            inter, union = _overlaps_by(path, a, b)
+            assert (inter.tolist(), union.tolist()) == _pairwise(a, b)
+
+    def test_the_path_follows_the_boxes(self):
+        # many boxes that meet: one stacked product; few, on a wide canvas:
+        # pair by pair
+        def stacks(masks_a, masks_b):
+            with mock.patch.object(mask_module, "_stack", wraps=mask_module._stack) as spy:
+                overlaps(masks_a, masks_b)
+            return spy.call_count
+
+        dense = [rect_mask(64, 64, k, k, k + 30, k + 30) for k in range(30)]
+        assert stacks(dense[:20], dense[20:]) > 0
+        sparse = [rect_mask(640, 480, 25 * k, 10, 25 * k + 20, 30) for k in range(24)]
+        assert stacks(sparse[:17], sparse[17:]) == 0
+
+    def test_a_band_stays_within_its_budget(self):
+        budget = mask_module._STACK_ELEMENTS
+        assert budget < 2**24  # so every count of a band's product is an exact float32
+        assert mask_module._stack_pays(math.inf, 3, 5, 10**6, budget // 8)
+        assert not mask_module._stack_pays(math.inf, 3, 5, 1, budget // 8 + 1)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_canvas_mismatch_names_the_first_pair_in_row_major_order(self, path, n):
+        masks_a = [rect_mask(8, 8, 0, 0, 3, 3) for _ in range(n)]
+        masks_a[1] = rect_mask(9, 8, 0, 0, 3, 3)
+        masks_b = [rect_mask(8, 8, 1, 1, 4, 4) for _ in range(n)]
+        masks_b[-1] = RasterMask.zeros(8, 7)
+        with pytest.raises(ValueError) as want:
+            _pairwise(masks_a, masks_b)
+        with pytest.raises(ValueError) as got:
+            _overlaps_by(path, masks_a, masks_b)
+        assert str(got.value) == str(want.value) == "mask canvases differ: 8x8 vs 8x7"
+        with pytest.raises(ValueError, match="^mask canvases differ: 9x8 vs 8x8$"):
+            _overlaps_by(path, masks_a, masks_b[:-1])
+
+    def test_empty_sides(self):
+        m = rect_mask(5, 5, 0, 0, 2, 2)
+        for a, b in (([], []), ([m], []), ([], [m, m])):
+            inter, union = overlaps(a, b)
+            assert inter.shape == union.shape == (len(a), len(b))

@@ -8,8 +8,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import oracles
-from conftest import rect_mask
+from conftest import random_mask, random_star_polygon, rect_mask
 from segdial import matching
+from segdial.mask import Polygon, RasterMask, overlap, rasterize
 from segdial.matching import Assignment, assign_targets, build_cost_matrix, hungarian
 
 # Reaches the float fallback branch of `hungarian` (see test_float_fallback_branch).
@@ -420,6 +421,64 @@ class TestCostMatrix:
         costs = build_cost_matrix(preds, gts, w_iou=1.0, w_dice=1.0)
         assert np.isfinite(costs).all()
         assert (costs >= 0).all() and (costs <= 2.0).all()
+
+
+    def test_costs_equal_the_pair_formula_bit_for_bit(self):
+        # the per-pair costs of one IoU and one Dice per pair, in the same
+        # float operations, against the matrix built from `overlaps`
+        rng = random.Random(31)
+        for trial in range(40):
+            side = rng.choice((8, 40, 128))
+            pool = [rasterize(Polygon(random_star_polygon(rng, side, side)), side, side) for _ in range(12)]
+            pool += [random_mask(rng, side, side, density=0.3), RasterMask.zeros(side, side)]
+            preds = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+            gts = [rng.choice(pool) for _ in range(rng.randint(0, 20))]
+            w_iou = rng.choice((0.0, 1.0, 0.7, 2.5))
+            w_dice = rng.choice((0.0, 1.0, 0.3, 1 / 3))
+            want = np.zeros((len(preds), len(gts)))
+            for i, p in enumerate(preds):
+                for j, g in enumerate(gts):
+                    inter, union = overlap(p, g)
+                    c = w_iou * (1.0 - (inter / union if union else 0.0))
+                    if w_dice:
+                        c += w_dice * (1.0 - (2.0 * inter / (inter + union) if union else 0.0))
+                    want[i, j] = c
+            got = build_cost_matrix(preds, gts, w_iou, w_dice)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), trial
+
+
+class TestOneRowOrColumn:
+    """With one prediction or one ground truth exactly one pair is matched:
+    the first minimum in row-major order, without the solver."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(12)
+        thirds = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3]
+        tenths = [k / 10 for k in range(11)]
+        for k in range(1, 9):
+            yield np.full(k, 0.5)  # all equal
+            yield rng.choice([0.2, 0.2, 0.9], size=k)  # repeated minima
+            yield rng.choice(thirds, size=k)
+            yield rng.choice(tenths, size=k)
+            yield rng.random(k)
+
+    def test_matches_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-pair assignment needs no solve")
+
+        for name in ("linear_sum_assignment", "_viable_pairs", "_lexmin_pairs"):
+            monkeypatch.setattr(matching, name, refuse)
+        for row in self._matrices():
+            for costs in (row[None, :], row[:, None]):
+                want_total, want_pairs = oracles.brute_force_assignment(costs.tolist())
+                got = hungarian(costs)
+                assert list(got.pairs) == want_pairs, costs.tolist()
+                assert got.total_cost == want_total
+                (i, j), = want_pairs
+                assert got.unmatched_predictions == tuple(k for k in range(costs.shape[0]) if k != i)
+                assert got.unmatched_groundtruths == tuple(k for k in range(costs.shape[1]) if k != j)
 
 
 class TestAssignTargets:

@@ -1,17 +1,22 @@
 import math
 import random
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
-from segdial.mask import RasterMask
+from segdial.curation import ImageRecord, InstanceAnnotation
+from segdial.mask import RasterMask, area, bbox_of, mask_iou
 from segdial.metrics import (
     ApBlock,
     ApProtocol,
+    ApReport,
     EvalValidationError,
     PredictionInstance,
+    _Det,
+    _validate_predictions,
     evaluate_ap,
     evaluate_semseg,
 )
@@ -213,6 +218,276 @@ class TestEvaluateApAgainstOracle:
             )
             report = evaluate_ap(preds_pkg, images_pkg, categories=categories)
             assert report.AP50 >= report.AP75 - 1e-12
+
+
+# --- the evaluate_ap that scored one IoU pair and one threshold at a time ------
+# Kept verbatim (only the entry point is renamed) as the reference for the
+# one-candidate-order evaluate_ap.
+
+
+def _greedy_match(
+    ious: list[list[float]],
+    gt_order: Sequence[int],
+    gt_ignored: Sequence[bool],
+    dets: Sequence[_Det],
+    threshold: float,
+    in_band,
+) -> list[tuple[float, int, bool, bool]]:
+    """Match one (image, category) cell at one threshold.
+
+    Returns a (score, input_index, true_positive, ignored) row per detection.
+    Ground truths are visited non-ignored first; once a detection holds a
+    non-ignored match it never trades it for an ignored one.
+    """
+    taken: set[int] = set()
+    rows = []
+    for di, det in enumerate(dets):
+        best = -1
+        best_iou = 0.0
+        for gi in gt_order:
+            if gi in taken:
+                continue
+            if best >= 0 and not gt_ignored[best] and gt_ignored[gi]:
+                break
+            v = ious[di][gi]
+            if best < 0:
+                if v < threshold:
+                    continue
+            elif v <= best_iou:
+                continue
+            best = gi
+            best_iou = v
+        if best >= 0:
+            taken.add(best)
+            rows.append((det.score, det.index, not gt_ignored[best], bool(gt_ignored[best])))
+        else:
+            rows.append((det.score, det.index, False, not in_band(det.area)))
+    return rows
+
+
+def _average_precision(
+    rows: list[tuple[float, int, bool, bool]],
+    n_positive: int,
+    recall_points: Sequence[float],
+) -> float:
+    rows = sorted(rows, key=lambda r: (-r[0], r[1]))
+    tp = fp = 0
+    tp_cum: list[int] = []
+    fp_cum: list[int] = []
+    for _, _, is_tp, ignored in rows:
+        if ignored:
+            continue
+        tp += is_tp
+        fp += not is_tp
+        tp_cum.append(tp)
+        fp_cum.append(fp)
+    if not tp_cum:
+        return 0.0
+    tps = np.asarray(tp_cum, dtype=np.float64)
+    fps = np.asarray(fp_cum, dtype=np.float64)
+    recall = tps / n_positive
+    precision = tps / (tps + fps)
+    for i in range(len(precision) - 2, -1, -1):  # monotone envelope from the right
+        if precision[i] < precision[i + 1]:
+            precision[i] = precision[i + 1]
+    spots = np.searchsorted(recall, recall_points, side="left")
+    interpolated = [float(precision[s]) if s < len(precision) else 0.0 for s in spots]
+    return sum(interpolated) / len(interpolated)
+
+
+def reference_evaluate_ap(
+    preds: Sequence[PredictionInstance],
+    gt_images: Sequence[ImageRecord],
+    protocol: ApProtocol | None = None,
+    categories: Optional[set[int]] = None,
+) -> ApReport:
+    """Score instance predictions against ground-truth images.
+
+    `categories` widens the set of legal prediction categories beyond those
+    present in the ground truth (e.g. the dataset's full category table);
+    categories without any ground truth never contribute cells. Fields whose
+    band contains no ground truth anywhere report 0.0.
+    """
+    protocol = protocol or ApProtocol()
+    images: dict[int, ImageRecord] = {}
+    for img in gt_images:
+        if img.image_id in images:
+            raise EvalValidationError([f"duplicate image_id {img.image_id} in ground truth"])
+        images[img.image_id] = img
+    gt_categories = {a.category_id for img in gt_images for a in img.annotations}
+    known = set(categories) if categories is not None else set(gt_categories)
+    known |= gt_categories
+    _validate_predictions(preds, images, known)
+
+    dets: dict[tuple[int, int], list[_Det]] = {}
+    for n, p in enumerate(preds):
+        entry = _Det(index=n, score=p.score, area=area(p.mask), mask=p.mask)
+        dets.setdefault((p.image_id, p.category_id), []).append(entry)
+    for cell in dets.values():
+        cell.sort(key=lambda d: (-d.score, d.index))
+        del cell[protocol.max_dets :]
+
+    cats = sorted(gt_categories)
+    bands = protocol.bands()
+    # per (band, category): one row list per threshold, in image order, and
+    # the count of ground truths inside the band
+    rows = {(b, cat): [[] for _ in protocol.iou_thresholds] for b, _ in bands for cat in cats}
+    positives = dict.fromkeys(rows, 0)
+    for cat in cats:
+        for img in images.values():
+            gts = [a for a in img.annotations if a.category_id == cat]
+            ds = dets.get((img.image_id, cat), [])
+            ious = [[mask_iou(d.mask, g.mask) for g in gts] for d in ds]
+            for band_name, in_band in bands:
+                gt_ignored = [not in_band(g.area) for g in gts]
+                gt_order = sorted(range(len(gts)), key=gt_ignored.__getitem__)
+                positives[band_name, cat] += gt_ignored.count(False)
+                for t, thr_rows in zip(protocol.iou_thresholds, rows[band_name, cat]):
+                    thr_rows.extend(_greedy_match(ious, gt_order, gt_ignored, ds, t, in_band))
+
+    # per (band, category): the AP at each threshold, or None when the band
+    # holds no ground truth of that category
+    curves = {
+        key: [_average_precision(r, positives[key], protocol.recall_points) for r in rows[key]]
+        if positives[key]
+        else None
+        for key in rows
+    }
+
+    i50 = protocol.iou_thresholds.index(0.5)
+    i75 = protocol.iou_thresholds.index(0.75)
+
+    def block(over: Sequence[int]) -> dict[str, float]:
+        """The six fields averaged over the categories of `over` whose band holds ground truth."""
+
+        def mean(band_name: str, pick) -> float:
+            vals = [pick(curves[band_name, c]) for c in over if curves[band_name, c] is not None]
+            return sum(vals) / len(vals) if vals else 0.0
+
+        def thr_mean(curve: list[float]) -> float:
+            return sum(curve) / len(curve)
+
+        return dict(
+            mAP=mean("all", thr_mean),
+            AP50=mean("all", lambda c: c[i50]),
+            AP75=mean("all", lambda c: c[i75]),
+            AP_small=mean("small", thr_mean),
+            AP_medium=mean("medium", thr_mean),
+            AP_large=mean("large", thr_mean),
+        )
+
+    return ApReport(**block(cats), per_category={cat: ApBlock(**block([cat])) for cat in cats})
+
+
+def _blob(rng: random.Random, width: int, height: int) -> RasterMask:
+    """A rectangle of 1-4 x 1-4 pixels (areas divisible by 2 and 4 are common),
+    a few scattered pixels, or, rarely, nothing."""
+    kind = rng.random()
+    if kind < 0.05:
+        return RasterMask.zeros(width, height)
+    if kind < 0.8:
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        x0, y0 = rng.randrange(width - w + 1), rng.randrange(height - h + 1)
+        return rect_mask(width, height, x0, y0, x0 + w, y0 + h)
+    pixels = {(rng.randrange(width), rng.randrange(height)) for _ in range(rng.randint(1, 6))}
+    return make_mask(width, height, pixels)
+
+
+def _near(rng: random.Random, truth: RasterMask) -> RasterMask:
+    """A detection of `truth`: itself, a half or three quarters of its pixels
+    (IoU exactly 1/2 or 3/4 when its area allows), a superset, or a shift."""
+    arr = truth.pixels.copy()
+    ys, xs = np.nonzero(arr)
+    kind = rng.choice(("same", "half", "three_quarters", "superset", "shift"))
+    if kind in ("half", "three_quarters") and ys.size:
+        keep = ys.size // 2 if kind == "half" else 3 * ys.size // 4
+        drop = rng.sample(range(ys.size), ys.size - max(1, keep))
+        arr[ys[drop], xs[drop]] = False
+    elif kind == "superset":
+        for _ in range(rng.randint(1, 4)):
+            arr[rng.randrange(arr.shape[0]), rng.randrange(arr.shape[1])] = True
+    elif kind == "shift":
+        arr = np.roll(arr, rng.choice((-1, 1)), axis=rng.choice((0, 1)))
+    return RasterMask(arr)
+
+
+def scoring_case(rng: random.Random):
+    """An evaluate_ap problem: 1-5 images, up to 4 categories with ground truth
+    plus one without, tied scores, IoUs of exactly 1/2 and 3/4, max_dets 1-5,
+    default or custom band limits, and empty cells."""
+    width, height = rng.choice(((6, 6), (9, 5), (16, 12)))
+    cats = list(range(1, rng.randint(1, 4) + 1))
+    truthless = len(cats) + 1
+    images, preds = [], []
+    for image_id in range(1, rng.randint(1, 5) + 1):
+        masks = [_blob(rng, width, height) for _ in range(rng.randint(0, 5))]
+        gt_cats = [rng.choice(cats) for _ in masks]
+        anns = tuple(
+            InstanceAnnotation(100 * image_id + k, c, f"cat{c}", m, bbox_of(m), area(m), None)
+            for k, (m, c) in enumerate(zip(masks, gt_cats))
+        )
+        images.append(ImageRecord(image_id, width, height, f"{image_id}.jpg", anns))
+        for _ in range(rng.randint(0, 7)):
+            if masks and rng.random() < 0.75:
+                k = rng.randrange(len(masks))
+                m = _near(rng, masks[k])
+                cat = gt_cats[k] if rng.random() < 0.85 else rng.choice(cats + [truthless])
+            else:
+                m = _blob(rng, width, height)
+                cat = rng.choice(cats + [truthless])
+            score = rng.choice((0.25, 0.5, 0.5, 0.75, 1.0))
+            preds.append(PredictionInstance(image_id=image_id, mask=m, score=score, category_id=cat))
+    if rng.random() < 0.5:
+        small = rng.randint(1, 10)
+        bands = dict(small_ceiling=small, large_floor=rng.randint(small, 20))
+    else:
+        bands = {}
+    protocol = ApProtocol(max_dets=rng.randint(1, 5), **bands)
+    return preds, images, protocol, set(cats) | {truthless}
+
+
+class TestEvaluateApAgainstTheOnePairReference:
+    def test_seeded_cases_report_equal(self):
+        ious = set()
+        for seed in range(2000):
+            preds, images, protocol, categories = scoring_case(random.Random(seed))
+            got = evaluate_ap(preds, images, protocol, categories)
+            want = reference_evaluate_ap(preds, images, protocol, categories)
+            assert isinstance(got, ApReport) and got == want, seed
+            if seed % 10 == 0:
+                by_id = {img.image_id: img for img in images}
+                ious.update(mask_iou(p.mask, a.mask) for p in preds for a in by_id[p.image_id].annotations)
+        assert {0.5, 0.75} <= ious
+
+    def test_custom_thresholds_and_recall_points(self):
+        protocol = ApProtocol(
+            iou_thresholds=(0.3, 0.5, 0.6, 0.75, 1.0), recall_points=(0.0, 0.25, 0.5, 1.0), max_dets=3
+        )
+        for seed in range(300):
+            preds, images, _, categories = scoring_case(random.Random(10_000 + seed))
+            got = evaluate_ap(preds, images, protocol, categories)
+            assert got == reference_evaluate_ap(preds, images, protocol, categories), seed
+
+    def test_workload_shaped_cells(self):
+        # many detections per cell on one canvas, so the IoUs come from the
+        # stacked product rather than pair by pair
+        rng = random.Random(5)
+        side = 48
+        masks = [
+            rect_mask(side, side, x, y, x + w, y + h)
+            for x, y, w, h in (
+                (rng.randrange(30), rng.randrange(30), rng.randint(4, 18), rng.randint(4, 18))
+                for _ in range(30)
+            )
+        ]
+        cats = [rng.randint(1, 2) for _ in masks]
+        images = [image_with_masks(1, masks, cats)]
+        preds = [
+            PredictionInstance(1, _near(rng, masks[k]), rng.choice((0.3, 0.6, 0.9)), cats[k])
+            for k in (rng.randrange(len(masks)) for _ in range(80))
+        ]
+        for protocol in (ApProtocol(), ApProtocol(max_dets=20, small_ceiling=40, large_floor=120)):
+            assert evaluate_ap(preds, images, protocol) == reference_evaluate_ap(preds, images, protocol)
 
 
 class TestEvaluateSemseg:
