@@ -346,11 +346,9 @@ def overlap(a: RasterMask, b: RasterMask) -> tuple[int, int]:
 # Costs of the ways `overlaps` counts shared pixels, in nanoseconds, measured
 # on a 2-vCPU x86-64 host: a call of `_shared` and each pixel it ANDs; the
 # setup of a stacked product, each float32 pixel pasted into a stack and each
-# multiply-add of the product. Up to _FEW_PAIRS pairs, `overlap` runs on each
-# pair without any NumPy setup.
+# multiply-add of the product.
 _PAIR_NS, _PAIR_PIXEL_NS = 4000.0, 0.25
 _STACK_NS, _PASTE_NS, _PRODUCT_NS = 45000.0, 0.4, 0.05
-_FEW_PAIRS = 16
 # float32 pixels of the two stacks of one band (2 MiB); far below 2**24, so
 # every count a band's product sums is an exact float32
 _STACK_ELEMENTS = 2**19
@@ -427,10 +425,6 @@ def overlaps(
     The shared pixels of those pairs come from `_stacked_shared` when its
     estimated cost is lower, and otherwise pair by pair.
     """
-    if len(masks_a) * len(masks_b) <= _FEW_PAIRS:
-        counts = [overlap(a, b) for a in masks_a for b in masks_b]
-        both = np.array(counts, dtype=np.int64).reshape(len(masks_a), len(masks_b), 2)
-        return both[..., 0], both[..., 1]
     _check_canvases(masks_a, masks_b)
     box_a, box_b = _boxes(masks_a), _boxes(masks_b)
     low = np.maximum(box_a[:, None, :2], box_b[None, :, :2])

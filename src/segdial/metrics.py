@@ -166,33 +166,23 @@ def _candidates(iou: np.ndarray, floor: float) -> list[list[tuple[float, int]]]:
     return cands
 
 
-def _greedy_match(
-    cands: list[list[tuple[float, int]]], thresholds: Sequence[float], repeats: Sequence[bool]
-) -> list[list[int]]:
-    """Per threshold, the ground truth each detection takes, or -1.
+def _greedy_match(cands: list[list[tuple[float, int]]], threshold: float) -> list[int]:
+    """The ground truth each detection takes at `threshold`, or -1.
 
     Detections go in score order; each takes the first ground truth of its
-    candidate order that is still free and reaches the threshold. Where
-    `repeats[k]`, threshold k admits the same candidates as k - 1 and so
-    shares its matching.
+    candidate order that is still free and reaches the threshold.
     """
-    per_threshold: list[list[int]] = []
-    for threshold, repeat in zip(thresholds, repeats):
-        if repeat:
-            per_threshold.append(per_threshold[-1])
-            continue
-        taken: set[int] = set()
-        matched = []
-        for cand in cands:
-            for v, g in cand:
-                if v >= threshold and g not in taken:
-                    taken.add(g)
-                    matched.append(g)
-                    break
-            else:
-                matched.append(-1)
-        per_threshold.append(matched)
-    return per_threshold
+    taken: set[int] = set()
+    matched = []
+    for cand in cands:
+        for v, g in cand:
+            if v >= threshold and g not in taken:
+                taken.add(g)
+                matched.append(g)
+                break
+        else:
+            matched.append(-1)
+    return matched
 
 
 # the outcome of one detection at one threshold in one band
@@ -275,21 +265,22 @@ def evaluate_ap(
         inter, union = overlaps([d.mask for d in ds], [g.mask for g in gts])
         iou = inter / np.maximum(union, 1)  # 0 for two empty masks, as mask_iou
         cands = _candidates(iou, thresholds[0])
-        # threshold k admits the pairs of k - 1 unless an IoU lies in [t[k-1], t[k])
-        changes = set(np.searchsorted(thresholds, iou[iou >= thresholds[0]], side="right").tolist())
-        repeats = [k > 0 and k not in changes for k in range(len(thresholds))]
-        matched = _greedy_match(cands, thresholds, repeats)  # every ground truth in band
+        plain = [_greedy_match(cands, t) for t in thresholds]  # every ground truth in band
         for band_name, in_band in bands:
             gt_out = [not in_band(g.area) for g in gts]
             det_miss = [_FP if in_band(d.area) else _IGNORED for d in ds]
             positives[band_name, cat] += gt_out.count(False)
             # ground truths outside the band go last in each candidate order
             band_cands = [sorted(c, key=lambda vg: gt_out[vg[1]]) for c in cands]
-            per_thr = matched if band_cands == cands else _greedy_match(band_cands, thresholds, repeats)
-            for k, m in enumerate(per_thr):
-                if not (k and m is per_thr[k - 1]):
-                    row = [det_miss[i] if g < 0 else _IGNORED if gt_out[g] else _TP for i, g in enumerate(m)]
-                outcomes[band_name, cat][k].extend(row)
+            if band_cands != cands:
+                per_thr = [_greedy_match(band_cands, t) for t in thresholds]
+            else:
+                per_thr = plain
+            for k, matched in enumerate(per_thr):
+                outcomes[band_name, cat][k].extend(
+                    det_miss[i] if g < 0 else _IGNORED if gt_out[g] else _TP
+                    for i, g in enumerate(matched)
+                )
 
     recall_points = np.asarray(protocol.recall_points, dtype=np.float64)
     curves = {}  # per (band, category): the AP at each threshold, or None without ground truth

@@ -520,11 +520,10 @@ PATHS = ("auto", "pairs", "stack", "row_bands")
 def _overlaps_by(path, masks_a, masks_b):
     if path == "auto":
         return overlaps(masks_a, masks_b)
-    patches = {"_FEW_PAIRS": -1}
     if path == "pairs":
-        patches["_STACK_NS"] = math.inf
+        patches = {"_STACK_NS": math.inf}
     else:
-        patches["_PAIR_NS"] = math.inf
+        patches = {"_PAIR_NS": math.inf}
     if path == "row_bands":
         width = next((m.width for m in [*masks_a, *masks_b]), 1)
         patches["_STACK_ELEMENTS"] = (len(masks_a) + len(masks_b)) * width
