@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+AREA_TOLERANCE = 0.01  # relative to the computed area
+BBOX_TOLERANCE = 1.0  # pixels, per box edge
 
 
 class DatasetError(ValueError):
@@ -84,17 +86,14 @@ def _coerce_geometry(seg, ann_id: int, errors: list[str]):
     return None
 
 
-def load_coco(
-    path: str | Path,
-    area_tolerance: float = 0.01,
-    bbox_tolerance: float = 1.0,
-) -> CocoDataset:
+def load_coco(path: str | Path) -> CocoDataset:
     """Load and revalidate a COCO-style instance file.
 
     Geometry is rasterized and area/bbox/center are recomputed from the mask;
-    stored area and bbox values that disagree beyond the tolerances become
-    warnings (recomputed values win). Missing image/category references,
-    malformed geometry, and duplicate ids are hard errors.
+    a stored area off by more than AREA_TOLERANCE of the computed one, or a
+    stored bbox edge off by more than BBOX_TOLERANCE pixels, becomes a warning
+    (recomputed values win). Missing image/category references, malformed
+    geometry, and duplicate ids are hard errors.
     """
     from segdial.curation import ImageRecord, InstanceAnnotation
 
@@ -168,7 +167,7 @@ def load_coco(
             continue
         stored_area = ann.get("area")
         if isinstance(stored_area, (int, float)):
-            if abs(stored_area - built.area) > area_tolerance * max(built.area, 1):
+            if abs(stored_area - built.area) > AREA_TOLERANCE * max(built.area, 1):
                 warnings.append(
                     f"annotation {aid}: stored area {stored_area} vs computed {built.area}"
                 )
@@ -185,7 +184,7 @@ def load_coco(
                     float(built.bbox.bottom + 1),
                 )
                 stored = (x, y, x + w, y + h)
-                if any(abs(a - b) > bbox_tolerance for a, b in zip(stored, computed)):
+                if any(abs(a - b) > BBOX_TOLERANCE for a, b in zip(stored, computed)):
                     warnings.append(
                         f"annotation {aid}: stored bbox {stored_bbox} vs computed "
                         f"{[built.bbox.left, built.bbox.top, built.bbox.right, built.bbox.bottom]}"

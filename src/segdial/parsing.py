@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "TASK_MODES",
@@ -186,32 +186,35 @@ def _split_surface(chunk: str) -> tuple[str, str]:
     return trimmed[: m.start()], m.group(1)
 
 
-def _tag_groups(body: str, pattern: re.Pattern) -> list[list[re.Match]]:
-    """Split matches into runs separated only by whitespace."""
-    groups: list[list[re.Match]] = []
+def _walk_tags(body: str, pattern: re.Pattern, pair_of: Callable) -> tuple[Segment, ...]:
+    """Split `body` into text spans and one SegRef per run of `pattern` matches.
+
+    Matches separated only by whitespace form one run, which owns the word
+    right before it; `pair_of(match)` gives each match's (instance id, label).
+    """
+    runs: list[list[re.Match]] = []
     for m in pattern.finditer(body):
-        if groups and not body[groups[-1][-1].end() : m.start()].strip():
-            groups[-1].append(m)
+        if runs and not body[runs[-1][-1].end() : m.start()].strip():
+            runs[-1].append(m)
         else:
-            groups.append([m])
-    return groups
-
-
-def _segments_from_tags(body: str) -> tuple[Segment, ...]:
+            runs.append([m])
     segments: list[Segment] = []
     cursor = 0
-    for group in _tag_groups(body, _TAG_RE):
-        lead, surface = _split_surface(body[cursor : group[0].start()])
+    for run in runs:
+        lead, surface = _split_surface(body[cursor : run[0].start()])
         if lead:
             segments.append(TextSpan(lead))
-        ids = tuple(int(m.group(1)) for m in group)
-        labels = tuple(m.group(2) for m in group)
+        ids, labels = zip(*map(pair_of, run))
         segments.append(SegRef(instance_ids=ids, surface=surface, labels=labels))
-        cursor = group[-1].end()
+        cursor = run[-1].end()
     tail = body[cursor:]
     if tail:
         segments.append(TextSpan(tail))
     return tuple(segments)
+
+
+def _segments_from_tags(body: str) -> tuple[Segment, ...]:
+    return _walk_tags(body, _TAG_RE, lambda m: (int(m.group(1)), m.group(2)))
 
 
 def _render_segment(seg: Segment, style: str) -> str:
@@ -238,14 +241,16 @@ def render_dialogue(record: DialogueRecord) -> str:
 # --- shared helpers ----------------------------------------------------------
 
 
-def _ann_labels(annotations) -> dict[int, str]:
-    """Normalize the known instances to an id -> label mapping."""
+def annotations_by_id(annotations) -> dict:
+    """Index known instances by id: a mapping keyed by id, or an iterable of annotations."""
     if isinstance(annotations, Mapping):
-        out = {}
-        for key, value in annotations.items():
-            out[int(key)] = value if isinstance(value, str) else value.label_name
-        return out
-    return {a.instance_id: a.label_name for a in annotations}
+        return {int(k): v for k, v in annotations.items()}
+    return {a.instance_id: a for a in annotations}
+
+
+def _ann_labels(annotations) -> dict[int, str]:
+    by_id = annotations_by_id(annotations)
+    return {i: a if isinstance(a, str) else a.label_name for i, a in by_id.items()}
 
 
 def _line_of(text: str, pos: int) -> int:
@@ -276,15 +281,22 @@ def _check_refs(
             if i in seen:
                 diags.append(Diagnostic("warning", line, f"instance id {i} repeated in turn"))
             seen.add(i)
-            if lab and lab.strip().lower() != labels[i].strip().lower():
-                diags.append(
-                    Diagnostic(
-                        "warning",
-                        line,
-                        f"instance {i} tagged {lab!r} but annotated {labels[i]!r}",
-                    )
-                )
+            _check_label(i, lab, labels, line, diags)
     return ok
+
+
+def _check_label(i: int, label: str, labels: Mapping[int, str], line, diags) -> None:
+    """Warn when a written label differs from the annotated one beyond case and spacing."""
+    if label and label.strip().lower() != labels[i].strip().lower():
+        message = f"instance {i} tagged {label!r} but annotated {labels[i]!r}"
+        diags.append(Diagnostic("warning", line, message))
+
+
+def _dialogue_result(turns, diags, text: str, image_id, prompt_kind: str) -> ParseResult:
+    """A sid_instseg record when any turn holds a reference, else a pure_text one."""
+    task_mode = "sid_instseg" if any(t.seg_ids() for t in turns) else "pure_text"
+    provenance = Provenance(prompt_kind=prompt_kind, response_hash=_hash(text))
+    return ParseResult(DialogueRecord(image_id, tuple(turns), task_mode, provenance), tuple(diags))
 
 
 # --- dialogue (sid) responses -------------------------------------------------
@@ -348,14 +360,7 @@ def parse_sid_response(
 
     if rejected:
         return ParseResult(None, tuple(diags))
-    has_refs = any(isinstance(s, SegRef) for t in turns for s in t.segments)
-    record = DialogueRecord(
-        image_id=image_id,
-        turns=tuple(turns),
-        task_mode="sid_instseg" if has_refs else "pure_text",
-        provenance=Provenance(prompt_kind=prompt_kind, response_hash=_hash(text)),
-    )
-    return ParseResult(record, tuple(diags))
+    return _dialogue_result(turns, diags, text, image_id, prompt_kind)
 
 
 # --- multi-question grounding responses ---------------------------------------
@@ -419,15 +424,7 @@ def parse_instseg_response(text: str, annotations, max_questions: int = 5) -> In
             if instance_id not in labels:
                 unknown.append(instance_id)
                 continue
-            if label and label.lower() != labels[instance_id].strip().lower():
-                diags.append(
-                    Diagnostic(
-                        "warning",
-                        line_no,
-                        f"instance {instance_id} tagged {label!r} but annotated "
-                        f"{labels[instance_id]!r}",
-                    )
-                )
+            _check_label(instance_id, label, labels, line_no, diags)
             pairs.append((instance_id, label))
         if unknown:
             diags.append(
@@ -539,17 +536,8 @@ def parse_caption_response(
     segments = _segments_from_tags(answer)
     if not _check_refs(segments, labels, a_line, diags):
         return ParseResult(None, tuple(diags))
-    has_refs = any(isinstance(s, SegRef) for s in segments)
-    record = DialogueRecord(
-        image_id=image_id,
-        turns=(
-            Turn("person", (TextSpan(question),) if question else ()),
-            Turn("robot", segments),
-        ),
-        task_mode="sid_instseg" if has_refs else "pure_text",
-        provenance=Provenance(prompt_kind="caption", response_hash=_hash(text)),
-    )
-    return ParseResult(record, tuple(diags))
+    turns = (Turn("person", (TextSpan(question),) if question else ()), Turn("robot", segments))
+    return _dialogue_result(turns, diags, text, image_id, "caption")
 
 
 # --- training-record serialization ---------------------------------------------
@@ -582,26 +570,9 @@ def from_training_record(
             raise ValueError(
                 f"turn {n}: {token_count} <SEG> slots but {len(st.seg_ids)} seg_ids"
             )
-        segments: list[Segment] = []
-        cursor = 0
-        queue = list(st.seg_ids)
-        for group in _tag_groups(st.text, _SEG_TOKEN_RE):
-            lead, surface = _split_surface(st.text[cursor : group[0].start()])
-            if lead:
-                segments.append(TextSpan(lead))
-            ids = tuple(queue.pop(0) for _ in group)
-            segments.append(
-                SegRef(
-                    instance_ids=ids,
-                    surface=surface,
-                    labels=tuple(labels.get(i, "") for i in ids),
-                )
-            )
-            cursor = group[-1].end()
-        tail = st.text[cursor:]
-        if tail:
-            segments.append(TextSpan(tail))
-        turns.append(Turn(role=st.role, segments=tuple(segments)))
+        slots = iter([(i, labels.get(i, "")) for i in st.seg_ids])
+        segments = _walk_tags(st.text, _SEG_TOKEN_RE, lambda _: next(slots))
+        turns.append(Turn(role=st.role, segments=segments))
     return DialogueRecord(
         image_id=serialized.image_id,
         turns=tuple(turns),

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from segdial.curation import InstanceAnnotation
 from segdial.mask import RasterMask, mask_union
-from segdial.parsing import TASK_MODES, DialogueRecord, SegRef, Segment, TextSpan, Turn
+from segdial.parsing import (
+    TASK_MODES,
+    DialogueRecord,
+    SegRef,
+    Segment,
+    TextSpan,
+    Turn,
+    annotations_by_id,
+)
 
 __all__ = [
     "TASK_MODES",
@@ -65,12 +72,6 @@ class MergedAnnotation:
     mask: RasterMask
 
 
-def _ann_map(annotations) -> dict[int, InstanceAnnotation]:
-    if isinstance(annotations, Mapping):
-        return {int(k): v for k, v in annotations.items()}
-    return {a.instance_id: a for a in annotations}
-
-
 def _merge_text(segments: Sequence[Segment]) -> tuple[Segment, ...]:
     """Drop empty spans and fuse adjacent ones so records stay canonical."""
     out: list[Segment] = []
@@ -100,7 +101,7 @@ def to_semantic(
         raise TransformError(
             f"task_mode {record.task_mode!r} carries no instance supervision to regroup"
         )
-    ann = _ann_map(annotations)
+    ann = annotations_by_id(annotations)
     new_turns: list[Turn] = []
     merged: list[MergedAnnotation] = []
     for ti, turn in enumerate(record.turns):
