@@ -19,8 +19,8 @@ if TYPE_CHECKING:
     from segdial import metrics
 
 # Each command imports the modules it runs, so `import segdial.cli` loads no
-# NumPy, `split` and `report` never do, and no command loads a module it
-# does not use.
+# NumPy, `parse`, `transform --to pure`, `split` and `report` never do, and
+# no command loads a module it does not use.
 
 ENV_PREFIX = "SEGDIAL_"
 MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
@@ -86,6 +86,8 @@ def _sibling(path: Path, suffix: str) -> Path:
 
 
 def _cmd_curate(args) -> int:
+    if args.max_retries < 0:  # before any output is written, whatever the client
+        raise ValueError("max_retries must be >= 0")
     from segdial import clients, curation, dataset_io
 
     dataset = dataset_io.load_coco(args.input)
@@ -160,10 +162,7 @@ def _cmd_curate(args) -> int:
 def _cmd_parse(args) -> int:
     from segdial import dataset_io, parsing
 
-    dataset = dataset_io.load_coco(args.annotations)
-    ann_by_image = {
-        img.image_id: {a.instance_id: a for a in img.annotations} for img in dataset.images
-    }
+    labels_by_image = dataset_io.load_coco_labels(args.annotations)
     records: list[parsing.SerializedRecord] = []
     diag_rows: list[dict] = []
 
@@ -190,7 +189,7 @@ def _cmd_parse(args) -> int:
         except ValueError:
             note(path.name, None, parsing.Diagnostic("error", None, "file name is not an image id"))
             continue
-        if image_id not in ann_by_image:
+        if image_id not in labels_by_image:
             note(
                 path.name,
                 image_id,
@@ -198,7 +197,7 @@ def _cmd_parse(args) -> int:
             )
             continue
         text = path.read_text(encoding="utf-8")
-        anns = ann_by_image[image_id]
+        anns = labels_by_image[image_id]
         n_parsed_files += 1
         if args.task == "instseg":
             recs, diags = parsing.parse_instseg_records(text, anns, image_id=image_id)
@@ -236,7 +235,7 @@ _TRANSFORM_TARGETS = {
 
 
 def _cmd_transform(args) -> int:
-    from segdial import dataset_io, mask, parsing, transforms
+    from segdial import dataset_io, parsing, transforms
 
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
@@ -244,6 +243,8 @@ def _cmd_transform(args) -> int:
     if needs_annotations:
         if args.annotations is None:
             raise CliUsageError(f"--to {args.to} requires --annotations")
+        from segdial.mask import rle_encode
+
         dataset = dataset_io.load_coco(args.annotations)
         ann_map = {a.instance_id: a for img in dataset.images for a in img.annotations}
 
@@ -267,7 +268,7 @@ def _cmd_transform(args) -> int:
                             "category_id": m.category_id,
                             "label_name": m.label_name,
                             "member_ids": list(m.member_ids),
-                            "rle": dataset_io.rle_to_obj(mask.rle_encode(m.mask)),
+                            "rle": dataset_io.rle_to_obj(rle_encode(m.mask)),
                         }
                     )
             record = transforms.append_task_template(record, target)
@@ -425,9 +426,7 @@ def _cmd_split(args) -> int:
 
     if not (0.0 <= args.eval_fraction <= 1.0):
         raise CliUsageError("--eval-fraction must be in [0, 1]")
-    dataset_io.read_records(args.in_path)  # validate before touching outputs
-    with open(args.in_path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+    lines = dataset_io.read_record_lines(args.in_path)  # checked before touching outputs
     indices = list(range(len(lines)))
     random.Random(args.seed).shuffle(indices)
     n_eval = int(len(lines) * args.eval_fraction + 0.5)

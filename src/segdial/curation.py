@@ -10,9 +10,10 @@ parsers key on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from segdial.mask import BBox, Polygon, RasterMask, Rle, area, bbox_of, mask_union, rasterize, rle_decode
+from segdial.geometry import Geometry, Rle, check_fit
+from segdial.mask import BBox, RasterMask, area, bbox_of, mask_union, rasterize, rle_decode, rle_decode_many
 
 __all__ = [
     "CurationError",
@@ -29,6 +30,7 @@ __all__ = [
     "build_caption_prompt",
     "build_instseg_prompt",
     "build_qa_prompt",
+    "decode_geometries",
     "decode_geometry",
     "filter_dataset",
 ]
@@ -38,14 +40,18 @@ class CurationError(ValueError):
     pass
 
 
-Geometry = Union[tuple[Polygon, ...], Rle]
-
-
 def decode_geometry(geometry: Geometry, width: int, height: int) -> RasterMask:
     """Decode an rle on its own canvas, or rasterize polygons onto width x height."""
     if isinstance(geometry, Rle):
         return rle_decode(geometry)
     return mask_union([rasterize(p, width, height) for p in geometry])
+
+
+def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[RasterMask]:
+    """`decode_geometry` of each (geometry, width, height), with every rle
+    among them decoded in one `rle_decode_many` pass."""
+    rles = iter(rle_decode_many([g for g, _, _ in items if isinstance(g, Rle)]))
+    return [next(rles) if isinstance(g, Rle) else decode_geometry(g, w, h) for g, w, h in items]
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,20 @@ class InstanceAnnotation:
         width: int,
         height: int,
     ) -> "InstanceAnnotation":
-        if isinstance(geometry, Rle):
-            if (geometry.width, geometry.height) != (width, height):
-                raise CurationError(
-                    f"annotation {instance_id}: rle canvas {geometry.width}x{geometry.height} "
-                    f"does not match image {width}x{height}"
-                )
-        else:
+        if not isinstance(geometry, Rle):
             geometry = tuple(geometry)
             if not geometry:
                 raise CurationError(f"annotation {instance_id}: empty geometry")
-        mask = decode_geometry(geometry, width, height)
+        try:
+            check_fit(geometry, width, height)
+        except ValueError as exc:
+            raise CurationError(f"annotation {instance_id}: {exc}") from None
+        return cls.from_mask(instance_id, category_id, label_name, decode_geometry(geometry, width, height))
+
+    @classmethod
+    def from_mask(
+        cls, instance_id: int, category_id: int, label_name: str, mask: RasterMask
+    ) -> "InstanceAnnotation":
         box = bbox_of(mask)
         return cls(
             instance_id=instance_id,

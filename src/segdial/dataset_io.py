@@ -2,9 +2,10 @@
 
 All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
 with "\n" endings, so identical inputs produce byte-identical files. The
-geometry modules (and NumPy) and the record types load inside the functions
-that use them, so reading records never loads NumPy and reading masks never
-loads the parser.
+geometry modules and the record types load inside the functions that use
+them: checking a COCO file or reading its labels loads only the NumPy-free
+`segdial.geometry`, reading records never loads NumPy, checking record lines
+loads no other module, and reading masks never loads the parser.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from segdial.curation import ImageRecord
-    from segdial.mask import Rle
+    from segdial.geometry import Geometry, Rle
     from segdial.metrics import PredictionInstance
     from segdial.parsing import SerializedRecord
 
@@ -25,7 +26,9 @@ __all__ = [
     "DatasetError",
     "RecordError",
     "load_coco",
+    "load_coco_labels",
     "read_predictions",
+    "read_record_lines",
     "read_records",
     "rle_to_obj",
     "write_jsonl",
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+TASK_MODES = ("semseg", "instseg", "sid_semseg", "sid_instseg", "pure_text")  # of a record
 AREA_TOLERANCE = 0.01  # relative to the computed area
 BBOX_TOLERANCE = 1.0  # pixels, per box edge
 
@@ -57,9 +61,9 @@ class CocoDataset:
     warnings: tuple[str, ...]
 
 
-def _coerce_geometry(seg, ann_id: int, errors: list[str]):
+def _coerce_geometry(seg, ann_id: int, errors: list[str]) -> Optional[Geometry]:
     """COCO segmentation field: list of flat polygons, or {size, counts} rle."""
-    from segdial.mask import Polygon, Rle
+    from segdial.geometry import Polygon, Rle
 
     if isinstance(seg, dict):
         size = seg.get("size")
@@ -86,21 +90,20 @@ def _coerce_geometry(seg, ann_id: int, errors: list[str]):
     return None
 
 
-def load_coco(path: str | Path) -> CocoDataset:
-    """Load and revalidate a COCO-style instance file.
+def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[tuple[dict, Geometry]]]:
+    """(categories, image objects by id, (annotation object, geometry) pairs) of
+    a COCO-style file, in file order, after every check `load_coco` makes
+    before it draws a pixel; NumPy stays unloaded.
 
-    Geometry is rasterized and area/bbox/center are recomputed from the mask;
-    a stored area off by more than AREA_TOLERANCE of the computed one, or a
-    stored bbox edge off by more than BBOX_TOLERANCE pixels, becomes a warning
-    (recomputed values win). Missing image/category references, malformed
-    geometry, and duplicate ids are hard errors.
+    Missing image/category references, malformed or misfitting geometry and
+    duplicate ids raise DatasetError with every such error; an image without
+    a pixel raises ValueError.
     """
-    from segdial.curation import ImageRecord, InstanceAnnotation
+    from segdial.geometry import check_fit
 
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     errors: list[str] = []
-    warnings: list[str] = []
 
     categories: dict[int, str] = {}
     for cat in raw.get("categories", []):
@@ -130,7 +133,7 @@ def load_coco(path: str | Path) -> CocoDataset:
             continue
         image_meta[iid] = img
 
-    per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_meta}
+    annotations: list[tuple[dict, Geometry]] = []
     seen_ann_ids: set[int] = set()
     for ann in raw.get("annotations", []):
         aid = ann.get("id")
@@ -152,19 +155,53 @@ def load_coco(path: str | Path) -> CocoDataset:
         geometry = _coerce_geometry(ann.get("segmentation"), aid, errors)
         if geometry is None:
             continue
-        meta = image_meta[iid]
         try:
-            built = InstanceAnnotation.from_geometry(
-                instance_id=aid,
-                category_id=cid,
-                label_name=categories[cid],
-                geometry=geometry,
-                width=meta["width"],
-                height=meta["height"],
-            )
+            check_fit(geometry, image_meta[iid]["width"], image_meta[iid]["height"])
         except ValueError as exc:
             errors.append(f"annotation {aid}: {exc}")
             continue
+        annotations.append((ann, geometry))
+
+    if errors:
+        raise DatasetError(errors)
+    for iid, img in image_meta.items():
+        if img["width"] < 1 or img["height"] < 1:
+            raise ValueError(f"image {iid}: empty canvas")
+    return categories, image_meta, annotations
+
+
+def load_coco_labels(path: str | Path) -> dict[int, dict[int, str]]:
+    """{image id: {annotation id: label name}} of a COCO-style file, in file
+    order. The file is checked as `load_coco` checks it, and rejected with
+    the same errors, but no geometry is decoded and NumPy stays unloaded."""
+    categories, image_meta, annotations = _read_coco(path)
+    labels: dict[int, dict[int, str]] = {iid: {} for iid in image_meta}
+    for ann, _ in annotations:
+        labels[ann["image_id"]][ann["id"]] = categories[ann["category_id"]]
+    return labels
+
+
+def load_coco(path: str | Path) -> CocoDataset:
+    """Load and revalidate a COCO-style instance file.
+
+    The file is checked as `load_coco_labels` checks it, then every
+    annotation is decoded (all rle in one pass) and area/bbox/center are
+    recomputed from the mask; a stored area off by more than AREA_TOLERANCE
+    of the computed one, or a stored bbox edge off by more than
+    BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
+    """
+    from segdial.curation import ImageRecord, InstanceAnnotation, decode_geometries
+
+    categories, image_meta, annotations = _read_coco(path)
+    masks = decode_geometries(
+        [(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
+         for ann, geometry in annotations]
+    )
+    warnings: list[str] = []
+    per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_meta}
+    for (ann, _), mask in zip(annotations, masks):
+        aid, cid = ann["id"], ann["category_id"]
+        built = InstanceAnnotation.from_mask(aid, cid, categories[cid], mask)
         stored_area = ann.get("area")
         if isinstance(stored_area, (int, float)):
             if abs(stored_area - built.area) > AREA_TOLERANCE * max(built.area, 1):
@@ -189,10 +226,8 @@ def load_coco(path: str | Path) -> CocoDataset:
                         f"annotation {aid}: stored bbox {stored_bbox} vs computed "
                         f"{[built.bbox.left, built.bbox.top, built.bbox.right, built.bbox.bottom]}"
                     )
-        per_image[iid].append(built)
+        per_image[ann["image_id"]].append(built)
 
-    if errors:
-        raise DatasetError(errors)
     images = tuple(
         ImageRecord(
             image_id=iid,
@@ -240,9 +275,9 @@ def write_records(records: Sequence[SerializedRecord], path: str | Path) -> None
     write_jsonl((_record_to_obj(r) for r in records), path)
 
 
-def _parse_record_obj(obj: dict, where: str) -> SerializedRecord:
-    from segdial.parsing import TASK_MODES, Provenance, SerializedRecord, SerializedTurn
-
+def _checked_record(obj, where: str) -> tuple[int, str, list[tuple[str, str, tuple[int, ...]]], Optional[dict]]:
+    """(image id, task mode, (role, text, seg ids) per turn, provenance object
+    or None) of one record object, after every check `read_records` makes."""
     if not isinstance(obj, dict):
         raise RecordError(f"{where}: record must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -274,23 +309,15 @@ def _parse_record_obj(obj: dict, where: str) -> SerializedRecord:
             raise RecordError(
                 f"{where}: turn {n} has {slots} <SEG> slots but {len(seg_ids)} seg_ids"
             )
-        turns.append(SerializedTurn(role=role, text=text, seg_ids=tuple(seg_ids)))
-    prov_raw = obj.get("provenance")
-    prov = None
-    if prov_raw is not None:
-        if not isinstance(prov_raw, dict):
-            raise RecordError(f"{where}: provenance must be an object or null")
-        prov = Provenance(
-            prompt_kind=prov_raw.get("prompt_kind"),
-            response_hash=prov_raw.get("response_hash"),
-        )
-    return SerializedRecord(
-        image_id=image_id, task_mode=task_mode, turns=tuple(turns), provenance=prov
-    )
+        turns.append((role, text, tuple(seg_ids)))
+    prov = obj.get("provenance")
+    if prov is not None and not isinstance(prov, dict):
+        raise RecordError(f"{where}: provenance must be an object or null")
+    return image_id, task_mode, turns, prov
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
-    """(position, decoded object) for each non-blank line."""
+def _read_jsonl(path: str | Path) -> Iterator[tuple[str, str, object]]:
+    """(position, line, decoded object) for each non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -300,14 +327,80 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{where}: invalid JSON ({exc.msg})") from exc
-            yield where, obj
+            yield where, line, obj
 
 
 def read_records(path: str | Path) -> list[SerializedRecord]:
-    return [_parse_record_obj(obj, where) for where, obj in _read_jsonl(path)]
+    from segdial.parsing import Provenance, SerializedRecord, SerializedTurn
+
+    records = []
+    for where, _, obj in _read_jsonl(path):
+        image_id, task_mode, turns, prov = _checked_record(obj, where)
+        records.append(
+            SerializedRecord(
+                image_id=image_id,
+                task_mode=task_mode,
+                turns=tuple(SerializedTurn(role=r, text=t, seg_ids=ids) for r, t, ids in turns),
+                provenance=None if prov is None else Provenance(
+                    prompt_kind=prov.get("prompt_kind"), response_hash=prov.get("response_hash")
+                ),
+            )
+        )
+    return records
+
+
+def read_record_lines(path: str | Path) -> list[str]:
+    """The non-blank lines of a records file, as written. Each line is
+    checked as `read_records` checks it, but no record is built, so the
+    record types are not loaded."""
+    lines = []
+    for where, line, obj in _read_jsonl(path):
+        _checked_record(obj, where)
+        lines.append(line)
+    return lines
 
 
 # --- predictions JSONL ----------------------------------------------------------
+
+
+def _prediction_fields(obj, where: str) -> tuple:
+    """(image id, category id, score, geometry, width, height) of one
+    prediction object; the canvas is None for an rle, which carries its own."""
+    from segdial.geometry import Rle, check_canvas
+
+    if not isinstance(obj, dict):
+        raise RecordError(f"{where}: prediction must be a JSON object")
+    image_id = obj.get("image_id")
+    if not isinstance(image_id, int):
+        raise RecordError(f"{where}: image_id must be an integer")
+    category_id = obj.get("category_id")
+    if category_id is not None and not isinstance(category_id, int):
+        raise RecordError(f"{where}: category_id must be an integer when present")
+    score = obj.get("score", 1.0)
+    if not isinstance(score, (int, float)):
+        raise RecordError(f"{where}: score must be a number")
+    errors: list[str] = []
+    if "rle" in obj:
+        width = height = None  # an rle carries its own canvas
+        geometry = _coerce_geometry(obj["rle"], -1, errors)
+    elif "polygon" in obj:
+        width, height = obj.get("width"), obj.get("height")
+        if not isinstance(width, int) or not isinstance(height, int):
+            raise RecordError(f"{where}: polygon predictions need width and height")
+        geometry = _coerce_geometry(obj["polygon"], -1, errors)
+        if isinstance(geometry, Rle):
+            geometry = None
+            errors.append("expected polygons")
+    else:
+        raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
+    if geometry is None:
+        raise RecordError(f"{where}: {errors[0] if errors else 'bad geometry'}")
+    if width is not None:
+        try:
+            check_canvas(width, height)
+        except ValueError as exc:
+            raise RecordError(f"{where}: {exc}") from exc
+    return image_id, category_id, score, geometry, width, height
 
 
 def read_predictions(path: str | Path) -> list[PredictionInstance]:
@@ -316,51 +409,28 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
     [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
     category_id is optional (instance evaluation requires it, whole-image
-    evaluation ignores it).
+    evaluation ignores it). The lines are read and checked first and every
+    rle is decoded in one pass; the error raised is that of the first bad
+    line, with its position.
     """
-    from segdial.curation import decode_geometry
-    from segdial.mask import Rle
+    from segdial.curation import decode_geometries
     from segdial.metrics import PredictionInstance
 
+    rows, bad = [], None
+    try:
+        for where, _, obj in _read_jsonl(path):
+            rows.append((where, _prediction_fields(obj, where)))
+    except RecordError as exc:  # raised once the lines before it are known to be good
+        bad = exc
+    masks = decode_geometries([(g, w, h) for _, (_, _, _, g, w, h) in rows])
     preds = []
-    for where, obj in _read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise RecordError(f"{where}: prediction must be a JSON object")
-        image_id = obj.get("image_id")
-        if not isinstance(image_id, int):
-            raise RecordError(f"{where}: image_id must be an integer")
-        category_id = obj.get("category_id")
-        if category_id is not None and not isinstance(category_id, int):
-            raise RecordError(f"{where}: category_id must be an integer when present")
-        score = obj.get("score", 1.0)
-        if not isinstance(score, (int, float)):
-            raise RecordError(f"{where}: score must be a number")
-        errors: list[str] = []
-        if "rle" in obj:
-            width = height = None  # an rle carries its own canvas
-            geometry = _coerce_geometry(obj["rle"], -1, errors)
-        elif "polygon" in obj:
-            width, height = obj.get("width"), obj.get("height")
-            if not isinstance(width, int) or not isinstance(height, int):
-                raise RecordError(f"{where}: polygon predictions need width and height")
-            geometry = _coerce_geometry(obj["polygon"], -1, errors)
-            if isinstance(geometry, Rle):
-                geometry = None
-                errors.append("expected polygons")
-        else:
-            raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
-        if geometry is None:
-            raise RecordError(f"{where}: {errors[0] if errors else 'bad geometry'}")
+    for (where, (image_id, category_id, score, _, _, _)), mask in zip(rows, masks):
         try:
-            pred = PredictionInstance(
-                image_id=image_id,
-                mask=decode_geometry(geometry, width, height),
-                score=float(score),
-                category_id=category_id,
-            )
+            preds.append(PredictionInstance(image_id, mask, float(score), category_id))
         except ValueError as exc:
             raise RecordError(f"{where}: {exc}") from exc
-        preds.append(pred)
+    if bad is not None:
+        raise bad
     return preds
 
 

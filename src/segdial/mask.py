@@ -1,8 +1,10 @@
-"""Binary mask geometry: polygons, rasterization, run-length codec, set ops.
+"""Binary masks: rasterization, run-length codec, set ops.
 
 Masks are immutable boolean grids indexed [y, x] with x growing right and
 y growing down. The run-length code is column-major with the first run
-counting zeros, so an all-ones mask starts with a zero-length run.
+counting zeros, so an all-ones mask starts with a zero-length run. The
+polygon and run-length values, and their checks, are those of
+`segdial.geometry`, which loads no NumPy; they are re-exported here.
 
 A `RasterMask` stores its canvas size, the tight box of its set pixels, the
 read-only bits cropped to that box and its area, counted once; its memory
@@ -19,9 +21,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
+
+from segdial.geometry import Polygon, Rle, check_canvas
 
 __all__ = [
     "BBox",
@@ -36,6 +41,7 @@ __all__ = [
     "overlaps",
     "rasterize",
     "rle_decode",
+    "rle_decode_many",
     "rle_encode",
 ]
 
@@ -57,30 +63,6 @@ class BBox:
     def center(self) -> tuple[int, int]:
         # integer center, halves round toward the bottom-right
         return ((self.left + self.right + 1) // 2, (self.top + self.bottom + 1) // 2)
-
-
-@dataclass(frozen=True)
-class Polygon:
-    """Closed vertex loop in pixel coordinates (x, y), not necessarily convex."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
-        for x, y in verts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("polygon vertices must be finite")
-            if x < 0 or y < 0:
-                raise ValueError("polygon vertices must be non-negative")
-        object.__setattr__(self, "vertices", verts)
-
-    @classmethod
-    def from_flat(cls, coords: Sequence[float]) -> "Polygon":
-        """Build from a flat [x0, y0, x1, y1, ...] list."""
-        if len(coords) % 2 != 0:
-            raise ValueError("flat coordinate list must have even length")
-        pairs = tuple((coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
-        return cls(pairs)
 
 
 class RasterMask:
@@ -157,58 +139,6 @@ class RasterMask:
         return f"RasterMask({self.width}x{self.height}, area={area(self)})"
 
 
-@dataclass(frozen=True)
-class Rle:
-    """Column-major run-length code; counts[0] is a zero run (possibly empty)."""
-
-    width: int
-    height: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("rle canvas must span at least one pixel")
-        runs = _int64_runs(self.counts)
-        if runs is None:  # int() converts or raises, as for any single count
-            counts = tuple(int(c) for c in self.counts)
-            runs = np.array(counts, dtype=object)
-        else:
-            counts = tuple(runs.tolist())
-        object.__setattr__(self, "counts", counts)
-        if not counts:
-            raise ValueError("rle counts must be non-empty")
-        if (runs < 0).any():
-            raise ValueError("rle counts must be non-negative")
-        if not runs[1:].all():
-            raise ValueError("rle has a zero-length run after the first")
-        total = sum(counts)
-        if total != self.width * self.height:
-            raise ValueError(
-                f"rle counts sum to {total}, expected {self.width * self.height}"
-            )
-
-
-_EXACT_FLOAT_INTS = 2.0**53  # floats below this truncate to int64 exactly
-
-
-def _int64_runs(counts) -> Optional[np.ndarray]:
-    """`int(c)` of every count as one int64 array, or None where NumPy cannot
-    promise that: counts that are not a flat list of numbers, floats that are
-    not finite or not below 2**53, and ints beyond int64."""
-    try:
-        runs = np.asarray(counts)
-    except (OverflowError, ValueError):
-        return None
-    kind = runs.dtype.kind
-    if runs.ndim != 1 or kind not in "biuf":
-        return None
-    if kind == "f" and not (np.abs(runs) < _EXACT_FLOAT_INTS).all():
-        return None  # also rejects nan and inf
-    if kind == "u" and runs.size and runs.max() > np.iinfo(np.int64).max:
-        return None
-    return runs.astype(np.int64)  # float to int truncates toward zero, as int() does
-
-
 def _crop(top: int, left: int, window: np.ndarray) -> tuple[int, int, np.ndarray, int]:
     """(top, left, bits, area) of the set pixels of `window` placed at (top, left).
 
@@ -230,8 +160,7 @@ def rasterize(poly: Polygon, width: int, height: int) -> RasterMask:
     polygon under the even-odd rule; geometry outside the canvas is clipped.
     Fewer than 3 vertices yields the empty mask.
     """
-    if width < 1 or height < 1:
-        raise ValueError("canvas must span at least one pixel")
+    check_canvas(width, height)
     verts = poly.vertices
     if len(verts) < 3:
         return RasterMask.zeros(width, height)
@@ -239,8 +168,9 @@ def rasterize(poly: Polygon, width: int, height: int) -> RasterMask:
     # such a row a center left of every crossing, or at or right of every
     # crossing, is passed an even number of times and stays clear. So only
     # the vertex box, clipped to the canvas, is filled.
-    x1, y1 = np.array(verts, dtype=np.float64).T
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    loop = np.array(verts + verts[:1], dtype=np.float64)  # edge k runs from vertex k to k + 1
+    x1, y1 = loop[:-1].T
+    x2, y2 = loop[1:].T
     top = max(0, math.ceil(float(y1.min()) - 0.5))
     bottom = min(height, math.ceil(float(y1.max()) - 0.5))
     ys = np.arange(top, bottom, dtype=np.float64) + 0.5
@@ -286,29 +216,88 @@ def rle_encode(mask: RasterMask) -> Rle:
     bounds[1::2] = np.flatnonzero(step == -1)
     bounds += mask._left * h
     counts = np.diff(bounds, prepend=0, append=total)
-    return Rle(mask.width, h, counts[:-1] if counts[-1] == 0 else counts)
+    return Rle(mask.width, h, (counts[:-1] if counts[-1] == 0 else counts).tolist())
+
+
+# booleans one expansion of `rle_decode_many` may allocate (4 MiB); a code
+# whose box columns alone hold more is expanded by itself
+_DECODE_PIXELS = 2**22
 
 
 def rle_decode(rle: Rle) -> RasterMask:
     """Expand a run-length code back into a mask."""
-    h = rle.height
-    counts = np.fromiter(rle.counts, dtype=np.int64, count=len(rle.counts))
-    stops = np.cumsum(counts)[1::2]  # set run k is counts[2k + 1] and ends at stops[k]
-    if not stops.size:
-        return RasterMask.zeros(rle.width, h)
-    # expand only the columns the set runs touch: trim the first clear run
-    # and pad the last column
-    left = int(counts[0]) // h
-    right = (int(stops[-1]) - 1) // h + 1
-    lengths = np.append(counts[: 2 * stops.size], right * h - int(stops[-1]))
-    lengths[0] -= left * h
-    values = np.zeros(lengths.size, dtype=bool)
-    values[1::2] = True
-    columns = np.repeat(values, lengths).reshape(right - left, h)
-    rows = np.flatnonzero(columns.any(axis=0))
-    top, bottom = int(rows[0]), int(rows[-1]) + 1
-    bits = columns[:, top:bottom].T.copy()
-    return RasterMask._from_crop(rle.width, h, top, left, bits, int(counts[1::2].sum()))
+    return rle_decode_many([rle])[0]
+
+
+def rle_decode_many(rles: Sequence[Rle]) -> list[RasterMask]:
+    """Expand run-length codes, on any mix of canvases, into masks.
+
+    One set of NumPy passes over the counts of every code finds each code's
+    box and area. Then the columns of the boxes are expanded at full height,
+    for as many codes at a time as fit in _DECODE_PIXELS, and each crop is
+    cut from its code's columns.
+    """
+    n = len(rles)
+    lens = np.fromiter((len(r.counts) for r in rles), dtype=np.int64, count=n)
+    counts = np.fromiter(chain.from_iterable(r.counts for r in rles), dtype=np.int64, count=int(lens.sum()))
+    keep = np.ones(counts.size, dtype=bool)
+    keep[(np.cumsum(lens) - 1)[lens % 2 == 1]] = False  # a trailing clear run sets nothing
+    runs = counts[keep]  # per code: clear, set, ..., clear, set
+    sets = lens // 2
+    (full,) = np.nonzero(sets)  # the codes with a set pixel
+    masks = [RasterMask.zeros(r.width, r.height) if not k else None for r, k in zip(rles, sets.tolist())]
+    if not full.size:
+        return masks
+    sets = sets[full]
+    heights = np.fromiter((r.height for r in rles), dtype=np.int64, count=n)[full]
+    first = np.cumsum(2 * sets) - 2 * sets  # each code's first count in `runs`
+    ends = np.cumsum(runs)
+    ends -= np.repeat(ends[first] - runs[first], 2 * sets)  # now offsets on each code's canvas
+    starts, stops = ends[0::2], ends[1::2]  # of the set runs
+    per_run = np.repeat(heights, sets)
+    col0, col1 = starts // per_run, (stops - 1) // per_run
+    # a set run within one column covers its own rows; one that crosses a
+    # column boundary covers the last row of a column and the first of the next
+    within = col0 == col1
+    row0 = np.where(within, starts - col0 * per_run, 0)
+    row1 = np.where(within, stops - 1 - col1 * per_run, per_run - 1)
+    set_first = np.cumsum(sets) - sets
+    set_last = set_first + sets - 1
+    left, right = col0[set_first], col1[set_last] + 1
+    top = np.minimum.reduceat(row0, set_first)
+    bottom = np.maximum.reduceat(row1, set_first) + 1
+    areas = np.add.reduceat(runs[1::2], set_first)
+    lead = starts[set_first] - left * heights  # the clear run before the first set one, from column `left`
+    pad = right * heights - stops[set_last]  # clear pixels after the last set run, to the end of its column
+    pixels = (right - left) * heights
+    done = np.cumsum(pixels)
+
+    rows = zip(
+        full.tolist(), heights.tolist(), left.tolist(), (right - left).tolist(),
+        top.tolist(), bottom.tolist(), areas.tolist(),
+    )
+    a = 0
+    while a < full.size:
+        b = max(a + 1, int(np.searchsorted(done, done[a] - pixels[a] + _DECODE_PIXELS, side="right")))
+        # codes a..b-1 as one alternating clear/set sequence: each code's
+        # padding merges into the next code's lead, both clear
+        lo = int(first[a])
+        lengths = np.append(runs[lo : int(first[b]) if b < full.size else runs.size], pad[b - 1])
+        heads = first[a:b] - lo
+        lengths[heads] = lead[a:b]
+        lengths[heads[1:]] += pad[a : b - 1]
+        values = np.zeros(lengths.size, dtype=bool)
+        values[1::2] = True
+        flat = np.repeat(values, lengths)
+        offset = 0
+        for _ in range(b - a):
+            i, h, l, w, t, bt, count = next(rows)
+            columns = flat[offset : offset + w * h].reshape(w, h)
+            offset += w * h
+            masks[i] = RasterMask._from_crop(rles[i].width, h, t, l, columns[:, t:bt].T.copy(), count)
+        del flat, columns  # before the next chunk is expanded
+        a = b
+    return masks
 
 
 def _check_same_canvas(a: RasterMask, b: RasterMask) -> None:

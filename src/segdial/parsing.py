@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+from segdial.dataset_io import TASK_MODES
+
 __all__ = [
     "TASK_MODES",
     "Diagnostic",
@@ -42,8 +44,6 @@ __all__ = [
     "render_dialogue",
     "to_training_record",
 ]
-
-TASK_MODES = ("semseg", "instseg", "sid_semseg", "sid_instseg", "pure_text")
 
 _TAG_RE = re.compile(r"<\s*(\d+)\s*;\s*([^<>]*?)\s*>")
 _SEG_TOKEN_RE = re.compile(r"<SEG>")

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from segdial.mask import RasterMask, mask_union
 from segdial.parsing import (
     TASK_MODES,
     DialogueRecord,
@@ -15,6 +14,9 @@ from segdial.parsing import (
     Turn,
     annotations_by_id,
 )
+
+if TYPE_CHECKING:
+    from segdial.mask import RasterMask
 
 __all__ = [
     "TASK_MODES",
@@ -70,6 +72,14 @@ class MergedAnnotation:
     label_name: str
     member_ids: tuple[int, ...]
     mask: RasterMask
+
+
+def mask_union(masks: Sequence[RasterMask]) -> RasterMask:
+    """`segdial.mask.mask_union`, imported on the first call, so that only
+    the semantic targets load the pixel layer and NumPy."""
+    from segdial import mask
+
+    return mask.mask_union(masks)
 
 
 def _merge_text(segments: Sequence[Segment]) -> tuple[Segment, ...]:

@@ -142,17 +142,20 @@ class TestExitCodes:
         assert "validation error" in capsys.readouterr().err
 
     def test_negative_max_retries_is_validation_error(self, tmp_path, capsys):
+        # rejected before any output is written, whether or not a client runs
         gt = write_gt(tmp_path)
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
         out = tmp_path / "jobs.jsonl"
-        code = main(
-            ["curate", "--input", str(gt), "--task", "qa", "--out", str(out),
-             "--client", "fixture", "--fixture-dir", str(fixtures), "--max-retries", "-1"]
-        )
-        assert code == 1
-        assert "validation error: max_retries must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
+        for client, retries in (("fixture", "-1"), ("none", "-5")):
+            code = main(
+                ["curate", "--input", str(gt), "--task", "qa", "--out", str(out),
+                 "--client", client, "--fixture-dir", str(fixtures), "--max-retries", retries]
+            )
+            assert code == 1, client
+            assert "validation error: max_retries must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
+            assert not (tmp_path / "jobs.dropped.jsonl").exists()
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(
@@ -236,6 +239,39 @@ class TestImportBoundary:
         code, fresh, err = _run_fresh(["report", "--in", report], ["numpy"], tmp_path)
         assert code == 0, err
         assert fresh == here == INST_REPORT + "\n"
+
+    def test_text_subcommands_load_no_numpy(self, tmp_path):
+        # `parse` reads only ids and labels, `transform --to pure` only text
+        # and `split` only the records file: none of them loads NumPy, the
+        # pixel layer or anything else it does not run
+        import segdial
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(segdial.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys\n"
+            "from segdial.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'segdial.'))))"
+        )
+        gt, responses = write_gt(tmp_path), write_qa_responses(tmp_path)
+        records = tmp_path / "records.jsonl"
+        runs = [
+            (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
+             ["segdial.cli", "segdial.dataset_io", "segdial.geometry", "segdial.parsing"]),
+            (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
+             ["segdial.cli", "segdial.dataset_io", "segdial.parsing", "segdial.transforms"]),
+            (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
+             ["segdial.cli", "segdial.dataset_io"]),
+        ]
+        for args, modules in runs:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == f"0 {modules}", args[0]
+        assert len(read_records(tmp_path / "pure.jsonl")) == 2
 
     def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
         gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)
@@ -543,6 +579,59 @@ class TestParse:
         assert [r.task_mode for r in records] == ["instseg", "instseg"]
         assert records[0].turns[1].seg_ids == (34494, 31264)
         assert records[1].turns[1].seg_ids == (34494,)
+
+    @pytest.mark.parametrize("defect,expected", [
+        ({"size": [12, 16], "counts": [20, 6, 160]}, "annotation 11: rle counts sum to 186, expected 192"),
+        ({"size": [12, 16], "counts": [-1, 193]}, "annotation 11: rle counts must be non-negative"),
+        ({"size": [12, 16], "counts": [20, 0, 172]}, "annotation 11: rle has a zero-length run after the first"),
+        ([[1, 1, 9, 1, 9]], "annotation 11: flat coordinate list must have even length"),
+        ([[1, -1, 9, 1, 9, 7]], "annotation 11: polygon vertices must be non-negative"),
+        ({"size": [8, 8], "counts": [64]}, "annotation 11: rle canvas 8x8 does not match image 16x12"),
+        ("duplicate annotation", "duplicate annotation id 10"),
+        ("duplicate image", "duplicate image id 1"),
+        ("duplicate category", "duplicate category id 2"),
+        ("unknown image", "annotation 11: unknown image_id 7"),
+        ("unknown category", "annotation 11: unknown category_id 9"),
+        ("empty image", "image 2: empty canvas"),
+        ("polygon on empty image", "annotation 11: canvas must span at least one pixel"),
+    ])
+    def test_rejects_what_load_coco_rejects_with_its_message(self, tmp_path, capsys, defect, expected):
+        # `parse` decodes no geometry, yet it refuses every file `evaluate`
+        # refuses, with the same message
+        payload = coco_payload(
+            images=[(1, 16, 12, [(10, 1, [[1, 1, 9, 1, 9, 7]]), (11, 2, {"size": [12, 16], "counts": [20, 6, 166]})]),
+                    (2, 8, 8, [])],
+            categories=[(1, "cat"), (2, "dog")],
+        )
+        anns, images = payload["annotations"], payload["images"]
+        if isinstance(defect, (dict, list)):
+            anns[1]["segmentation"] = defect
+        elif defect == "duplicate annotation":
+            anns[1]["id"] = 10
+        elif defect == "duplicate image":
+            images[1]["id"] = 1
+        elif defect == "duplicate category":
+            payload["categories"].append({"id": 2, "name": "wolf"})
+        elif defect == "unknown image":
+            anns[1]["image_id"] = 7
+        elif defect == "unknown category":
+            anns[1]["category_id"] = 9
+        else:
+            images[1]["width"] = 0
+            if defect == "polygon on empty image":
+                anns[1].update(image_id=2, segmentation=[[1, 1, 5, 1, 5, 5]])
+        gt = tmp_path / "gt.json"
+        write_json(gt, payload)
+        responses = write_qa_responses(tmp_path)
+        preds = write_perfect_preds(tmp_path)
+        assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst"]) == 1
+        evaluate_err = capsys.readouterr().err
+        assert main(["parse", "--responses", str(responses), "--annotations", str(gt), "--task", "qa",
+                     "--out", str(tmp_path / "records.jsonl")]) == 1
+        parse_err = capsys.readouterr().err
+        assert parse_err == evaluate_err
+        assert parse_err.startswith("validation error: ") and expected in parse_err
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_missing_responses_directory_is_io_error(self, tmp_path):
         gt = write_gt(tmp_path)

@@ -14,7 +14,9 @@ from segdial.dataset_io import (
     DatasetError,
     RecordError,
     load_coco,
+    load_coco_labels,
     read_predictions,
+    read_record_lines,
     read_records,
     write_predictions,
     write_records,
@@ -53,6 +55,7 @@ class TestLoadCoco:
         assert first.annotations[1].mask == m
         assert first.annotations[0].label_name == "cat"
         assert first.annotations[0].area == 36
+        assert load_coco_labels(path) == {1: {10: "cat", 11: "dog"}, 2: {}}
 
     def test_area_and_bbox_revalidation_warnings(self, tmp_path):
         payload = coco_payload(
@@ -225,6 +228,8 @@ class TestRecordsJsonl:
         padded = tmp_path / "padded.jsonl"
         padded.write_text("\n" + path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
         assert read_records(padded) == canonical_records()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert read_record_lines(padded) == lines
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda o: o.update(schema_version=2), "schema_version must be 1"),
@@ -249,6 +254,9 @@ class TestRecordsJsonl:
         with pytest.raises(RecordError, match="line 2") as exc:
             read_records(bad)
         assert message in str(exc.value)
+        with pytest.raises(RecordError) as checked:
+            read_record_lines(bad)
+        assert str(checked.value) == str(exc.value)
 
     def test_invalid_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -318,6 +326,48 @@ class TestPredictionsJsonl:
         with pytest.raises(RecordError, match="line 1") as exc:
             read_predictions(path)
         assert message in str(exc.value)
+
+    def test_first_bad_line_is_reported_whatever_its_fault(self, tmp_path):
+        # lines are checked before any mask is decoded, and a score out of
+        # range is refused only as the prediction is built after decoding;
+        # either way the first bad line is the one named
+        good = {"image_id": 1, "rle": {"size": [4, 4], "counts": [16]}}
+        bad_score = dict(good, score=1.5)
+        bad_id = dict(good, image_id="x")
+        no_canvas = {"image_id": 1, "polygon": [rect_polygon(0, 0, 2, 2)], "width": 0, "height": 4}
+        cases = [
+            ([good, bad_score, bad_id], "line 2: score must be in [0, 1], got 1.5"),
+            ([good, bad_id, bad_score], "line 2: image_id must be an integer"),
+            ([good, "", bad_score, "{broken"], "line 3: score must be in [0, 1], got 1.5"),
+            ([good, "{broken", bad_score], "line 2: invalid JSON"),
+            ([bad_score, no_canvas], "line 1: score must be in [0, 1], got 1.5"),
+            ([good, no_canvas, bad_score], "line 2: canvas must span at least one pixel"),
+        ]
+        path = tmp_path / "preds.jsonl"
+        for rows, message in cases:
+            path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows))
+            with pytest.raises(RecordError) as exc:
+                read_predictions(path)
+            assert str(exc.value).startswith(f"{path}: {message}"), (rows, str(exc.value))
+
+    def test_mixed_canvases_and_forms_keep_their_order(self, tmp_path):
+        preds = [
+            PredictionInstance(image_id=1, mask=rect_mask(16, 12, 2, 1, 6, 4), score=0.5, category_id=1),
+            PredictionInstance(image_id=2, mask=rect_mask(5, 30, 0, 0, 5, 30), score=1.0, category_id=2),
+            PredictionInstance(image_id=3, mask=RasterMask.zeros(7, 3), score=0.25, category_id=None),
+            PredictionInstance(image_id=4, mask=rect_mask(1, 9, 0, 3, 1, 8), score=0.75, category_id=1),
+        ]
+        path = tmp_path / "preds.jsonl"
+        write_predictions(preds, path)
+        polygon = {"image_id": 5, "polygon": [rect_polygon(1, 1, 3, 2)], "width": 4, "height": 4}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(polygon) + "\n")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], lines[4], *lines[1:4]]) + "\n", encoding="utf-8")
+        got = read_predictions(path)
+        assert [p.image_id for p in got] == [1, 5, 2, 3, 4]
+        assert [got[0], *got[2:]] == preds
+        assert got[1].mask == rect_mask(4, 4, 1, 1, 3, 2)
 
     def test_write_read_round_trip_and_determinism(self, tmp_path):
         preds = [

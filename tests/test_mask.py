@@ -161,6 +161,57 @@ class TestRle:
         assert sum(r.counts) == r.width * r.height
 
 
+def _expand(rle):
+    """The pixels of a column-major run-length code, one run at a time."""
+    flat = []
+    for k, c in enumerate(rle.counts):
+        flat += [k % 2 == 1] * c
+    return np.array(flat, dtype=bool).reshape(rle.width, rle.height).T
+
+
+def _random_code(rng, width, height):
+    """A code of up to 12 runs at seeded places; half of them start with a set run."""
+    total = width * height
+    cuts = sorted(rng.sample(range(1, total), rng.randint(0, min(total - 1, 12))))
+    bounds = [0, *cuts, total]
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    return Rle(width, height, tuple([0, *counts] if rng.random() < 0.5 else counts))
+
+
+class TestDecodeMany:
+    """`rle_decode_many` against `_expand`, written without NumPy runs."""
+
+    CANVASES = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (5, 4), (13, 17), (64, 3)]
+
+    def codes(self, seed):
+        rng = random.Random(seed)
+        codes = []
+        for w, h in self.CANVASES:
+            codes += [Rle(w, h, (w * h,)), Rle(w, h, (0, w * h))]  # empty and full canvas
+            codes += [_random_code(rng, w, h) for _ in range(25)]
+        rng.shuffle(codes)  # canvases mixed in one call
+        return codes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("chunk", [1, 50, 2**22])
+    def test_matches_an_independent_expansion(self, seed, chunk):
+        codes = self.codes(seed)
+        with mock.patch.object(mask_module, "_DECODE_PIXELS", chunk):
+            got = mask_module.rle_decode_many(codes)
+        assert len(got) == len(codes)
+        for rle, m in zip(codes, got):
+            want = _expand(rle)
+            assert (m.width, m.height) == (rle.width, rle.height)
+            assert np.array_equal(m.pixels, want)
+            assert m == RasterMask(want)  # the same tight crop
+            assert area(m) == int(np.count_nonzero(want))
+
+    def test_one_code_and_none(self):
+        for rle in self.codes(3)[:40]:
+            assert rle_decode(rle) == RasterMask(_expand(rle))
+        assert mask_module.rle_decode_many([]) == []
+
+
 class TestIou:
     def test_identical_masks(self):
         m = rect_mask(8, 8, 1, 1, 5, 5)
@@ -470,6 +521,22 @@ class TestMemory:
         assert (area(drawn), area(decoded), area(joined)) == (80, 15, 80)
         assert iou == 15 / 80
         assert peak < 1 << 20, peak
+
+    def test_decoding_many_codes_expands_a_bounded_chunk(self):
+        # each code sets the top pixel of the first and last column of a
+        # 1024x1024 canvas: its crop is one row, but its box columns hold 1 MiB
+        side = 1024
+        rle = Rle(side, side, (0, 1, (side - 1) * side - 1, 1, side - 1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            masks = mask_module.rle_decode_many([rle] * 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(m == masks[0] for m in masks) and area(masks[0]) == 2
+        assert bbox_of(masks[0]) == BBox(0, 0, side - 1, 0)
+        assert peak < 1.5 * mask_module._DECODE_PIXELS, peak  # one chunk, not the 32 MiB of all boxes
 
 
 class TestPixelFormatOwnership:
