@@ -287,15 +287,15 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    from segdial import dataset_io, matching, metrics
+    from segdial import dataset_io, instances, matching
 
     dataset = dataset_io.load_coco(args.gt)
     preds = dataset_io.read_predictions(args.preds)
     known = {img.image_id for img in dataset.images}
     bad = sorted({p.image_id for p in preds} - known)
     if bad:
-        raise metrics.EvalValidationError([f"prediction for unknown image_id {i}" for i in bad])
-    by_image: dict[int, list[metrics.PredictionInstance]] = {}
+        raise instances.EvalValidationError([f"prediction for unknown image_id {i}" for i in bad])
+    by_image: dict[int, list[instances.PredictionInstance]] = {}
     for p in preds:
         by_image.setdefault(p.image_id, []).append(p)
 
@@ -442,73 +442,92 @@ def _cmd_split(args) -> int:
 # --- wiring ----------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    common = _common_parser()
+def _add_arguments(p: _Parser, command: str) -> None:
+    if command == "curate":
+        p.add_argument("--input", type=Path, required=True, help="COCO-style instance JSON")
+        p.add_argument("--min-image-side", type=int, default=512)
+        p.add_argument("--min-area", type=int, default=400)
+        p.add_argument("--task", choices=("instseg", "qa", "caption"), required=True)
+        p.add_argument("--client", choices=("none", "fixture", "http"), default="none")
+        p.add_argument("--fixture-dir", type=Path, help="directory of {image_id}.txt responses")
+        p.add_argument("--endpoint", help="annotator HTTP endpoint")
+        p.add_argument("--auth-token-env", help="environment variable holding the bearer token")
+        p.add_argument("--image-root", type=Path, help="directory with the image files")
+        p.add_argument("--max-retries", type=int, default=2)
+        p.add_argument("--out", type=Path, required=True, help="jobs JSONL output")
+        p.add_argument("--dropped-out", type=Path, help="dropped report (default <out>.dropped.jsonl)")
+    elif command == "parse":
+        p.add_argument("--responses", type=Path, required=True, help="directory of {image_id}.txt files")
+        p.add_argument("--annotations", type=Path, required=True, help="COCO-style instance JSON")
+        p.add_argument("--task", choices=("instseg", "qa", "caption"), required=True)
+        p.add_argument("--out", type=Path, required=True, help="records JSONL output")
+        p.add_argument("--diagnostics", type=Path, help="diagnostics JSONL (default <out>.diagnostics.jsonl)")
+    elif command == "transform":
+        p.add_argument("--in", dest="in_path", type=Path, required=True, help="records JSONL input")
+        p.add_argument("--to", choices=tuple(_TRANSFORM_TARGETS), required=True)
+        p.add_argument("--annotations", type=Path, help="COCO JSON (required for semantic targets)")
+        p.add_argument("--out", type=Path, required=True)
+        p.add_argument("--merged-out", type=Path, help="merged-annotation JSONL for semantic targets")
+    elif command == "match":
+        p.add_argument("--preds", type=Path, required=True, help="predictions JSONL")
+        p.add_argument("--gt", type=Path, required=True, help="COCO-style instance JSON")
+        p.add_argument("--w-iou", type=float, default=1.0)
+        p.add_argument("--w-dice", type=float, default=0.0)
+        p.add_argument("--out", type=Path, required=True, help="assignments JSONL output")
+    elif command == "evaluate":
+        p.add_argument("--gt", type=Path, required=True, help="COCO-style instance JSON")
+        p.add_argument("--preds", type=Path, required=True, help="predictions JSONL")
+        p.add_argument("--mode", choices=("inst", "sem"), required=True)
+        p.add_argument("--out", type=Path, help="JSON report output")
+    elif command == "report":
+        p.add_argument("--in", dest="in_path", type=Path, required=True, help="JSON report")
+    else:  # split
+        p.add_argument("--in", dest="in_path", type=Path, required=True, help="records JSONL input")
+        p.add_argument("--train-out", type=Path, required=True)
+        p.add_argument("--eval-out", type=Path, required=True)
+        p.add_argument("--eval-fraction", type=float, default=0.1)
+
+
+# name: (help line, handler), in the order help lists them
+_COMMANDS = {
+    "curate": ("filter a dataset and build annotator jobs", _cmd_curate),
+    "parse": ("parse annotator responses into records", _cmd_parse),
+    "transform": ("re-target records to another task mode", _cmd_transform),
+    "match": ("assign predicted masks to ground truth", _cmd_match),
+    "evaluate": ("score predictions against ground truth", _cmd_evaluate),
+    "report": ("render a JSON report as text", _cmd_report),
+    "split": ("seeded train/eval split of a records file", _cmd_split),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The segdial argument parser.
+
+    Every subcommand is registered, so help, usage and errors read the same
+    whatever runs, but only `command` (every subcommand when None) gets its
+    arguments: a run builds the one subparser it uses.
+    """
     parser = _Parser(prog="segdial", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("curate", parents=[common], help="filter a dataset and build annotator jobs")
-    p.add_argument("--input", type=Path, required=True, help="COCO-style instance JSON")
-    p.add_argument("--min-image-side", type=int, default=512)
-    p.add_argument("--min-area", type=int, default=400)
-    p.add_argument("--task", choices=("instseg", "qa", "caption"), required=True)
-    p.add_argument("--client", choices=("none", "fixture", "http"), default="none")
-    p.add_argument("--fixture-dir", type=Path, help="directory of {image_id}.txt responses")
-    p.add_argument("--endpoint", help="annotator HTTP endpoint")
-    p.add_argument("--auth-token-env", help="environment variable holding the bearer token")
-    p.add_argument("--image-root", type=Path, help="directory with the image files")
-    p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--out", type=Path, required=True, help="jobs JSONL output")
-    p.add_argument("--dropped-out", type=Path, help="dropped report (default <out>.dropped.jsonl)")
-    p.set_defaults(func=_cmd_curate)
-
-    p = sub.add_parser("parse", parents=[common], help="parse annotator responses into records")
-    p.add_argument("--responses", type=Path, required=True, help="directory of {image_id}.txt files")
-    p.add_argument("--annotations", type=Path, required=True, help="COCO-style instance JSON")
-    p.add_argument("--task", choices=("instseg", "qa", "caption"), required=True)
-    p.add_argument("--out", type=Path, required=True, help="records JSONL output")
-    p.add_argument("--diagnostics", type=Path, help="diagnostics JSONL (default <out>.diagnostics.jsonl)")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("transform", parents=[common], help="re-target records to another task mode")
-    p.add_argument("--in", dest="in_path", type=Path, required=True, help="records JSONL input")
-    p.add_argument("--to", choices=tuple(_TRANSFORM_TARGETS), required=True)
-    p.add_argument("--annotations", type=Path, help="COCO JSON (required for semantic targets)")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--merged-out", type=Path, help="merged-annotation JSONL for semantic targets")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("match", parents=[common], help="assign predicted masks to ground truth")
-    p.add_argument("--preds", type=Path, required=True, help="predictions JSONL")
-    p.add_argument("--gt", type=Path, required=True, help="COCO-style instance JSON")
-    p.add_argument("--w-iou", type=float, default=1.0)
-    p.add_argument("--w-dice", type=float, default=0.0)
-    p.add_argument("--out", type=Path, required=True, help="assignments JSONL output")
-    p.set_defaults(func=_cmd_match)
-
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against ground truth")
-    p.add_argument("--gt", type=Path, required=True, help="COCO-style instance JSON")
-    p.add_argument("--preds", type=Path, required=True, help="predictions JSONL")
-    p.add_argument("--mode", choices=("inst", "sem"), required=True)
-    p.add_argument("--out", type=Path, help="JSON report output")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("report", parents=[common], help="render a JSON report as text")
-    p.add_argument("--in", dest="in_path", type=Path, required=True, help="JSON report")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("split", parents=[common], help="seeded train/eval split of a records file")
-    p.add_argument("--in", dest="in_path", type=Path, required=True, help="records JSONL input")
-    p.add_argument("--train-out", type=Path, required=True)
-    p.add_argument("--eval-out", type=Path, required=True)
-    p.add_argument("--eval-fraction", type=float, default=0.1)
-    p.set_defaults(func=_cmd_split)
-
+    common = _common_parser()
+    for name, (help_line, handler) in _COMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_line)
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        _add_arguments(p, name)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _command_of(argv: list[str]) -> str | None:
+    """The subcommand argparse picks from `argv`: its first non-option argument."""
+    return next((a for a in argv if not a.startswith("-")), None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(_command_of(argv))
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):

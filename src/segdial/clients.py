@@ -5,9 +5,8 @@ from __future__ import annotations
 import base64
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Protocol, Sequence
 
 from segdial.curation import PromptJob
 
@@ -102,8 +101,7 @@ class HttpModelClient:
         return text
 
 
-@dataclass(frozen=True)
-class JobResult:
+class JobResult(NamedTuple):
     job: PromptJob
     response: Optional[str]
     error: Optional[str]

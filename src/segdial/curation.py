@@ -4,16 +4,16 @@ Three prompt kinds are built per image: multi-question instance grounding
 ("instseg"), free-form grounded dialogue ("qa"), and whole-image captioning
 ("caption"). Each prompt is the fixed system template plus a per-image
 annotation digest; the digest line layout is frozen because downstream
-parsers key on it.
+parsers key on it. The image and instance types are those of
+`segdial.instances`, re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from segdial.geometry import Geometry, Rle, check_fit
-from segdial.mask import BBox, RasterMask, area, bbox_of, mask_union, rasterize, rle_decode, rle_decode_many
+from segdial.instances import CurationError, ImageRecord, InstanceAnnotation
+from segdial.mask import area, bbox_of, mask_union, rasterize, rle_decode  # noqa: F401  (bench/tracing.py rebinds them here)
 
 __all__ = [
     "CurationError",
@@ -30,114 +30,17 @@ __all__ = [
     "build_caption_prompt",
     "build_instseg_prompt",
     "build_qa_prompt",
-    "decode_geometries",
-    "decode_geometry",
     "filter_dataset",
 ]
 
 
-class CurationError(ValueError):
-    pass
-
-
-def decode_geometry(geometry: Geometry, width: int, height: int) -> RasterMask:
-    """Decode an rle on its own canvas, or rasterize polygons onto width x height."""
-    if isinstance(geometry, Rle):
-        return rle_decode(geometry)
-    return mask_union([rasterize(p, width, height) for p in geometry])
-
-
-def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[RasterMask]:
-    """`decode_geometry` of each (geometry, width, height), with every rle
-    among them decoded in one `rle_decode_many` pass."""
-    rles = iter(rle_decode_many([g for g, _, _ in items if isinstance(g, Rle)]))
-    return [next(rles) if isinstance(g, Rle) else decode_geometry(g, w, h) for g, w, h in items]
-
-
-@dataclass(frozen=True)
-class InstanceAnnotation:
-    """One object instance; mask, bbox, area, and center are derived from geometry."""
-
-    instance_id: int
-    category_id: int
-    label_name: str
-    mask: RasterMask
-    bbox: Optional[BBox]
-    area: int
-    center_point: Optional[tuple[int, int]]
-
-    @classmethod
-    def from_geometry(
-        cls,
-        instance_id: int,
-        category_id: int,
-        label_name: str,
-        geometry: Geometry,
-        width: int,
-        height: int,
-    ) -> "InstanceAnnotation":
-        if not isinstance(geometry, Rle):
-            geometry = tuple(geometry)
-            if not geometry:
-                raise CurationError(f"annotation {instance_id}: empty geometry")
-        try:
-            check_fit(geometry, width, height)
-        except ValueError as exc:
-            raise CurationError(f"annotation {instance_id}: {exc}") from None
-        return cls.from_mask(instance_id, category_id, label_name, decode_geometry(geometry, width, height))
-
-    @classmethod
-    def from_mask(
-        cls, instance_id: int, category_id: int, label_name: str, mask: RasterMask
-    ) -> "InstanceAnnotation":
-        box = bbox_of(mask)
-        return cls(
-            instance_id=instance_id,
-            category_id=category_id,
-            label_name=label_name,
-            mask=mask,
-            bbox=box,
-            area=area(mask),
-            center_point=box.center if box is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class ImageRecord:
-    """One image with its instance annotations."""
-
-    image_id: int
-    width: int
-    height: int
-    file_name: str
-    annotations: tuple[InstanceAnnotation, ...]
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image {self.image_id}: empty canvas")
-        seen = set()
-        for ann in self.annotations:
-            if ann.instance_id in seen:
-                raise ValueError(
-                    f"image {self.image_id}: duplicate instance_id {ann.instance_id}"
-                )
-            seen.add(ann.instance_id)
-            if (ann.mask.width, ann.mask.height) != (self.width, self.height):
-                raise ValueError(
-                    f"image {self.image_id}: annotation {ann.instance_id} mask is "
-                    f"{ann.mask.width}x{ann.mask.height}, image is {self.width}x{self.height}"
-                )
-
-
-@dataclass(frozen=True)
-class DropEntry:
+class DropEntry(NamedTuple):
     image_id: int
     annotation_id: Optional[int]  # None for image-level drops
     reason: str
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     kept: tuple[ImageRecord, ...]
     dropped: tuple[DropEntry, ...]
 
@@ -215,8 +118,7 @@ DIGEST_LINE = (
 )
 
 
-@dataclass(frozen=True)
-class PromptJob:
+class PromptJob(NamedTuple):
     """A ready-to-send annotator request for one image."""
 
     kind: str  # instseg | qa | caption

@@ -11,14 +11,12 @@ loads no other module, and reading masks never loads the parser.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
-    from segdial.curation import ImageRecord
     from segdial.geometry import Geometry, Rle
-    from segdial.metrics import PredictionInstance
+    from segdial.instances import ImageRecord, PredictionInstance
     from segdial.parsing import SerializedRecord
 
 __all__ = [
@@ -54,8 +52,7 @@ class RecordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CocoDataset:
+class CocoDataset(NamedTuple):
     images: tuple[ImageRecord, ...]
     categories: dict[int, str]
     warnings: tuple[str, ...]
@@ -77,17 +74,34 @@ def _coerce_geometry(seg, ann_id: int, errors: list[str]) -> Optional[Geometry]:
             return None
         try:
             return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"annotation {ann_id}: {exc}")
             return None
     if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
         try:
             return tuple(Polygon.from_flat(p) for p in seg)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"annotation {ann_id}: {exc}")
             return None
     errors.append(f"annotation {ann_id}: segmentation must be polygons or rle")
     return None
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), "a number")
+
+
+def _objects(raw: dict, section: str, errors: list[str]) -> Iterator[dict]:
+    """The entries of one section of a COCO file, each of which must be an
+    object; every other entry is noted in `errors` and skipped."""
+    for n, entry in enumerate(raw.get(section, [])):
+        if isinstance(entry, dict):
+            yield entry
+        else:
+            errors.append(f"{section}[{n}] must be an object, not {_json_type(entry)}")
 
 
 def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[tuple[dict, Geometry]]]:
@@ -95,18 +109,28 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
     a COCO-style file, in file order, after every check `load_coco` makes
     before it draws a pixel; NumPy stays unloaded.
 
-    Missing image/category references, malformed or misfitting geometry and
-    duplicate ids raise DatasetError with every such error; an image without
-    a pixel raises ValueError.
+    A file that is not an object, or a section that is not an array, raises
+    DatasetError at once. Entries that are not objects, missing image/category
+    references, malformed or misfitting geometry and duplicate ids raise
+    DatasetError with every such error; an image without a pixel raises
+    ValueError.
     """
     from segdial.geometry import check_fit
 
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    errors: list[str] = []
+    if not isinstance(raw, dict):
+        raise DatasetError([f"the file must hold an object, not {_json_type(raw)}"])
+    errors = [
+        f"{section} must be an array, not {_json_type(raw[section])}"
+        for section in ("categories", "images", "annotations")
+        if not isinstance(raw.get(section, []), list)
+    ]
+    if errors:
+        raise DatasetError(errors)
 
     categories: dict[int, str] = {}
-    for cat in raw.get("categories", []):
+    for cat in _objects(raw, "categories", errors):
         cid = cat.get("id")
         if not isinstance(cid, int):
             errors.append(f"category without integer id: {cat!r}")
@@ -117,7 +141,7 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
         categories[cid] = str(cat.get("name", cid))
 
     image_meta: dict[int, dict] = {}
-    for img in raw.get("images", []):
+    for img in _objects(raw, "images", errors):
         iid = img.get("id")
         if not isinstance(iid, int):
             errors.append(f"image without integer id: {img!r}")
@@ -135,7 +159,7 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
 
     annotations: list[tuple[dict, Geometry]] = []
     seen_ann_ids: set[int] = set()
-    for ann in raw.get("annotations", []):
+    for ann in _objects(raw, "annotations", errors):
         aid = ann.get("id")
         if not isinstance(aid, int):
             errors.append(f"annotation without integer id: keys {sorted(ann)}")
@@ -144,12 +168,13 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
             errors.append(f"duplicate annotation id {aid}")
             continue
         seen_ann_ids.add(aid)
+        # a JSON array or object is never an id, and cannot be looked up
         iid = ann.get("image_id")
-        if iid not in image_meta:
+        if isinstance(iid, (list, dict)) or iid not in image_meta:
             errors.append(f"annotation {aid}: unknown image_id {iid}")
             continue
         cid = ann.get("category_id")
-        if cid not in categories:
+        if isinstance(cid, (list, dict)) or cid not in categories:
             errors.append(f"annotation {aid}: unknown category_id {cid}")
             continue
         geometry = _coerce_geometry(ann.get("segmentation"), aid, errors)
@@ -190,7 +215,7 @@ def load_coco(path: str | Path) -> CocoDataset:
     of the computed one, or a stored bbox edge off by more than
     BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
     """
-    from segdial.curation import ImageRecord, InstanceAnnotation, decode_geometries
+    from segdial.instances import ImageRecord, InstanceAnnotation, decode_geometries
 
     categories, image_meta, annotations = _read_coco(path)
     masks = decode_geometries(
@@ -213,7 +238,10 @@ def load_coco(path: str | Path) -> CocoDataset:
             if built.bbox is None:
                 warnings.append(f"annotation {aid}: stored bbox but the mask is empty")
             else:
-                x, y, w, h = (float(v) for v in stored_bbox)
+                try:
+                    x, y, w, h = (float(v) for v in stored_bbox)
+                except (TypeError, ValueError, OverflowError):
+                    raise DatasetError([f"annotation {aid}: stored bbox {stored_bbox} is not four numbers"]) from None
                 computed = (
                     float(built.bbox.left),
                     float(built.bbox.top),
@@ -413,8 +441,7 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     rle is decoded in one pass; the error raised is that of the first bad
     line, with its position.
     """
-    from segdial.curation import decode_geometries
-    from segdial.metrics import PredictionInstance
+    from segdial.instances import PredictionInstance, decode_geometries
 
     rows, bad = [], None
     try:
@@ -427,7 +454,7 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     for (where, (image_id, category_id, score, _, _, _)), mask in zip(rows, masks):
         try:
             preds.append(PredictionInstance(image_id, mask, float(score), category_id))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise RecordError(f"{where}: {exc}") from exc
     if bad is not None:
         raise bad

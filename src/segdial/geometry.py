@@ -9,26 +9,33 @@ for pixels. `segdial.mask` turns these values into masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 __all__ = ["Geometry", "Polygon", "Rle", "check_canvas", "check_fit"]
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Closed vertex loop in pixel coordinates (x, y), not necessarily convex."""
+# A checked record type is a NamedTuple of its fields plus a subclass whose
+# __new__ makes the checks; `_make` and `_replace` skip them, so build
+# checked values through the constructor.
 
+
+class _PolygonFields(NamedTuple):
     vertices: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+
+class Polygon(_PolygonFields):
+    """Closed vertex loop in pixel coordinates (x, y), not necessarily convex."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices):
+        verts = tuple((float(x), float(y)) for x, y in vertices)
         for x, y in verts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("polygon vertices must be finite")
             if x < 0 or y < 0:
                 raise ValueError("polygon vertices must be non-negative")
-        object.__setattr__(self, "vertices", verts)
+        return tuple.__new__(cls, (verts,))
 
     @classmethod
     def from_flat(cls, coords: Sequence[float]) -> "Polygon":
@@ -39,24 +46,26 @@ class Polygon:
         return cls(pairs)
 
 
-@dataclass(frozen=True)
-class Rle:
+class _RleFields(NamedTuple):
+    width: int
+    height: int
+    counts: tuple[int, ...]
+
+
+class Rle(_RleFields):
     """Column-major run-length code; counts[0] is a zero run (possibly empty).
 
     The counts become a tuple of Python ints, `int(c)` of each given count.
     """
 
-    width: int
-    height: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
+    def __new__(cls, width, height, counts):
+        if width < 1 or height < 1:
             raise ValueError("rle canvas must span at least one pixel")
-        counts = tuple(self.counts)
+        counts = tuple(counts)
         if not set(map(type, counts)) <= {int}:  # bools, floats, NumPy ints, strings
             counts = tuple(map(int, counts))
-        object.__setattr__(self, "counts", counts)
         if not counts:
             raise ValueError("rle counts must be non-empty")
         if min(counts) < 0:
@@ -64,10 +73,9 @@ class Rle:
         if not all(counts[1:]):
             raise ValueError("rle has a zero-length run after the first")
         total = sum(counts)
-        if total != self.width * self.height:
-            raise ValueError(
-                f"rle counts sum to {total}, expected {self.width * self.height}"
-            )
+        if total != width * height:
+            raise ValueError(f"rle counts sum to {total}, expected {width * height}")
+        return tuple.__new__(cls, (width, height, counts))
 
 
 Geometry = Union[tuple[Polygon, ...], Rle]

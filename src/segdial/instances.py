@@ -1,0 +1,148 @@
+"""Images, instances and predictions as the scorers read them, and the one
+path from geometry to masks.
+
+`match`, `evaluate` and `transform` need these types and nothing of prompt
+building or AP scoring, so they live apart from `segdial.curation` and
+`segdial.metrics`, which re-export them under their public names.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Optional, Sequence
+
+from segdial.geometry import Geometry, Rle, check_fit
+from segdial.mask import BBox, RasterMask, area, bbox_of, mask_union, rasterize, rle_decode_many
+
+__all__ = [
+    "CurationError",
+    "EvalValidationError",
+    "ImageRecord",
+    "InstanceAnnotation",
+    "PredictionInstance",
+    "decode_geometries",
+]
+
+
+class CurationError(ValueError):
+    pass
+
+
+class EvalValidationError(ValueError):
+    """Raised when predictions reference unknown images/categories or malformed masks."""
+
+    def __init__(self, offenders: Sequence[str]):
+        self.offenders = tuple(offenders)
+        preview = "; ".join(self.offenders[:5])
+        more = f" (+{len(self.offenders) - 5} more)" if len(self.offenders) > 5 else ""
+        super().__init__(f"{len(self.offenders)} invalid prediction(s): {preview}{more}")
+
+
+def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[RasterMask]:
+    """The mask of each (geometry, width, height): an rle decoded on its own
+    canvas, or polygons rasterized onto width x height and united. Every rle
+    among them is decoded in one `rle_decode_many` pass."""
+    rles = iter(rle_decode_many([g for g, _, _ in items if isinstance(g, Rle)]))
+    return [
+        next(rles) if isinstance(g, Rle) else mask_union([rasterize(p, w, h) for p in g])
+        for g, w, h in items
+    ]
+
+
+class InstanceAnnotation(NamedTuple):
+    """One object instance; mask, bbox, area, and center are derived from geometry."""
+
+    instance_id: int
+    category_id: int
+    label_name: str
+    mask: RasterMask
+    bbox: Optional[BBox]
+    area: int
+    center_point: Optional[tuple[int, int]]
+
+    @classmethod
+    def from_geometry(
+        cls,
+        instance_id: int,
+        category_id: int,
+        label_name: str,
+        geometry: Geometry,
+        width: int,
+        height: int,
+    ) -> "InstanceAnnotation":
+        if not isinstance(geometry, Rle):
+            geometry = tuple(geometry)
+            if not geometry:
+                raise CurationError(f"annotation {instance_id}: empty geometry")
+        try:
+            check_fit(geometry, width, height)
+        except ValueError as exc:
+            raise CurationError(f"annotation {instance_id}: {exc}") from None
+        (mask,) = decode_geometries([(geometry, width, height)])
+        return cls.from_mask(instance_id, category_id, label_name, mask)
+
+    @classmethod
+    def from_mask(
+        cls, instance_id: int, category_id: int, label_name: str, mask: RasterMask
+    ) -> "InstanceAnnotation":
+        box = bbox_of(mask)
+        return cls(
+            instance_id=instance_id,
+            category_id=category_id,
+            label_name=label_name,
+            mask=mask,
+            bbox=box,
+            area=area(mask),
+            center_point=box.center if box is not None else None,
+        )
+
+
+# ImageRecord and PredictionInstance check in __new__, which `_make` and
+# `_replace` skip: rebuild them through the constructor.
+
+
+class _ImageRecordFields(NamedTuple):
+    image_id: int
+    width: int
+    height: int
+    file_name: str
+    annotations: tuple[InstanceAnnotation, ...]
+
+
+class ImageRecord(_ImageRecordFields):
+    """One image with its instance annotations."""
+
+    __slots__ = ()
+
+    def __new__(cls, image_id, width, height, file_name, annotations):
+        if width < 1 or height < 1:
+            raise ValueError(f"image {image_id}: empty canvas")
+        seen = set()
+        for ann in annotations:
+            if ann.instance_id in seen:
+                raise ValueError(f"image {image_id}: duplicate instance_id {ann.instance_id}")
+            seen.add(ann.instance_id)
+            if (ann.mask.width, ann.mask.height) != (width, height):
+                raise ValueError(
+                    f"image {image_id}: annotation {ann.instance_id} mask is "
+                    f"{ann.mask.width}x{ann.mask.height}, image is {width}x{height}"
+                )
+        return tuple.__new__(cls, (image_id, width, height, file_name, annotations))
+
+
+class _PredictionInstanceFields(NamedTuple):
+    image_id: int
+    mask: RasterMask
+    score: float = 1.0
+    category_id: Optional[int] = None
+
+
+class PredictionInstance(_PredictionInstanceFields):
+    """One predicted instance mask with an optional confidence."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        pred = super().__new__(cls, *args, **kwargs)
+        if not (0.0 <= pred.score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {pred.score}")
+        return pred

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,18 +45,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Tight pixel-index bounds, inclusive on all four edges."""
-
+class _BBoxFields(NamedTuple):
     left: int
     top: int
     right: int
     bottom: int
 
-    def __post_init__(self) -> None:
-        if self.left > self.right or self.top > self.bottom:
-            raise ValueError(f"degenerate bbox: {self!r}")
+
+class BBox(_BBoxFields):
+    """Tight pixel-index bounds, inclusive on all four edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, left, top, right, bottom):
+        box = tuple.__new__(cls, (left, top, right, bottom))
+        if left > right or top > bottom:
+            raise ValueError(f"degenerate bbox: {box!r}")
+        return box
 
     @property
     def center(self) -> tuple[int, int]:

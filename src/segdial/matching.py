@@ -5,8 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it he
 __all__ = ["Assignment", "build_cost_matrix", "hungarian", "assign_targets"]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Matched (prediction, groundtruth) index pairs plus the leftovers."""
 
     pairs: tuple[tuple[int, int], ...]

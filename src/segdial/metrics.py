@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from segdial.curation import ImageRecord
+from segdial.instances import EvalValidationError, ImageRecord, PredictionInstance
 from segdial.mask import RasterMask, area, overlap, overlaps
 from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it here)
 
@@ -38,50 +38,32 @@ _IOU_THRESHOLDS = tuple((50 + 5 * k) / 100.0 for k in range(10))
 _RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 
 
-class EvalValidationError(ValueError):
-    """Raised when predictions reference unknown images/categories or malformed masks."""
-
-    def __init__(self, offenders: Sequence[str]):
-        self.offenders = tuple(offenders)
-        preview = "; ".join(self.offenders[:5])
-        more = f" (+{len(self.offenders) - 5} more)" if len(self.offenders) > 5 else ""
-        super().__init__(f"{len(self.offenders)} invalid prediction(s): {preview}{more}")
-
-
-@dataclass(frozen=True)
-class PredictionInstance:
-    """One predicted instance mask with an optional confidence."""
-
-    image_id: int
-    mask: RasterMask
-    score: float = 1.0
-    category_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-
-
-@dataclass(frozen=True)
-class ApProtocol:
-    """Evaluation constants; the defaults are the ones reported everywhere.
-
-    `iou_thresholds` must rise strictly within (0, 1] and hold 0.5 and 0.75,
-    the thresholds that AP50 and AP75 report.
-    """
-
+class _ApProtocolFields(NamedTuple):
     iou_thresholds: tuple[float, ...] = _IOU_THRESHOLDS
     recall_points: tuple[float, ...] = _RECALL_POINTS
     max_dets: int = 100
     small_ceiling: int = 32 ** 2  # areas strictly below are small
     large_floor: int = 96 ** 2  # areas strictly above are large
 
-    def __post_init__(self) -> None:
-        thr = tuple(self.iou_thresholds)
+
+class ApProtocol(_ApProtocolFields):
+    """Evaluation constants; the defaults are the ones reported everywhere.
+
+    `iou_thresholds` must rise strictly within (0, 1] and hold 0.5 and 0.75,
+    the thresholds that AP50 and AP75 report. The checks run in __new__, which
+    `_make` and `_replace` skip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        protocol = super().__new__(cls, *args, **kwargs)
+        thr = tuple(protocol.iou_thresholds)
         if not all(0.0 < t <= 1.0 for t in thr) or any(a >= b for a, b in zip(thr, thr[1:])):
             raise ValueError(f"iou_thresholds must be strictly increasing in (0, 1], got {thr}")
         if 0.5 not in thr or 0.75 not in thr:
             raise ValueError(f"iou_thresholds must hold 0.5 and 0.75 (AP50, AP75), got {thr}")
+        return protocol
 
     def bands(self):
         return (
@@ -109,8 +91,7 @@ class ApReport(ApBlock):
     per_category: Mapping[int, ApBlock]
 
 
-@dataclass(frozen=True)
-class SemSegScore:
+class SemSegScore(NamedTuple):
     """Whole-image segmentation quality.
 
     gIoU averages per-image IoUs so every image weighs the same; cIoU pools
@@ -122,8 +103,7 @@ class SemSegScore:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Det:
+class _Det(NamedTuple):
     index: int  # global input position, the score tie-breaker
     score: float
     area: int

@@ -16,10 +16,8 @@ None, never raise on malformed model output.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from segdial.dataset_io import TASK_MODES
 
@@ -56,42 +54,50 @@ _CLAUSE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class TextSpan:
+# Checked record types (SegRef, Turn, DialogueRecord) check in __new__,
+# which `_make` and `_replace` skip: rebuild them through the constructor.
+
+
+class TextSpan(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class SegRef:
-    """Inline reference: the surface word plus the instance ids tagged onto it."""
-
+class _SegRefFields(NamedTuple):
     instance_ids: tuple[int, ...]
     surface: str = ""
     labels: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        ids = tuple(int(i) for i in self.instance_ids)
-        labels = tuple(self.labels) if self.labels else tuple("" for _ in ids)
-        object.__setattr__(self, "instance_ids", ids)
-        object.__setattr__(self, "labels", labels)
+
+class SegRef(_SegRefFields):
+    """Inline reference: the surface word plus the instance ids tagged onto it."""
+
+    __slots__ = ()
+
+    def __new__(cls, instance_ids, surface="", labels=()):
+        ids = tuple(int(i) for i in instance_ids)
+        labels = tuple(labels) if labels else tuple("" for _ in ids)
         if not ids:
             raise ValueError("SegRef needs at least one instance id")
         if len(labels) != len(ids):
             raise ValueError("SegRef labels must pair up with instance ids")
+        return tuple.__new__(cls, (ids, surface, labels))
 
 
 Segment = Union[TextSpan, SegRef]
 
 
-@dataclass(frozen=True)
-class Turn:
+class _TurnFields(NamedTuple):
     role: str  # person | robot
     segments: tuple[Segment, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.role not in ("person", "robot"):
-            raise ValueError(f"unknown role {self.role!r}")
-        object.__setattr__(self, "segments", tuple(self.segments))
+
+class Turn(_TurnFields):
+    __slots__ = ()
+
+    def __new__(cls, role, segments=()):
+        if role not in ("person", "robot"):
+            raise ValueError(f"unknown role {role!r}")
+        return tuple.__new__(cls, (role, tuple(segments)))
 
     def seg_ids(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -101,26 +107,28 @@ class Turn:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     prompt_kind: Optional[str] = None
     response_hash: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class DialogueRecord:
-    """A parsed multi-turn exchange tied to one image."""
-
+class _DialogueRecordFields(NamedTuple):
     image_id: Optional[int]
     turns: tuple[Turn, ...]
     task_mode: str
     provenance: Optional[Provenance] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if self.task_mode not in TASK_MODES:
-            raise ValueError(f"unknown task_mode {self.task_mode!r}")
-        for n, turn in enumerate(self.turns):
+
+class DialogueRecord(_DialogueRecordFields):
+    """A parsed multi-turn exchange tied to one image."""
+
+    __slots__ = ()
+
+    def __new__(cls, image_id, turns, task_mode, provenance=None):
+        turns = tuple(turns)
+        if task_mode not in TASK_MODES:
+            raise ValueError(f"unknown task_mode {task_mode!r}")
+        for n, turn in enumerate(turns):
             expected = "person" if n % 2 == 0 else "robot"
             if turn.role != expected:
                 raise ValueError(
@@ -129,23 +137,21 @@ class DialogueRecord:
                 )
             if turn.role == "person" and any(isinstance(s, SegRef) for s in turn.segments):
                 raise ValueError(f"turn {n}: person turns cannot carry segmentation refs")
+        return tuple.__new__(cls, (image_id, turns, task_mode, provenance))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # error | warning
     line: Optional[int]
     message: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     record: Optional[DialogueRecord]
     diagnostics: tuple[Diagnostic, ...]
 
 
-@dataclass(frozen=True)
-class InstSegQA:
+class InstSegQA(NamedTuple):
     """One question plus its (instance id, label-as-written) answers."""
 
     index: int
@@ -153,21 +159,18 @@ class InstSegQA:
     answers: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class InstSegParse:
+class InstSegParse(NamedTuple):
     qas: tuple[InstSegQA, ...]
     diagnostics: tuple[Diagnostic, ...]
 
 
-@dataclass(frozen=True)
-class SerializedTurn:
+class SerializedTurn(NamedTuple):
     role: str
     text: str
     seg_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SerializedRecord:
+class SerializedRecord(NamedTuple):
     image_id: Optional[int]
     task_mode: str
     turns: tuple[SerializedTurn, ...]
@@ -258,6 +261,8 @@ def _line_of(text: str, pos: int) -> int:
 
 
 def _hash(text: str) -> str:
+    import hashlib  # here, so that only parsing a response pays for loading it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

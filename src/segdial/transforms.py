@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from segdial.parsing import (
     TASK_MODES,
@@ -62,8 +61,7 @@ TASK_TEMPLATES = {
 _SEMANTIC_MODE = {"instseg": "semseg", "sid_instseg": "sid_semseg"}
 
 
-@dataclass(frozen=True)
-class MergedAnnotation:
+class MergedAnnotation(NamedTuple):
     """Union of one robot turn's instances of one category."""
 
     turn_index: int
@@ -163,7 +161,7 @@ def to_semantic(
                     mask=mask_union([ann[i].mask for i in ids]),
                 )
             )
-    out = replace(record, turns=tuple(new_turns), task_mode=_SEMANTIC_MODE[record.task_mode])
+    out = DialogueRecord(record.image_id, new_turns, _SEMANTIC_MODE[record.task_mode], record.provenance)
     return out, tuple(merged)
 
 
@@ -179,7 +177,7 @@ def to_pure_text(record: DialogueRecord) -> DialogueRecord:
             else:
                 segments.append(seg)
         new_turns.append(Turn(role=turn.role, segments=_merge_text(segments)))
-    return replace(record, turns=tuple(new_turns), task_mode="pure_text")
+    return DialogueRecord(record.image_id, new_turns, "pure_text", record.provenance)
 
 
 def append_task_template(record: DialogueRecord, mode: str) -> DialogueRecord:
@@ -209,4 +207,4 @@ def append_task_template(record: DialogueRecord, mode: str) -> DialogueRecord:
     body = "".join(s.text for s in first.segments if isinstance(s, TextSpan))
     stamped = f"{body} {template}" if body else template
     new_first = Turn(role="person", segments=(TextSpan(stamped),))
-    return replace(record, turns=(new_first,) + record.turns[1:])
+    return DialogueRecord(record.image_id, (new_first, *record.turns[1:]), record.task_mode, record.provenance)

@@ -1,11 +1,13 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import coco_payload, rect_mask, rle_obj, write_json
+from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
 from segdial.cli import main
 from segdial.dataset_io import read_records, write_predictions, write_records
 from segdial.mask import mask_union
@@ -126,6 +128,29 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
 
+    def test_a_run_builds_one_subparser_that_reads_as_the_full_parser(self, capsys):
+        # main builds arguments only for the subcommand it runs; help, usage,
+        # errors and parsed values are those of the parser with all seven
+        from segdial.cli import CliUsageError, _command_of, build_parser
+
+        def outcome(parser, argv):
+            try:
+                return vars(parser.parse_args(argv))
+            except CliUsageError as exc:
+                return "usage error", str(exc)
+            except SystemExit as exc:
+                return "exit", exc.code, capsys.readouterr()
+
+        commands = ["curate", "parse", "transform", "match", "evaluate", "report", "split"]
+        runs = [[], ["-h"], ["-h", "split"], ["--help", "curate"], ["bogus"], ["-5", "curate"], ["--seed", "3", "split"], ["", "split"],
+                ["split", "--bogus"], ["split", "parse"], ["evaluate", "--mode", "x"], ["report", "--in"],
+                ["transform", "--to", "bogus", "-h"], ["curate", "--input", "gt.json", "--task", "qa"],
+                ["split", "--in", "a", "--train-out", "b", "--eval-out", "c", "--seed", "2", "--jobs", "3"],
+                ["match", "--preds", "p", "--gt", "g", "--out", "o", "--w-dice", "0.5"]]
+        runs += [[name] for name in commands] + [[name, "--help"] for name in commands]
+        for argv in runs:
+            assert outcome(build_parser(_command_of(argv)), argv) == outcome(build_parser(), argv), argv
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--gt", str(tmp_path / "nope.json"),
@@ -195,6 +220,120 @@ class TestExitCodes:
         code, _, err = _run_fresh([*args, fresh], ["scipy"], tmp_path)
         assert code == 0, err
         assert fresh.read_bytes() == here.read_bytes()
+
+
+class TestMalformedGroundTruth:
+    """A ground-truth file of the wrong shape is a validation error (exit 1)
+    for every subcommand that reads one, never a traceback."""
+
+    NOT_OBJECTS = (7, 2.5, "x", None, True, [], [1, 2])
+    NOT_ARRAYS = (7, "x", None, False, {}, {"a": 1})
+    NOT_INTS = ("x", None, 2.5, [], [1], {}, {"id": 1})
+    NOT_STRINGS = (7, None, [], {})
+    BAD_SEGMENTATIONS = (
+        "x", 7, None, [], {}, [7], [[1, 2, 3]], [[1, -2, 3, 4, 5, 6]], [["x", 1, 2, 3, 4, 5]],
+        [[10 ** 400, 1, 2, 3, 4, 5]], [[math.inf, 1, 2, 3, 4, 5]], {"size": "x", "counts": []},
+        {"size": [12], "counts": [192]}, {"size": ["x", 16], "counts": [192]}, {"size": [16, 12], "counts": [192]},
+        {"size": [12, 16], "counts": "abc"}, {"size": [12, 16], "counts": [193]},
+        {"size": [12, 16], "counts": [None]}, {"size": [12, 16], "counts": [math.inf]},
+    )
+
+    @staticmethod
+    def payload():
+        return coco_payload(
+            images=[
+                (1, 16, 12, [(11, 3, rle_obj(rect_mask(16, 12, 2, 2, 9, 9))), (12, 5, [rect_polygon(1, 1, 6, 5)])]),
+                (2, 16, 12, [(21, 3, [rect_polygon(3, 3, 12, 10), rect_polygon(0, 0, 2, 2)])]),
+            ],
+            categories=[(3, "keyboard"), (5, "lamp")],
+        )
+
+    def mutations(self):
+        """(path, value) for every structural spot of the payload and each
+        value that no valid file holds there."""
+        payload = self.payload()
+        spots = [((), (7, "x", None, [], [1, 2]))]
+        for section in ("categories", "images", "annotations"):
+            spots.append(((section,), self.NOT_ARRAYS))
+            spots += [((section, n), self.NOT_OBJECTS) for n in range(len(payload[section]))]
+        spots += [(("categories", n, "id"), self.NOT_INTS) for n in range(len(payload["categories"]))]
+        for n in range(len(payload["images"])):
+            spots.append((("images", n, "id"), self.NOT_INTS))
+            spots += [(("images", n, key), self.NOT_INTS + (0, -3)) for key in ("width", "height")]
+            spots.append((("images", n, "file_name"), self.NOT_STRINGS))
+        for n in range(len(payload["annotations"])):
+            spots.append((("annotations", n, "id"), self.NOT_INTS))
+            spots += [(("annotations", n, key), self.NOT_INTS + (99,)) for key in ("image_id", "category_id")]
+            spots.append((("annotations", n, "segmentation"), self.BAD_SEGMENTATIONS))
+        return [(path, value) for path, values in spots for value in values]
+
+    def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
+        responses = tmp_path / "responses"
+        responses.mkdir()
+        (responses / "1.txt").write_text("<person>: which?\n<robot>: keys <11; keyboard> and a lamp <12; lamp>")
+        (responses / "2.txt").write_text("<person>: and here?\n<robot>: a keyboard <21; keyboard>")
+        preds = tmp_path / "preds.jsonl"
+        write_predictions([PredictionInstance(1, rect_mask(16, 12, 2, 2, 9, 9), 0.9, 3)], preds)
+        gt, records = tmp_path / "gt.json", tmp_path / "records.jsonl"
+        runs = [
+            ["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
+            ["curate", "--input", gt, "--task", "qa", "--min-image-side", "1", "--min-area", "1",
+             "--out", tmp_path / "jobs.jsonl"],
+            ["transform", "--in", records, "--to", "sid-semseg", "--annotations", gt, "--out", tmp_path / "sem.jsonl"],
+            ["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
+            ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst"],
+        ]
+        write_json(gt, self.payload())
+        for args in runs:  # the file as written is good
+            assert main(list(map(str, args))) == 0, args[0]
+        capsys.readouterr()
+
+        mutations = self.mutations()
+        chosen = random.Random(11).sample(mutations, 80)
+        for path, value in chosen:
+            payload = self.payload()
+            if path:
+                *parents, last = path
+                node = payload
+                for key in parents:
+                    node = node[key]
+                node[last] = value
+            else:
+                payload = value
+            write_json(gt, payload)
+            for args in runs:
+                assert main(list(map(str, args))) == 1, (args[0], path, value)
+                err = capsys.readouterr().err
+                assert err.startswith("validation error: ") and "Traceback" not in err, (args[0], path, value)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "the file must hold an object, not an array"),
+            ({"categories": 5}, "categories must be an array, not a number"),
+            ({"categories": [5]}, "categories[0] must be an object, not a number"),
+            ({"categories": [], "images": [], "annotations": [{"id": 1}, 7]}, "annotations[1] must be an object"),
+        ],
+    )
+    def test_fresh_process_names_the_entry(self, tmp_path, payload, message):
+        gt = tmp_path / "gt.json"
+        write_json(gt, payload)
+        preds = write_perfect_preds(tmp_path)
+        for args in (
+            ["parse", "--responses", tmp_path, "--annotations", gt, "--task", "qa", "--out", tmp_path / "r.jsonl"],
+            ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst"],
+        ):
+            code, _, err = _run_fresh(args, [], tmp_path)
+            assert code == 1 and "Traceback" not in err, err
+            assert err.startswith("validation error: ") and message in err, err
+
+    def test_unreadable_stored_bbox_names_the_annotation(self, tmp_path, capsys):
+        payload = self.payload()
+        payload["annotations"][0]["bbox"] = [2, None, 7, 7]
+        gt = tmp_path / "gt.json"
+        write_json(gt, payload)
+        assert main(["curate", "--input", str(gt), "--task", "qa", "--out", str(tmp_path / "jobs.jsonl")]) == 1
+        assert "annotation 11: stored bbox [2, None, 7, 7] is not four numbers" in capsys.readouterr().err
 
 
 class TestImportBoundary:
@@ -272,6 +411,55 @@ class TestImportBoundary:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.splitlines()[-1] == f"0 {modules}", args[0]
         assert len(read_records(tmp_path / "pure.jsonl")) == 2
+
+    def test_each_subcommand_loads_its_own_modules(self, tmp_path):
+        # the segdial modules of every subcommand, pinned: scoring loads no
+        # prompt building (`curation`), `match` no AP scoring and `evaluate`
+        # no matcher; only hashing a parsed response loads hashlib, and the
+        # NumPy-free subcommands define no dataclass, so they load neither
+        # `dataclasses` nor the `inspect` it pulls in
+        import segdial
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(segdial.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import json, sys\n"
+            "from segdial.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted(m[8:] for m in sys.modules if m.startswith('segdial.')),"
+            " sorted({'dataclasses', 'hashlib', 'inspect'} & set(sys.modules))]))"
+        )
+        gt, responses, preds = write_gt(tmp_path), write_qa_responses(tmp_path), write_perfect_preds(tmp_path)
+        records, report = tmp_path / "records.jsonl", tmp_path / "inst.json"
+        scoring = ["cli", "dataset_io", "geometry", "instances", "mask"]
+        runs = [
+            (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
+             ["cli", "dataset_io", "geometry", "parsing"], ["hashlib"]),
+            (["curate", "--input", gt, "--task", "qa", "--out", tmp_path / "jobs.jsonl"],
+             ["cli", "clients", "curation", "dataset_io", "geometry", "instances", "mask"], None),
+            (["transform", "--in", records, "--to", "sid-semseg", "--annotations", gt, "--out", tmp_path / "sem.jsonl"],
+             sorted([*scoring, "parsing", "transforms"]), None),
+            (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
+             ["cli", "dataset_io", "parsing", "transforms"], []),
+            (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
+             ["cli", "dataset_io"], []),
+            (["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
+             sorted([*scoring, "matching"]), None),
+            (["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", report],
+             sorted([*scoring, "metrics"]), None),
+            (["report", "--in", report], ["cli"], []),
+        ]
+        for args, modules, stdlib in runs:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            status, loaded, markers = json.loads(proc.stdout.splitlines()[-1])
+            assert (status, loaded) == (0, modules), args[:3]
+            assert ("hashlib" in markers) == (args[0] == "parse"), args[:3]
+            if stdlib is not None:  # the NumPy-free subcommands: exactly these
+                assert markers == stdlib, args[:3]
 
     def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
         gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)

@@ -319,6 +319,8 @@ class TestPredictionsJsonl:
         ({"image_id": 1, "rle": {"size": [4, 4], "counts": [3]}}, ""),
         ({"image_id": 1, "score": 1.5, "rle": {"size": [4, 4], "counts": [16]}},
          "score must be in [0, 1]"),
+        ({"image_id": 1, "score": 10 ** 400, "rle": {"size": [4, 4], "counts": [16]}},
+         "too large to convert to float"),
     ])
     def test_bad_lines_rejected_with_position(self, tmp_path, obj, message):
         path = tmp_path / "preds.jsonl"
