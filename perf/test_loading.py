@@ -1,6 +1,9 @@
-"""Micro-benchmarks of the readers: `load_coco`, `load_coco_labels` and
-`read_predictions` on the inputs of the three benchmark workloads (seed 0),
-which `bench/workloads.py` writes into a temporary directory.
+"""Micro-benchmarks of the readers: `load_coco`, `load_coco_footprints`,
+`load_coco_labels` and `read_predictions` on the inputs of the three
+benchmark workloads (seed 0), which `bench/workloads.py` writes into a
+temporary directory. `load_coco_footprints`, which `curate` reads with,
+sits next to `load_coco`, so counting areas and boxes from geometry can be
+compared with the decode it replaces.
 
     pytest perf --benchmark-only
 
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from segdial.dataset_io import load_coco, load_coco_labels, read_predictions
+from segdial.dataset_io import load_coco, load_coco_footprints, load_coco_labels, read_predictions
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -30,6 +33,12 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("name", NAMES)
 def test_load_coco(benchmark, inputs, name):
     dataset = benchmark(load_coco, inputs[name]["gt"])
+    assert dataset.images
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_load_coco_footprints(benchmark, inputs, name):
+    dataset = benchmark(load_coco_footprints, inputs[name]["gt"])
     assert dataset.images
 
 

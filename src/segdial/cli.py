@@ -90,7 +90,7 @@ def _cmd_curate(args) -> int:
         raise ValueError("max_retries must be >= 0")
     from segdial import clients, curation, dataset_io
 
-    dataset = dataset_io.load_coco(args.input)
+    dataset = dataset_io.load_coco_footprints(args.input)  # areas and boxes are all it reads
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
     result = curation.filter_dataset(dataset.images, args.min_image_side, args.min_area)
@@ -353,13 +353,23 @@ def _inst_metrics_obj(report: metrics.ApReport) -> dict:
 
 def _render_report(obj: dict) -> str:
     mode = obj.get("mode")
-    met = obj.get("metrics", {})
     if mode == "inst":
-        lines = [f"{name:<10}{float(met[name]):.3f}" for name in _REPORT_FIELDS]
+        names = _REPORT_FIELDS
     elif mode == "sem":
-        lines = [f"{name:<10}{float(met[name]):.3f}" for name in ("gIoU", "cIoU")]
+        names = ("gIoU", "cIoU")
     else:
         raise CliUsageError(f"report mode must be 'inst' or 'sem', got {mode!r}")
+    met = obj.get("metrics", {})
+    if not isinstance(met, dict):
+        raise CliUsageError("report metrics must be an object")
+    lines = []
+    for name in names:
+        if name not in met:
+            raise CliUsageError(f"report metrics lack {name!r}")
+        try:
+            lines.append(f"{name:<10}{float(met[name]):.3f}")
+        except (TypeError, ValueError, OverflowError):
+            raise CliUsageError(f"report metric {name!r} must be a number, got {met[name]!r}") from None
     return "\n".join(lines)
 
 

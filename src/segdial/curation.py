@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from segdial.instances import CurationError, ImageRecord, InstanceAnnotation
-from segdial.mask import area, bbox_of, mask_union, rasterize, rle_decode  # noqa: F401  (bench/tracing.py rebinds them here)
 
 __all__ = [
     "CurationError",
@@ -32,6 +31,25 @@ __all__ = [
     "build_qa_prompt",
     "filter_dataset",
 ]
+
+
+def _on_first_call(name: str):
+    """`segdial.mask.<name>`, imported on the first call, so that loading
+    this module loads no NumPy."""
+
+    def call(*args, **kwargs):
+        from segdial import mask
+
+        return getattr(mask, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# the pixel-layer names `bench/tracing.py` rebinds here
+rasterize, rle_decode, bbox_of, area, mask_union = map(
+    _on_first_call, ("rasterize", "rle_decode", "bbox_of", "area", "mask_union")
+)
 
 
 class DropEntry(NamedTuple):

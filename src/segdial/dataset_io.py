@@ -4,8 +4,9 @@ All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
 with "\n" endings, so identical inputs produce byte-identical files. The
 geometry modules and the record types load inside the functions that use
 them: checking a COCO file or reading its labels loads only the NumPy-free
-`segdial.geometry`, reading records never loads NumPy, checking record lines
-loads no other module, and reading masks never loads the parser.
+`segdial.geometry`, reading its areas and boxes adds only `segdial.instances`,
+reading records never loads NumPy, checking record lines loads no other
+module, and reading masks never loads the parser.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequ
 
 if TYPE_CHECKING:
     from segdial.geometry import Geometry, Rle
-    from segdial.instances import ImageRecord, PredictionInstance
+    from segdial.instances import ImageRecord, InstanceAnnotation, PredictionInstance
     from segdial.parsing import SerializedRecord
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "DatasetError",
     "RecordError",
     "load_coco",
+    "load_coco_footprints",
     "load_coco_labels",
     "read_predictions",
     "read_record_lines",
@@ -215,46 +217,74 @@ def load_coco(path: str | Path) -> CocoDataset:
     of the computed one, or a stored bbox edge off by more than
     BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
     """
-    from segdial.instances import ImageRecord, InstanceAnnotation, decode_geometries
+    from segdial.instances import InstanceAnnotation, decode_geometries
 
     categories, image_meta, annotations = _read_coco(path)
     masks = decode_geometries(
         [(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
          for ann, geometry in annotations]
     )
+    built = [
+        InstanceAnnotation.from_mask(ann["id"], ann["category_id"], categories[ann["category_id"]], mask)
+        for (ann, _), mask in zip(annotations, masks)
+    ]
+    return _dataset(categories, image_meta, annotations, built)
+
+
+def load_coco_footprints(path: str | Path) -> CocoDataset:
+    """`load_coco` without the masks: the same checks, warnings, areas, boxes
+    and centers, counted from the geometry by `geometry.footprint`, and every
+    annotation's mask is None. No pixel is drawn and NumPy stays unloaded."""
+    from segdial.geometry import footprint
+    from segdial.instances import InstanceAnnotation
+
+    categories, image_meta, annotations = _read_coco(path)
+    built = [
+        InstanceAnnotation.from_footprint(
+            ann["id"], ann["category_id"], categories[ann["category_id"]],
+            *footprint(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"]),
+        )
+        for ann, geometry in annotations
+    ]
+    return _dataset(categories, image_meta, annotations, built)
+
+
+def _dataset(
+    categories: dict[int, str],
+    image_meta: dict[int, dict],
+    annotations: list[tuple[dict, Geometry]],
+    built: list[InstanceAnnotation],
+) -> CocoDataset:
+    """The dataset of `_read_coco`'s output and the instance built from each
+    annotation, with a warning for each stored area or bbox that disagrees
+    with the computed one."""
+    from segdial.instances import ImageRecord
+
     warnings: list[str] = []
     per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_meta}
-    for (ann, _), mask in zip(annotations, masks):
-        aid, cid = ann["id"], ann["category_id"]
-        built = InstanceAnnotation.from_mask(aid, cid, categories[cid], mask)
+    for (ann, _), inst in zip(annotations, built):
+        aid = inst.instance_id
         stored_area = ann.get("area")
         if isinstance(stored_area, (int, float)):
-            if abs(stored_area - built.area) > AREA_TOLERANCE * max(built.area, 1):
-                warnings.append(
-                    f"annotation {aid}: stored area {stored_area} vs computed {built.area}"
-                )
+            if abs(stored_area - inst.area) > AREA_TOLERANCE * max(inst.area, 1):
+                warnings.append(f"annotation {aid}: stored area {stored_area} vs computed {inst.area}")
         stored_bbox = ann.get("bbox")
         if isinstance(stored_bbox, (list, tuple)) and len(stored_bbox) == 4:
-            if built.bbox is None:
+            if inst.bbox is None:
                 warnings.append(f"annotation {aid}: stored bbox but the mask is empty")
             else:
                 try:
                     x, y, w, h = (float(v) for v in stored_bbox)
                 except (TypeError, ValueError, OverflowError):
                     raise DatasetError([f"annotation {aid}: stored bbox {stored_bbox} is not four numbers"]) from None
-                computed = (
-                    float(built.bbox.left),
-                    float(built.bbox.top),
-                    float(built.bbox.right + 1),
-                    float(built.bbox.bottom + 1),
-                )
+                left, top, right, bottom = inst.bbox
+                computed = (float(left), float(top), float(right + 1), float(bottom + 1))
                 stored = (x, y, x + w, y + h)
                 if any(abs(a - b) > BBOX_TOLERANCE for a, b in zip(stored, computed)):
                     warnings.append(
-                        f"annotation {aid}: stored bbox {stored_bbox} vs computed "
-                        f"{[built.bbox.left, built.bbox.top, built.bbox.right, built.bbox.bottom]}"
+                        f"annotation {aid}: stored bbox {stored_bbox} vs computed {[left, top, right, bottom]}"
                     )
-        per_image[ann["image_id"]].append(built)
+        per_image[ann["image_id"]].append(inst)
 
     images = tuple(
         ImageRecord(

@@ -3,20 +3,47 @@
 Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
-for pixels. `segdial.mask` turns these values into masks.
+for pixels. `segdial.mask` turns these values into masks; `footprint` gives
+the area and box of such a mask from the geometry alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Union
+import operator
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence, Union
 
-__all__ = ["Geometry", "Polygon", "Rle", "check_canvas", "check_fit"]
+__all__ = ["BBox", "Geometry", "Polygon", "Rle", "check_canvas", "check_fit", "footprint"]
 
 
 # A checked record type is a NamedTuple of its fields plus a subclass whose
 # __new__ makes the checks; `_make` and `_replace` skip them, so build
 # checked values through the constructor.
+
+
+class _BBoxFields(NamedTuple):
+    left: int
+    top: int
+    right: int
+    bottom: int
+
+
+class BBox(_BBoxFields):
+    """Tight pixel-index bounds, inclusive on all four edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, left, top, right, bottom):
+        box = tuple.__new__(cls, (left, top, right, bottom))
+        if left > right or top > bottom:
+            raise ValueError(f"degenerate bbox: {box!r}")
+        return box
+
+    @property
+    def center(self) -> tuple[int, int]:
+        # integer center, halves round toward the bottom-right
+        return ((self.left + self.right + 1) // 2, (self.top + self.bottom + 1) // 2)
 
 
 class _PolygonFields(NamedTuple):
@@ -99,3 +126,77 @@ def check_fit(geometry: Geometry, width: int, height: int) -> None:
             )
     else:
         check_canvas(width, height)
+
+
+def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optional[BBox]]:
+    """(area, tight inclusive box or None when empty) of the mask that
+    `segdial.instances.decode_geometries` makes of (geometry, width, height),
+    counted from the geometry without drawing a pixel.
+
+    Polygons follow `mask.rasterize`, crossing for crossing: pixel (x, y) is
+    set iff its center lies inside under the even-odd rule, clipped to the
+    canvas, and the parts are united row by row as `mask_union` unites them.
+    An rle follows the run arithmetic of `mask.rle_decode_many`.
+    """
+    if isinstance(geometry, Rle):
+        return _rle_footprint(geometry)
+    check_canvas(width, height)
+    if not geometry:
+        raise ValueError("geometry needs at least one polygon")
+    spans = sorted(s for poly in geometry for s in _spans(poly, width, height) if s[1] < s[2])
+    if not spans:
+        return 0, None
+    area, row, reach = 0, -1, 0
+    for y, start, stop in spans:  # by row, then from the left
+        if y != row:
+            row, reach = y, 0
+        if stop > reach:  # count what no span before it in the row covers
+            area += stop - max(start, reach)
+            reach = stop
+    left, right = min(s[1] for s in spans), max(s[2] for s in spans)
+    return area, BBox(left, spans[0][0], right - 1, spans[-1][0])
+
+
+def _spans(poly: Polygon, width: int, height: int) -> list[tuple[int, int, int]]:
+    """(y, start, stop) for each run [start, stop) of pixels of row y that
+    `poly` holds, clipped to the canvas, where a run may be empty; fewer than
+    3 vertices hold no pixel."""
+    verts = poly.vertices
+    if len(verts) < 3:
+        return []
+    crossings: list[tuple[int, float]] = []
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        if y1 == y2:  # a horizontal edge crosses no row
+            continue
+        # the edge crosses row y iff min(y1, y2) <= y + 0.5 < max(y1, y2)
+        rows = range(max(0, math.ceil(min(y1, y2) - 0.5)), min(height, math.ceil(max(y1, y2) - 0.5)))
+        dx, dy = x2 - x1, y2 - y1
+        # the IEEE expression of `mask.rasterize`, so edge-touching centers agree exactly
+        crossings += zip(rows, [dx * (y + 0.5 - y1) / dy + x1 for y in rows])
+    crossings.sort()
+    # every row holds an even number of crossings, and a center is inside when
+    # an odd number of them lie at or left of it: between crossings 2k and 2k + 1
+    pairs = iter(crossings)
+    return [
+        (y, max(0, math.ceil(a - 0.5)), min(width, math.ceil(b - 0.5)))
+        for (y, a), (_, b) in zip(pairs, pairs)
+    ]
+
+
+def _rle_footprint(rle: Rle) -> tuple[int, Optional[BBox]]:
+    """`footprint` of an rle: a set run within one column covers its own
+    rows, and one that crosses a column boundary covers the column height."""
+    h, counts = rle.height, rle.counts
+    sets = counts[1::2]
+    if not sets:
+        return 0, None
+    ends = list(accumulate(counts))  # ends[2k] starts set run k, ends[2k + 1] ends it
+    n = 2 * len(sets)
+    firsts = [start % h for start in ends[0:n:2]]  # the row of each run's first pixel
+    lasts = [(stop - 1) % h for stop in ends[1:n:2]]  # and of its last
+    # a run as long as a column, or one that wraps into the next, covers the column height
+    if max(sets) >= h or any(map(operator.gt, firsts, lasts)):
+        top, bottom = 0, h - 1
+    else:
+        top, bottom = min(firsts), max(lasts)
+    return sum(sets), BBox(counts[0] // h, top, (ends[n - 1] - 1) // h, bottom)

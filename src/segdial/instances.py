@@ -3,15 +3,19 @@ path from geometry to masks.
 
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
-`segdial.metrics`, which re-export them under their public names.
+`segdial.metrics`, which re-export them under their public names. The
+pixel layer, `segdial.mask`, loads on the first decode, so building prompts
+from areas and boxes alone (`curate`) loads no NumPy.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from segdial.geometry import Geometry, Rle, check_fit
-from segdial.mask import BBox, RasterMask, area, bbox_of, mask_union, rasterize, rle_decode_many
+from segdial.geometry import BBox, Geometry, Rle, check_fit
+
+if TYPE_CHECKING:
+    from segdial.mask import RasterMask
 
 __all__ = [
     "CurationError",
@@ -41,6 +45,8 @@ def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[Raster
     """The mask of each (geometry, width, height): an rle decoded on its own
     canvas, or polygons rasterized onto width x height and united. Every rle
     among them is decoded in one `rle_decode_many` pass."""
+    from segdial.mask import mask_union, rasterize, rle_decode_many
+
     rles = iter(rle_decode_many([g for g, _, _ in items if isinstance(g, Rle)]))
     return [
         next(rles) if isinstance(g, Rle) else mask_union([rasterize(p, w, h) for p in g])
@@ -49,12 +55,14 @@ def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[Raster
 
 
 class InstanceAnnotation(NamedTuple):
-    """One object instance; mask, bbox, area, and center are derived from geometry."""
+    """One object instance; mask, bbox, area, and center are derived from
+    geometry. The mask is None where only the area and box were read
+    (`segdial.dataset_io.load_coco_footprints`)."""
 
     instance_id: int
     category_id: int
     label_name: str
-    mask: RasterMask
+    mask: Optional[RasterMask]
     bbox: Optional[BBox]
     area: int
     center_point: Optional[tuple[int, int]]
@@ -84,15 +92,30 @@ class InstanceAnnotation(NamedTuple):
     def from_mask(
         cls, instance_id: int, category_id: int, label_name: str, mask: RasterMask
     ) -> "InstanceAnnotation":
-        box = bbox_of(mask)
+        from segdial.mask import area, bbox_of
+
+        return cls.from_footprint(instance_id, category_id, label_name, area(mask), bbox_of(mask), mask)
+
+    @classmethod
+    def from_footprint(
+        cls,
+        instance_id: int,
+        category_id: int,
+        label_name: str,
+        area: int,
+        bbox: Optional[BBox],
+        mask: Optional[RasterMask] = None,
+    ) -> "InstanceAnnotation":
+        """An instance of `area` pixels in the tight box `bbox` (None when
+        empty); the center is the box's."""
         return cls(
             instance_id=instance_id,
             category_id=category_id,
             label_name=label_name,
             mask=mask,
-            bbox=box,
-            area=area(mask),
-            center_point=box.center if box is not None else None,
+            bbox=bbox,
+            area=area,
+            center_point=bbox.center if bbox is not None else None,
         )
 
 
@@ -121,7 +144,7 @@ class ImageRecord(_ImageRecordFields):
             if ann.instance_id in seen:
                 raise ValueError(f"image {image_id}: duplicate instance_id {ann.instance_id}")
             seen.add(ann.instance_id)
-            if (ann.mask.width, ann.mask.height) != (width, height):
+            if ann.mask is not None and (ann.mask.width, ann.mask.height) != (width, height):
                 raise ValueError(
                     f"image {image_id}: annotation {ann.instance_id} mask is "
                     f"{ann.mask.width}x{ann.mask.height}, image is {width}x{height}"

@@ -3,7 +3,7 @@
 Masks are immutable boolean grids indexed [y, x] with x growing right and
 y growing down. The run-length code is column-major with the first run
 counting zeros, so an all-ones mask starts with a zero-length run. The
-polygon and run-length values, and their checks, are those of
+polygon and run-length values, their checks and the box type are those of
 `segdial.geometry`, which loads no NumPy; they are re-exported here.
 
 A `RasterMask` stores its canvas size, the tight box of its set pixels, the
@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from segdial.geometry import Polygon, Rle, check_canvas
+from segdial.geometry import BBox, Polygon, Rle, check_canvas
 
 __all__ = [
     "BBox",
@@ -43,30 +43,6 @@ __all__ = [
     "rle_decode_many",
     "rle_encode",
 ]
-
-
-class _BBoxFields(NamedTuple):
-    left: int
-    top: int
-    right: int
-    bottom: int
-
-
-class BBox(_BBoxFields):
-    """Tight pixel-index bounds, inclusive on all four edges."""
-
-    __slots__ = ()
-
-    def __new__(cls, left, top, right, bottom):
-        box = tuple.__new__(cls, (left, top, right, bottom))
-        if left > right or top > bottom:
-            raise ValueError(f"degenerate bbox: {box!r}")
-        return box
-
-    @property
-    def center(self) -> tuple[int, int]:
-        # integer center, halves round toward the bottom-right
-        return ((self.left + self.right + 1) // 2, (self.top + self.bottom + 1) // 2)
 
 
 class RasterMask:

@@ -336,6 +336,83 @@ class TestMalformedGroundTruth:
         assert "annotation 11: stored bbox [2, None, 7, 7] is not four numbers" in capsys.readouterr().err
 
 
+class TestMalformedPredictions:
+    """A predictions file of the wrong shape is a validation error (exit 1)
+    for every subcommand that reads one, never a traceback."""
+
+    NOT_OBJECTS = TestMalformedGroundTruth.NOT_OBJECTS
+    NOT_INTS = TestMalformedGroundTruth.NOT_INTS
+    DELETED = object()
+    BAD_RLES = (
+        "x", 7, None, [], {}, [192], {"size": "x", "counts": [192]}, {"size": [12], "counts": [192]},
+        {"size": ["x", 16], "counts": [192]}, {"size": [12, 16, 1], "counts": [192]}, {"counts": [192]},
+        {"size": [12, 16]}, {"size": [0, 16], "counts": []}, {"size": [12, 16], "counts": "abc"},
+        {"size": [12, 16], "counts": []}, {"size": [12, 16], "counts": [193]}, {"size": [12, 16], "counts": [None]},
+        {"size": [12, 16], "counts": [math.inf]}, {"size": [12, 16], "counts": [-1, 193]},
+        {"size": [12, 16], "counts": [0, 0, 192]}, {"size": [12, 16], "counts": [10 ** 400]},
+        {"size": [16, 12], "counts": [192]},
+    )
+    BAD_POLYGONS = TestMalformedGroundTruth.BAD_SEGMENTATIONS[:11] + ({"size": [12, 16], "counts": [192]},)
+
+    @staticmethod
+    def lines():
+        return [
+            {"image_id": 1, "category_id": 3, "score": 0.9, "rle": rle_obj(rect_mask(16, 12, 2, 2, 9, 9))},
+            {"image_id": 2, "category_id": 3, "score": 0.8, "polygon": [rect_polygon(3, 3, 12, 10)],
+             "width": 16, "height": 12},
+        ]
+
+    def mutations(self):
+        """(path, value) for every structural spot of the lines and each
+        value that no valid file holds there; DELETED drops the key."""
+        spots = []
+        for n, line in enumerate(self.lines()):
+            spots.append(((n,), self.NOT_OBJECTS))
+            spots += [((n, key), (self.DELETED,)) for key in ("image_id", "rle", "polygon", "width", "height")
+                      if key in line]
+            spots.append(((n, "image_id"), self.NOT_INTS + (99,)))
+            spots.append(((n, "score"), ("x", None, [], {}, "0.5", 1.5, -0.5, math.inf, math.nan, 10 ** 400)))
+            spots.append(((n, "category_id"), ("x", 2.5, [], [3], {})))
+            if "rle" in line:
+                spots.append(((n, "rle"), self.BAD_RLES))
+            else:
+                spots.append(((n, "polygon"), self.BAD_POLYGONS))
+                spots += [((n, key), self.NOT_INTS + (0, -3)) for key in ("width", "height")]
+        return [(path, value) for path, values in spots for value in values]
+
+    def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, TestMalformedGroundTruth.payload())
+        runs = [
+            ["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
+            ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst"],
+            ["evaluate", "--gt", gt, "--preds", preds, "--mode", "sem"],
+        ]
+
+        def write(lines):
+            preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+        write(self.lines())
+        for args in runs:  # the file as written is good
+            assert main(list(map(str, args))) == 0, args[:4]
+        capsys.readouterr()
+
+        mutations = self.mutations()
+        for path, value in random.Random(12).sample(mutations, len(mutations)):
+            lines = self.lines()
+            if len(path) == 1:
+                lines[path[0]] = value
+            elif value is self.DELETED:
+                del lines[path[0]][path[1]]
+            else:
+                lines[path[0]][path[1]] = value
+            write(lines)
+            for args in runs:
+                assert main(list(map(str, args))) == 1, (args[:4], path, value)
+                err = capsys.readouterr().err
+                assert err.startswith("validation error: ") and "Traceback" not in err, (args[:4], path, value, err)
+
+
 class TestImportBoundary:
     """Each subcommand loads only the modules it runs."""
 
@@ -367,6 +444,35 @@ class TestImportBoundary:
         assert fresh == here
         for name in ("train", "eval"):
             assert (tmp_path / f"fresh-{name}.jsonl").read_bytes() == (tmp_path / f"here-{name}.jsonl").read_bytes()
+
+    def test_curate_runs_without_numpy(self, tmp_path, capsys):
+        # areas and boxes come from the geometry, so neither NumPy nor the
+        # pixel layer is needed; polygons, rle, a stored-area warning and an
+        # object drop all go through the fresh run
+        gt = tmp_path / "gt.json"
+        payload = coco_payload(
+            images=[
+                (1, 16, 12, [(11, 3, rle_obj(rect_mask(16, 12, 2, 2, 9, 9))), (12, 5, [rect_polygon(1, 1, 6, 5)])]),
+                (2, 16, 12, [(21, 3, [rect_polygon(3, 3, 12, 10), rect_polygon(0, 0, 2, 2)])]),
+            ],
+            categories=[(3, "keyboard"), (5, "lamp")],
+        )
+        payload["annotations"][0]["area"] = 7
+        write_json(gt, payload)
+
+        def args(how):
+            return ["curate", "--input", gt, "--task", "caption", "--min-image-side", "1", "--min-area", "25",
+                    "--out", tmp_path / f"{how}-jobs.jsonl"]
+
+        assert main([str(a) for a in args("here")]) == 0
+        here = capsys.readouterr()
+        code, fresh, err = _run_fresh(args("fresh"), ["numpy", "segdial.mask"], tmp_path)
+        assert code == 0, err
+        assert (fresh, err) == (here.out, here.err)
+        assert "warning: annotation 11: stored area 7 vs computed 49" in err
+        for name in ("jobs.jsonl", "jobs.dropped.jsonl"):
+            assert (tmp_path / f"fresh-{name}").read_bytes() == (tmp_path / f"here-{name}").read_bytes()
+        assert len((tmp_path / "here-jobs.dropped.jsonl").read_text().splitlines()) == 1
 
     def test_report_runs_without_numpy(self, tmp_path, capsys):
         report = tmp_path / "inst.json"
@@ -414,8 +520,8 @@ class TestImportBoundary:
 
     def test_each_subcommand_loads_its_own_modules(self, tmp_path):
         # the segdial modules of every subcommand, pinned: scoring loads no
-        # prompt building (`curation`), `match` no AP scoring and `evaluate`
-        # no matcher; only hashing a parsed response loads hashlib, and the
+        # prompt building (`curation`), `match` no AP scoring, `evaluate` no
+        # matcher and `curate` no pixel layer (`mask`); only hashing a parsed response loads hashlib, and the
         # NumPy-free subcommands define no dataclass, so they load neither
         # `dataclasses` nor the `inspect` it pulls in
         import segdial
@@ -437,7 +543,7 @@ class TestImportBoundary:
             (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
              ["cli", "dataset_io", "geometry", "parsing"], ["hashlib"]),
             (["curate", "--input", gt, "--task", "qa", "--out", tmp_path / "jobs.jsonl"],
-             ["cli", "clients", "curation", "dataset_io", "geometry", "instances", "mask"], None),
+             ["cli", "clients", "curation", "dataset_io", "geometry", "instances"], []),
             (["transform", "--in", records, "--to", "sid-semseg", "--annotations", gt, "--out", tmp_path / "sem.jsonl"],
              sorted([*scoring, "parsing", "transforms"]), None),
             (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
@@ -992,6 +1098,27 @@ class TestEvaluateAndReport:
         )
         assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "sem"]) == 1
         assert "duplicate whole-image mask" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"mode": "inst", "metrics": {}}, "report metrics lack 'AP50'"),
+            ({"mode": "inst"}, "report metrics lack 'AP50'"),
+            ({"mode": "sem", "metrics": [1]}, "report metrics must be an object"),
+            ({"mode": "sem", "metrics": {"gIoU": 0.5}}, "report metrics lack 'cIoU'"),
+            ({"mode": "inst", "metrics": {"AP50": None}}, "report metric 'AP50' must be a number, got None"),
+            ({"mode": "sem", "metrics": {"gIoU": [0.5], "cIoU": 0.5}}, "report metric 'gIoU' must be a number"),
+            ({"mode": "sem", "metrics": {"gIoU": 0.5, "cIoU": "x"}}, "report metric 'cIoU' must be a number"),
+            ({"mode": "sem", "metrics": {"gIoU": 0.5, "cIoU": 10 ** 400}}, "report metric 'cIoU' must be a number"),
+        ],
+    )
+    def test_report_rejects_malformed_metrics(self, tmp_path, capsys, report, message):
+        bad = tmp_path / "bad.json"
+        write_json(bad, report)
+        assert main(["report", "--in", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and "Traceback" not in captured.err, captured.err
 
     def test_report_rejects_unknown_modes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

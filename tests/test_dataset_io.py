@@ -14,6 +14,7 @@ from segdial.dataset_io import (
     DatasetError,
     RecordError,
     load_coco,
+    load_coco_footprints,
     load_coco_labels,
     read_predictions,
     read_record_lines,
@@ -93,6 +94,41 @@ class TestLoadCoco:
         ds = load_coco(path)
         assert any("stored bbox but the mask is empty" in w for w in ds.warnings)
         assert ds.images[0].annotations[0].area == 0
+
+    def test_footprints_are_load_coco_without_masks(self, tmp_path):
+        payload = coco_payload(
+            images=[
+                (1, 16, 12, [
+                    (10, 1, [rect_polygon(3, 2, 9, 8), rect_polygon(8, 7, 12, 11)]),
+                    (11, 2, rle_obj(rect_mask(16, 12, 0, 5, 3, 12))),
+                    (12, 2, rle_obj(RasterMask.zeros(16, 12))),
+                    (13, 1, [rect_polygon(14, 1, 20, 3.5)]),
+                ]),
+                (2, 8, 8, []),
+            ],
+            categories=[(1, "cat"), (2, "dog")],
+        )
+        stored = [(39, [3, 2, 9, 6]), (21, [0, 5, 3, 7]), (None, [0, 0, 2, 2]), (4, [14.5, 1, 2, 2.5])]
+        for ann, (area, bbox) in zip(payload["annotations"], stored):
+            ann["bbox"] = bbox
+            if area is not None:
+                ann["area"] = area
+        path = tmp_path / "gt.json"
+        write_json(path, payload)
+        full, light = load_coco(path), load_coco_footprints(path)
+        assert light.warnings == full.warnings and len(full.warnings) == 3
+        assert light.categories == full.categories
+        assert [a.area for a in light.images[0].annotations] == [51, 21, 0, 4]
+        for kept, read in zip(full.images, light.images):
+            assert read == kept._replace(annotations=read.annotations)
+            assert [a._replace(mask=None) for a in kept.annotations] == list(read.annotations)
+            assert all(a.mask is None for a in read.annotations)
+
+        payload["annotations"][0]["bbox"] = [3, "x", 6, 6]
+        write_json(path, payload)
+        for load in (load_coco, load_coco_footprints):
+            with pytest.raises(DatasetError, match=r"annotation 10: stored bbox \[3, 'x', 6, 6\] is not four numbers"):
+                load(path)
 
     def test_reference_and_id_errors_aggregate(self, tmp_path):
         payload = coco_payload(
