@@ -1,4 +1,7 @@
-"""Micro-benchmarks of the matcher `hungarian` on the shapes it meets.
+"""Micro-benchmarks of the matcher `hungarian` on the shapes it meets: drawn
+matrices, and the per-image cost matrices that `match` builds on the seed-0
+inputs of the match_dense (8 images) and eval_coco (12 images) workloads,
+which `bench/workloads.py` writes into a temporary directory.
 
     pytest perf --benchmark-only
 
@@ -6,10 +9,19 @@ They sit outside `tests/` so the tier-1 run (`testpaths = ["tests"]`) does
 not time them.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from segdial.matching import hungarian
+from segdial.dataset_io import load_coco, read_predictions
+from segdial.matching import build_cost_matrix, hungarian
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+WORKLOADS = ("match_dense", "eval_coco")
 
 
 def _iou_like(rng, n, m, duplicates):
@@ -46,3 +58,28 @@ def test_hungarian(benchmark, name):
     costs = MATRICES[name]
     got = benchmark(hungarian, costs)
     assert len(got.pairs) == min(costs.shape)
+
+
+@pytest.fixture(scope="module")
+def workload_costs(tmp_path_factory):
+    """{workload: the cost matrix of each image, as `match` builds them}."""
+    root = tmp_path_factory.mktemp("workloads")
+    costs = {}
+    for name in WORKLOADS:
+        files = workloads.generate(name, 0, root / name).files
+        dataset, preds = load_coco(files["gt"]), read_predictions(files["preds"])
+        by_image = {}
+        for p in preds:
+            by_image.setdefault(p.image_id, []).append(p.mask)
+        costs[name] = [
+            build_cost_matrix(by_image.get(img.image_id, []), [a.mask for a in img.annotations])
+            for img in dataset.images
+        ]
+    return costs
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_hungarian_on_workload(benchmark, workload_costs, name):
+    matrices = workload_costs[name]
+    got = benchmark(lambda: [hungarian(costs) for costs in matrices])
+    assert [len(a.pairs) for a in got] == [min(costs.shape) for costs in matrices]

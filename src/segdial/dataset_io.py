@@ -60,33 +60,29 @@ class CocoDataset(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def _coerce_geometry(seg, ann_id: int, errors: list[str]) -> Optional[Geometry]:
-    """COCO segmentation field: list of flat polygons, or {size, counts} rle."""
+def _is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer: a JSON boolean decodes to a
+    Python bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coerce_geometry(seg) -> Geometry:
+    """COCO segmentation field: list of flat polygons, or {size, counts} rle.
+    Any other value raises ValueError saying what is wrong with it."""
     from segdial.geometry import Polygon, Rle
 
-    if isinstance(seg, dict):
-        size = seg.get("size")
-        counts = seg.get("counts")
-        if (
-            not isinstance(size, (list, tuple))
-            or len(size) != 2
-            or not isinstance(counts, (list, tuple))
-        ):
-            errors.append(f"annotation {ann_id}: malformed rle segmentation")
-            return None
-        try:
-            return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"annotation {ann_id}: {exc}")
-            return None
-    if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
-        try:
+    try:
+        if isinstance(seg, dict):
+            size = seg.get("size")
+            counts = seg.get("counts")
+            if isinstance(size, (list, tuple)) and len(size) == 2 and isinstance(counts, (list, tuple)):
+                return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
+            raise ValueError("malformed rle segmentation")
+        if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
             return tuple(Polygon.from_flat(p) for p in seg)
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"annotation {ann_id}: {exc}")
-            return None
-    errors.append(f"annotation {ann_id}: segmentation must be polygons or rle")
-    return None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
+    raise ValueError("segmentation must be polygons or rle")
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
@@ -134,7 +130,7 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
     categories: dict[int, str] = {}
     for cat in _objects(raw, "categories", errors):
         cid = cat.get("id")
-        if not isinstance(cid, int):
+        if not _is_int(cid):
             errors.append(f"category without integer id: {cat!r}")
             continue
         if cid in categories:
@@ -145,13 +141,13 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
     image_meta: dict[int, dict] = {}
     for img in _objects(raw, "images", errors):
         iid = img.get("id")
-        if not isinstance(iid, int):
+        if not _is_int(iid):
             errors.append(f"image without integer id: {img!r}")
             continue
         if iid in image_meta:
             errors.append(f"duplicate image id {iid}")
             continue
-        if not isinstance(img.get("width"), int) or not isinstance(img.get("height"), int):
+        if not _is_int(img.get("width")) or not _is_int(img.get("height")):
             errors.append(f"image {iid}: width/height must be integers")
             continue
         if not isinstance(img.get("file_name"), str):
@@ -163,26 +159,25 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
     seen_ann_ids: set[int] = set()
     for ann in _objects(raw, "annotations", errors):
         aid = ann.get("id")
-        if not isinstance(aid, int):
+        if not _is_int(aid):
             errors.append(f"annotation without integer id: keys {sorted(ann)}")
             continue
         if aid in seen_ann_ids:
             errors.append(f"duplicate annotation id {aid}")
             continue
         seen_ann_ids.add(aid)
-        # a JSON array or object is never an id, and cannot be looked up
+        # a JSON array or object is never an id, and cannot be looked up; a
+        # boolean is no id either, though it equals 0 or 1
         iid = ann.get("image_id")
-        if isinstance(iid, (list, dict)) or iid not in image_meta:
+        if isinstance(iid, (list, dict, bool)) or iid not in image_meta:
             errors.append(f"annotation {aid}: unknown image_id {iid}")
             continue
         cid = ann.get("category_id")
-        if isinstance(cid, (list, dict)) or cid not in categories:
+        if isinstance(cid, (list, dict, bool)) or cid not in categories:
             errors.append(f"annotation {aid}: unknown category_id {cid}")
             continue
-        geometry = _coerce_geometry(ann.get("segmentation"), aid, errors)
-        if geometry is None:
-            continue
         try:
+            geometry = _coerce_geometry(ann.get("segmentation"))
             check_fit(geometry, image_meta[iid]["width"], image_meta[iid]["height"])
         except ValueError as exc:
             errors.append(f"annotation {aid}: {exc}")
@@ -341,7 +336,7 @@ def _checked_record(obj, where: str) -> tuple[int, str, list[tuple[str, str, tup
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise RecordError(f"{where}: schema_version must be {SCHEMA_VERSION}")
     image_id = obj.get("image_id")
-    if not isinstance(image_id, int):
+    if not _is_int(image_id):
         raise RecordError(f"{where}: image_id must be an integer")
     task_mode = obj.get("task_mode")
     if task_mode not in TASK_MODES:
@@ -360,7 +355,7 @@ def _checked_record(obj, where: str) -> tuple[int, str, list[tuple[str, str, tup
         if not isinstance(text, str):
             raise RecordError(f"{where}: turn {n} text must be a string")
         seg_ids = t.get("seg_ids")
-        if not isinstance(seg_ids, list) or not all(isinstance(i, int) for i in seg_ids):
+        if not isinstance(seg_ids, list) or not all(map(_is_int, seg_ids)):
             raise RecordError(f"{where}: turn {n} seg_ids must be a list of integers")
         slots = text.count("<SEG>")
         if slots != len(seg_ids):
@@ -429,35 +424,34 @@ def _prediction_fields(obj, where: str) -> tuple:
     if not isinstance(obj, dict):
         raise RecordError(f"{where}: prediction must be a JSON object")
     image_id = obj.get("image_id")
-    if not isinstance(image_id, int):
+    if not _is_int(image_id):
         raise RecordError(f"{where}: image_id must be an integer")
     category_id = obj.get("category_id")
-    if category_id is not None and not isinstance(category_id, int):
+    if category_id is not None and not _is_int(category_id):
         raise RecordError(f"{where}: category_id must be an integer when present")
     score = obj.get("score", 1.0)
-    if not isinstance(score, (int, float)):
+    if not (_is_int(score) or isinstance(score, float)):
         raise RecordError(f"{where}: score must be a number")
-    errors: list[str] = []
     if "rle" in obj:
         width = height = None  # an rle carries its own canvas
-        geometry = _coerce_geometry(obj["rle"], -1, errors)
+        seg = obj["rle"]
     elif "polygon" in obj:
         width, height = obj.get("width"), obj.get("height")
-        if not isinstance(width, int) or not isinstance(height, int):
+        if not _is_int(width) or not _is_int(height):
             raise RecordError(f"{where}: polygon predictions need width and height")
-        geometry = _coerce_geometry(obj["polygon"], -1, errors)
-        if isinstance(geometry, Rle):
-            geometry = None
-            errors.append("expected polygons")
+        seg = obj["polygon"]
     else:
         raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
-    if geometry is None:
-        raise RecordError(f"{where}: {errors[0] if errors else 'bad geometry'}")
-    if width is not None:
-        try:
+    try:
+        geometry = _coerce_geometry(seg)
+        if width is None and not isinstance(geometry, Rle):
+            raise ValueError("expected an rle")
+        if width is not None:
+            if isinstance(geometry, Rle):
+                raise ValueError("expected polygons")
             check_canvas(width, height)
-        except ValueError as exc:
-            raise RecordError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise RecordError(f"{where}: {exc}") from exc
     return image_id, category_id, score, geometry, width, height
 
 

@@ -46,6 +46,13 @@ class BBox(_BBoxFields):
         return ((self.left + self.right + 1) // 2, (self.top + self.bottom + 1) // 2)
 
 
+# Every vertex coordinate lies below this bound, so the row crossing
+# dx * (y + 0.5 - y1) / dy + x1 that `mask.rasterize` and `footprint` compute
+# stays finite: |dx| < 2**500 and |y + 0.5 - y1| <= |dy| < 2**500, so the
+# product stays below 2**1000 and the quotient below 2**500.
+VERTEX_BOUND = 2.0 ** 500
+
+
 class _PolygonFields(NamedTuple):
     vertices: tuple[tuple[float, float], ...]
 
@@ -58,10 +65,12 @@ class Polygon(_PolygonFields):
     def __new__(cls, vertices):
         verts = tuple((float(x), float(y)) for x, y in vertices)
         for x, y in verts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("polygon vertices must be finite")
-            if x < 0 or y < 0:
-                raise ValueError("polygon vertices must be non-negative")
+            if not (0 <= x < VERTEX_BOUND and 0 <= y < VERTEX_BOUND):  # nan fails every comparison
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError("polygon vertices must be finite")
+                if x < 0 or y < 0:
+                    raise ValueError("polygon vertices must be non-negative")
+                raise ValueError("polygon vertices must be below 2**500")
         return tuple.__new__(cls, (verts,))
 
     @classmethod

@@ -46,14 +46,18 @@ def build_cost_matrix(
     return costs
 
 
-def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A minimum-cost assignment of min(n, m) pairs as (rows, cols), rows ascending.
+def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A minimum-cost assignment of min(n, m) pairs as (rows, cols), rows
+    ascending, and the dual potentials (u, v) it ends with: u per row, v per
+    column.
 
     Shortest augmenting paths with dual potentials (Crouse 2016, "On
     implementing 2D rectangular assignment algorithms", the method behind
-    scipy's solver). Each row of the shorter side joins through a Dijkstra
-    search over the columns; one NumPy pass per step scans the columns the
-    search has not reached yet.
+    scipy's solver). Each line of the shorter side joins through a Dijkstra
+    search over the lines of the longer one; one NumPy pass per step scans
+    the lines the search has not reached yet. In exact arithmetic the
+    reduced costs c - u[:, None] - v[None, :] are >= 0, and 0 on the pairs;
+    the longer side's potentials are <= 0, and 0 on its unmatched lines.
     """
     c = np.asarray(costs, dtype=np.float64)
     transposed = c.shape[0] > c.shape[1]
@@ -104,48 +108,8 @@ def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break
     if transposed:
         order = np.argsort(col_of)
-        return col_of[order], order
-    return np.arange(n), col_of
-
-
-def _viable_pairs(c: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Mask of the pairs that may belong to an optimal assignment of `c`.
-
-    (rows, cols) is an optimal assignment. The problem is padded with zero
-    costs to N x N, N = max(n, m), and the assignment extended through the
-    padding. Bellman-Ford over the residual graph (row -> column at +c off
-    the matching, column -> row at -c on it, every row reachable at 0) gives
-    row distances du and column distances dv; the reduced cost
-    rho = c + du - dv is >= 0 off the matching and <= 0 on it, so every
-    assignment that uses (i, j) costs at least rho[i, j] more than the
-    optimum. A pair is ruled out when rho exceeds a tolerance above the
-    rounding error of N-term sums: no assignment that uses it can then
-    reach the optimal fsum total. If the distances have not settled after
-    N + 1 rounds, no pair is ruled out.
-    """
-    n, m = c.shape
-    size = max(n, m)
-    off_matching = np.zeros((size, size))
-    off_matching[:n, :m] = c
-    free_rows = np.ones(size, dtype=bool)
-    free_rows[rows] = False
-    free_cols = np.ones(size, dtype=bool)
-    free_cols[cols] = False
-    match = np.empty(size, dtype=np.intp)  # match[i]: column of row i
-    match[rows] = cols
-    match[free_rows] = np.flatnonzero(free_cols)
-    on_matching = (np.arange(size), match)
-    matched_cost = off_matching[on_matching]  # fancy indexing copies
-    off_matching[on_matching] = np.inf
-    tol = max(1e-9, 64 * size * size * np.finfo(np.float64).eps) * max(1.0, float(c.max()))
-    du = np.zeros(size)
-    for _ in range(size + 1):
-        dv = (du[:, None] + off_matching).min(axis=0)
-        new_du = np.minimum(0.0, dv[match] - matched_cost)
-        if (new_du == du).all():
-            return c + du[:n, None] - dv[None, :m] <= tol
-        du = new_du
-    return np.ones(c.shape, dtype=bool)
+        return col_of[order], order, v, u
+    return np.arange(n), col_of, u, v
 
 
 class _Residual:
@@ -352,9 +316,21 @@ def hungarian(costs: np.ndarray) -> Assignment:
     Among all assignments attaining the optimal total (compared exactly via
     math.fsum of the selected entries), returns the one whose sorted
     (prediction, groundtruth) pair list is lexicographically smallest. One
-    float solve finds an optimum; pairs whose reduced cost there exceeds a
-    rounding tolerance are ruled out, and the tie-break runs in exact
-    integer arithmetic over the rest.
+    float solve finds an optimum and its dual potentials (u, v); pairs whose
+    reduced cost c - u - v exceeds a rounding tolerance `tol` are ruled out,
+    and the tie-break runs in exact integer arithmetic over the rest.
+
+    No pair of a tying assignment is ruled out. Pad the problem with zero
+    costs to N x N, N = max(n, m), with potential 0 on the padding lines.
+    One pass checks that (u, v) is then a dual within eps = tol / (2N + 1):
+    every reduced cost is >= -eps, and each of the solver's N pairs, padding
+    included, has |reduced| <= eps. Any assignment A costs its reduced
+    costs plus the sum of all potentials, so for a pair (i, j) of A,
+    cost(A) - cost(solver's) >= reduced[i, j] - (2N - 1) eps. If A's fsum
+    total ties the optimal one, best, the left side is at most
+    ulp(best) <= N * max(c) * 2**-52, well below eps, so
+    reduced[i, j] <= 2N eps < tol, and the spare margin covers the rounding
+    of the reduced costs themselves. If the check fails, nothing is ruled out.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
@@ -376,8 +352,19 @@ def hungarian(costs: np.ndarray) -> Assignment:
         # one pair is matched: the first minimum in row-major order
         pairs = [divmod(int(c.argmin()), n_gt)]
     else:
-        rows, cols = linear_sum_assignment(c)
-        pairs = _lexmin_pairs(c, rows, cols, _viable_pairs(c, rows, cols))
+        rows, cols, u, v = linear_sum_assignment(c)
+        size = max(n_pred, n_gt)
+        tol = max(1e-9, 64 * size * size * np.finfo(np.float64).eps) * max(1.0, float(c.max()))
+        eps = tol / (2 * size + 1)
+        reduced = c - u[:, None] - v[None, :]
+        longer, matched = (u, rows) if n_pred > n_gt else (v, cols)
+        dual = (
+            reduced.min() >= -eps
+            and np.abs(reduced[rows, cols]).max() <= eps
+            # padding lines meet the longer side at reduced cost -longer
+            and (n_pred == n_gt or (longer.max() <= eps and np.abs(np.delete(longer, matched)).max() <= eps))
+        )
+        pairs = _lexmin_pairs(c, rows, cols, reduced <= tol if dual else np.ones(c.shape, dtype=bool))
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     return Assignment(

@@ -267,7 +267,21 @@ class TestMalformedGroundTruth:
             spots.append((("annotations", n, "segmentation"), self.BAD_SEGMENTATIONS))
         return [(path, value) for path, values in spots for value in values]
 
-    def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
+    def mutated(self, path, value):
+        """The payload with `value` at `path`."""
+        payload = self.payload()
+        if not path:
+            return value
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return payload
+
+    def runs(self, tmp_path, capsys):
+        """(ground-truth path, argument lists of the five subcommands that
+        read it); each run succeeds on the payload as written."""
         responses = tmp_path / "responses"
         responses.mkdir()
         (responses / "1.txt").write_text("<person>: which?\n<robot>: keys <11; keyboard> and a lamp <12; lamp>")
@@ -284,27 +298,35 @@ class TestMalformedGroundTruth:
             ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst"],
         ]
         write_json(gt, self.payload())
-        for args in runs:  # the file as written is good
+        for args in runs:
             assert main(list(map(str, args))) == 0, args[0]
         capsys.readouterr()
+        return gt, runs
 
-        mutations = self.mutations()
-        chosen = random.Random(11).sample(mutations, 80)
-        for path, value in chosen:
-            payload = self.payload()
-            if path:
-                *parents, last = path
-                node = payload
-                for key in parents:
-                    node = node[key]
-                node[last] = value
-            else:
-                payload = value
-            write_json(gt, payload)
+    def assert_refused(self, tmp_path, capsys, cases, message=""):
+        gt, runs = self.runs(tmp_path, capsys)
+        for path, value in cases:
+            write_json(gt, self.mutated(path, value))
             for args in runs:
                 assert main(list(map(str, args))) == 1, (args[0], path, value)
                 err = capsys.readouterr().err
                 assert err.startswith("validation error: ") and "Traceback" not in err, (args[0], path, value)
+                assert message in err, (args[0], err)
+
+    def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, random.Random(11).sample(self.mutations(), 80))
+
+    def test_booleans_are_not_integers(self, tmp_path, capsys):
+        # JSON true and false decode to Python bools, which are ints equal to
+        # 1 and 0: `"image_id": true` must not attach to image 1
+        spots = [("images", 0, "id"), ("images", 1, "width"), ("images", 1, "height"), ("categories", 0, "id"),
+                 ("annotations", 0, "id"), ("annotations", 2, "image_id"), ("annotations", 2, "category_id")]
+        self.assert_refused(tmp_path, capsys, [(path, value) for path in spots for value in (True, False)])
+
+    def test_a_vertex_past_the_bound_is_refused(self, tmp_path, capsys):
+        # its row crossings would overflow when the polygon is drawn or counted
+        cases = [(("annotations", 1, "segmentation"), [[0, 0, 1.5e308, 8, 0, 9]])]
+        self.assert_refused(tmp_path, capsys, cases, "annotation 12: polygon vertices must be below 2**500")
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -350,9 +372,11 @@ class TestMalformedPredictions:
         {"size": [12, 16], "counts": []}, {"size": [12, 16], "counts": [193]}, {"size": [12, 16], "counts": [None]},
         {"size": [12, 16], "counts": [math.inf]}, {"size": [12, 16], "counts": [-1, 193]},
         {"size": [12, 16], "counts": [0, 0, 192]}, {"size": [12, 16], "counts": [10 ** 400]},
-        {"size": [16, 12], "counts": [192]},
+        {"size": [16, 12], "counts": [192]}, [[1, 1, 9, 1, 9, 7]],
     )
-    BAD_POLYGONS = TestMalformedGroundTruth.BAD_SEGMENTATIONS[:11] + ({"size": [12, 16], "counts": [192]},)
+    BAD_POLYGONS = TestMalformedGroundTruth.BAD_SEGMENTATIONS[:11] + (
+        {"size": [12, 16], "counts": [192]}, [[0, 0, 1.5e308, 8, 0, 9]],
+    )
 
     @staticmethod
     def lines():
@@ -370,15 +394,23 @@ class TestMalformedPredictions:
             spots.append(((n,), self.NOT_OBJECTS))
             spots += [((n, key), (self.DELETED,)) for key in ("image_id", "rle", "polygon", "width", "height")
                       if key in line]
-            spots.append(((n, "image_id"), self.NOT_INTS + (99,)))
-            spots.append(((n, "score"), ("x", None, [], {}, "0.5", 1.5, -0.5, math.inf, math.nan, 10 ** 400)))
-            spots.append(((n, "category_id"), ("x", 2.5, [], [3], {})))
+            spots.append(((n, "image_id"), self.NOT_INTS + (99, True)))
+            spots.append(((n, "score"), ("x", None, [], {}, "0.5", 1.5, -0.5, math.inf, math.nan, 10 ** 400, True)))
+            spots.append(((n, "category_id"), ("x", 2.5, [], [3], {}, True)))
             if "rle" in line:
                 spots.append(((n, "rle"), self.BAD_RLES))
             else:
                 spots.append(((n, "polygon"), self.BAD_POLYGONS))
-                spots += [((n, key), self.NOT_INTS + (0, -3)) for key in ("width", "height")]
+                spots += [((n, key), self.NOT_INTS + (0, -3, True)) for key in ("width", "height")]
         return [(path, value) for path, values in spots for value in values]
+
+    def test_a_geometry_error_names_the_line(self, tmp_path, capsys):
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, TestMalformedGroundTruth.payload())
+        line = {"image_id": 1, "category_id": 3, "rle": {"size": [12, 16], "counts": [3]}}
+        preds.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst"]) == 1
+        assert capsys.readouterr().err == f"validation error: {preds}: line 1: rle counts sum to 3, expected 192\n"
 
     def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"

@@ -294,6 +294,19 @@ class TestRecordsJsonl:
             read_record_lines(bad)
         assert str(checked.value) == str(exc.value)
 
+    def test_booleans_are_not_integers(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(canonical_records(), path)
+        obj = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        for key, value, message in [("image_id", True, "image_id must be an integer"),
+                                    ("seg_ids", [True, 2], "turn 1 seg_ids must be a list of integers")]:
+            bad = json.loads(json.dumps(obj))
+            (bad if key == "image_id" else bad["turns"][1])[key] = value
+            path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+            for read in (read_records, read_record_lines):
+                with pytest.raises(RecordError, match=f"line 1: {message}"):
+                    read(path)
+
     def test_invalid_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema_version": 1}\n{broken\n', encoding="utf-8")

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import rect_polygon
-from segdial.geometry import BBox, Polygon, Rle, footprint
+from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint
 from segdial.instances import decode_geometries
 from segdial.mask import RasterMask, area, bbox_of, rle_encode
 
@@ -120,9 +120,14 @@ class TestFootprint:
             with pytest.raises(ValueError):
                 footprint(geometry, width, height)
 
-    def test_an_overflowing_crossing_fails_as_decoding_does(self):
-        huge = (Polygon(((0, 0), (1.5e308, 8), (0, 9))),)
-        with pytest.raises(OverflowError), np.errstate(over="ignore"):
-            decoded(huge, 4, 9)
-        with pytest.raises(OverflowError):
-            footprint(huge, 4, 9)
+    def test_no_vertex_overflows_a_crossing(self):
+        # A vertex at or past the bound is refused when the polygon is built;
+        # just below it, both paths compute every crossing in range and agree.
+        for big in (VERTEX_BOUND, 1.5e308):
+            with pytest.raises(ValueError, match=r"^polygon vertices must be below 2\*\*500$"):
+                Polygon(((0, 0), (big, 8), (0, 9)))
+        below = np.nextafter(VERTEX_BOUND, 0)
+        for vertices in [((0, 0), (below, 8), (0, 9)), ((0, below), (below, 0), (0, 0))]:
+            geometry = (Polygon(vertices),)
+            with np.errstate(all="raise"):
+                assert decoded(geometry, 4, 9) == footprint(geometry, 4, 9)

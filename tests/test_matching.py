@@ -313,6 +313,22 @@ class TestReducedCostSkip:
             hungarian(costs)
             assert calls == [(100, 60)]
 
+    def test_dense_matrices_need_few_searches(self, monkeypatch):
+        # The solver's potentials rule out all but ~9 pairs per row here, so
+        # few rows need a search for an exchange; a looser viable set needs more.
+        searches = []
+        paths_to = matching._Residual.paths_to
+
+        def counted(self, target, budget):
+            searches.append(target)
+            return paths_to(self, target, budget)
+
+        monkeypatch.setattr(matching._Residual, "paths_to", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            hungarian(_iou_like(rng, 100, 60, 10))
+        assert len(searches) == 38
+
 
 class TestExactTieBreak:
     """The one-solve matcher against independent references: the exhaustive
@@ -357,11 +373,55 @@ class TestExactTieBreak:
         assert got.total_cost == 1.0
 
     def test_a_non_optimal_first_solve_is_repaired(self, monkeypatch):
-        # The diagonal is rarely optimal: the exact potentials must cancel the
-        # negative cycles it leaves before the tie-break starts.
-        monkeypatch.setattr(matching, "linear_sum_assignment", lambda c: (np.arange(min(c.shape)),) * 2)
+        # The diagonal is rarely optimal: its zero potentials fail the dual
+        # check, and the exact potentials must cancel the negative cycles it
+        # leaves before the tie-break starts.
+        def diagonal(c):
+            return (np.arange(min(c.shape)),) * 2 + (np.zeros(c.shape[0]), np.zeros(c.shape[1]))
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", diagonal)
         for costs in self._small_matrices(600, seed=607):
             self._assert_oracle(costs)
+
+    @pytest.mark.parametrize("breakage", ["shifted v", "infeasible", "unmatched lines", "raised longer side"])
+    def test_broken_potentials_rule_out_nothing(self, monkeypatch, breakage):
+        # An optimal assignment with potentials that are not its dual: each
+        # breakage fails one condition of the check and, if trusted, would
+        # rule out pairs that tying assignments use.
+        solve = matching.linear_sum_assignment
+
+        def broken(c):
+            rows, cols, u, v = solve(c)
+            if breakage == "shifted v":  # |reduced| = 0.5 on the pairs
+                v = v - 0.5
+            elif breakage in ("infeasible", "raised longer side"):
+                # trade potential within a pair: reduced < 0 down its column,
+                # or the longer side's potential above 0 on a matched line
+                d = 100.0 if breakage == "infeasible" else 1e-3 * np.sign(c.shape[1] - c.shape[0])
+                u, v = u.copy(), v.copy()
+                u[rows[0]] -= d
+                v[cols[0]] += d
+            elif c.shape[0] > c.shape[1]:  # the longer side's unmatched lines
+                u = u - np.isin(np.arange(c.shape[0]), rows, invert=True)
+            else:
+                v = v - np.isin(np.arange(c.shape[1]), cols, invert=True)
+            return rows, cols, u, v
+
+        lexmin = matching._lexmin_pairs
+        checked = []
+
+        def all_viable(c, rows, cols, viable):
+            checked.append(c.shape)
+            assert viable.all(), c.tolist()
+            return lexmin(c, rows, cols, viable)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", broken)
+        monkeypatch.setattr(matching, "_lexmin_pairs", all_viable)
+        for costs in self._small_matrices(400, seed=608):
+            if breakage in ("unmatched lines", "raised longer side") and costs.shape[0] == costs.shape[1]:
+                continue
+            self._assert_oracle(costs)
+        assert len(checked) > 100
 
     def test_solver_reaches_scipys_optimum(self):
         rng = np.random.default_rng(61)
@@ -383,7 +443,9 @@ class TestExactTieBreak:
                 costs[rng.integers(0, shape[0], shape[0] // 3)] = costs[0]
             else:
                 costs = rng.random(shape)
-            rows, cols = matching.linear_sum_assignment(costs)
+            rows, cols, u, v = matching.linear_sum_assignment(costs)
+            reduced = costs - u[:, None] - v[None, :]
+            assert reduced.min() >= -1e-9 and np.abs(reduced[rows, cols]).max() <= 1e-9
             assert rows.tolist() == sorted(set(rows.tolist()))
             assert len(set(cols.tolist())) == len(rows) == min(shape)
             want_rows, want_cols = linear_sum_assignment(costs)
@@ -468,7 +530,7 @@ class TestOneRowOrColumn:
         def refuse(*args):
             raise AssertionError("a one-pair assignment needs no solve")
 
-        for name in ("linear_sum_assignment", "_viable_pairs", "_lexmin_pairs"):
+        for name in ("linear_sum_assignment", "_lexmin_pairs"):
             monkeypatch.setattr(matching, name, refuse)
         for row in self._matrices():
             for costs in (row[None, :], row[:, None]):
