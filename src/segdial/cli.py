@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     from segdial import metrics
 
 # Each command imports the modules it runs, so `import segdial.cli` loads no
-# NumPy, `parse`, `transform --to pure`, `split` and `report` never do, and
+# NumPy, `curate`, `parse`, `transform`, `split` and `report` never do, and
 # no command loads a module it does not use.
 
 ENV_PREFIX = "SEGDIAL_"
@@ -243,10 +243,14 @@ def _cmd_transform(args) -> int:
     if needs_annotations:
         if args.annotations is None:
             raise CliUsageError(f"--to {args.to} requires --annotations")
-        from segdial.mask import rle_encode
+        from segdial.geometry import union_rle
 
-        dataset = dataset_io.load_coco(args.annotations)
+        # each merged mask is coded from its members' geometry, so no pixel is drawn
+        dataset, geometries = dataset_io.load_coco_geometries(args.annotations)
         ann_map = {a.instance_id: a for img in dataset.images for a in img.annotations}
+
+        def merged_rle(members) -> dict:
+            return dataset_io.rle_to_obj(union_rle([geometries[a.instance_id] for a in members]))
 
     serialized = dataset_io.read_records(args.in_path)
     out_records = []
@@ -257,18 +261,18 @@ def _cmd_transform(args) -> int:
             if target == "pure_text":
                 record = transforms.to_pure_text(record)
             elif target in ("semseg", "sid_semseg"):
-                record, merged = transforms.to_semantic(record, ann_map)
-                for m in merged:
+                record, merged = transforms._regroup(record, ann_map, merged_rle)
+                for turn_index, instance_id, category_id, label_name, member_ids, rle in merged:
                     merged_rows.append(
                         {
                             "schema_version": dataset_io.SCHEMA_VERSION,
                             "image_id": srec.image_id,
-                            "turn_index": m.turn_index,
-                            "instance_id": m.instance_id,
-                            "category_id": m.category_id,
-                            "label_name": m.label_name,
-                            "member_ids": list(m.member_ids),
-                            "rle": dataset_io.rle_to_obj(rle_encode(m.mask)),
+                            "turn_index": turn_index,
+                            "instance_id": instance_id,
+                            "category_id": category_id,
+                            "label_name": label_name,
+                            "member_ids": list(member_ids),
+                            "rle": rle,
                         }
                     )
             record = transforms.append_task_template(record, target)

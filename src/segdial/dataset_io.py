@@ -4,9 +4,9 @@ All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
 with "\n" endings, so identical inputs produce byte-identical files. The
 geometry modules and the record types load inside the functions that use
 them: checking a COCO file or reading its labels loads only the NumPy-free
-`segdial.geometry`, reading its areas and boxes adds only `segdial.instances`,
-reading records never loads NumPy, checking record lines loads no other
-module, and reading masks never loads the parser.
+`segdial.geometry`, reading its areas, boxes and geometry adds only
+`segdial.instances`, reading records never loads NumPy, checking record
+lines loads no other module, and reading masks never loads the parser.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "RecordError",
     "load_coco",
     "load_coco_footprints",
+    "load_coco_geometries",
     "load_coco_labels",
     "read_predictions",
     "read_record_lines",
@@ -68,7 +69,10 @@ def _is_int(value) -> bool:
 
 def _coerce_geometry(seg) -> Geometry:
     """COCO segmentation field: list of flat polygons, or {size, counts} rle.
-    Any other value raises ValueError saying what is wrong with it."""
+    Any other value raises ValueError saying what is wrong with it. So do a
+    JSON boolean among the coordinates or counts and a count with a
+    fractional part, which `Polygon` and `Rle` would take for 1, 0 or the
+    count truncated."""
     from segdial.geometry import Polygon, Rle
 
     try:
@@ -76,9 +80,15 @@ def _coerce_geometry(seg) -> Geometry:
             size = seg.get("size")
             counts = seg.get("counts")
             if isinstance(size, (list, tuple)) and len(size) == 2 and isinstance(counts, (list, tuple)):
+                if not set(map(type, counts)) <= {int}:
+                    for c in counts:
+                        if isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()):
+                            raise ValueError(f"rle counts must be integers, got {c!r}")
                 return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
             raise ValueError("malformed rle segmentation")
         if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
+            if any(bool in set(map(type, p)) for p in seg):
+                raise ValueError("polygon vertices must be numbers, not booleans")
             return tuple(Polygon.from_flat(p) for p in seg)
     except (TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
@@ -166,14 +176,14 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
             errors.append(f"duplicate annotation id {aid}")
             continue
         seen_ann_ids.add(aid)
-        # a JSON array or object is never an id, and cannot be looked up; a
-        # boolean is no id either, though it equals 0 or 1
+        # only an integer is an id: a boolean or 1.0 equals an integer id
+        # but is none, and an array or object cannot be looked up
         iid = ann.get("image_id")
-        if isinstance(iid, (list, dict, bool)) or iid not in image_meta:
+        if not _is_int(iid) or iid not in image_meta:
             errors.append(f"annotation {aid}: unknown image_id {iid}")
             continue
         cid = ann.get("category_id")
-        if isinstance(cid, (list, dict, bool)) or cid not in categories:
+        if not _is_int(cid) or cid not in categories:
             errors.append(f"annotation {aid}: unknown category_id {cid}")
             continue
         try:
@@ -230,18 +240,28 @@ def load_coco_footprints(path: str | Path) -> CocoDataset:
     """`load_coco` without the masks: the same checks, warnings, areas, boxes
     and centers, counted from the geometry by `geometry.footprint`, and every
     annotation's mask is None. No pixel is drawn and NumPy stays unloaded."""
+    return load_coco_geometries(path)[0]
+
+
+def load_coco_geometries(path: str | Path) -> tuple[CocoDataset, dict[int, tuple[Geometry, int, int]]]:
+    """`load_coco_footprints` of the file and, by annotation id, the
+    (geometry, image width, image height) each annotation was counted from,
+    from one read of the file."""
     from segdial.geometry import footprint
     from segdial.instances import InstanceAnnotation
 
     categories, image_meta, annotations = _read_coco(path)
+    geometries = {
+        ann["id"]: (geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
+        for ann, geometry in annotations
+    }
     built = [
         InstanceAnnotation.from_footprint(
-            ann["id"], ann["category_id"], categories[ann["category_id"]],
-            *footprint(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"]),
+            ann["id"], ann["category_id"], categories[ann["category_id"]], *footprint(*geometries[ann["id"]])
         )
-        for ann, geometry in annotations
+        for ann, _ in annotations
     ]
-    return _dataset(categories, image_meta, annotations, built)
+    return _dataset(categories, image_meta, annotations, built), geometries
 
 
 def _dataset(

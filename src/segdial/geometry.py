@@ -4,7 +4,8 @@ Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
 for pixels. `segdial.mask` turns these values into masks; `footprint` gives
-the area and box of such a mask from the geometry alone.
+the area and box of such a mask, and `union_rle` the run-length code of a
+union of such masks, from the geometry alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
-__all__ = ["BBox", "Geometry", "Polygon", "Rle", "check_canvas", "check_fit", "footprint"]
+__all__ = ["BBox", "Geometry", "Polygon", "Rle", "check_canvas", "check_fit", "footprint", "union_rle"]
 
 
 # A checked record type is a NamedTuple of its fields plus a subclass whose
@@ -152,18 +153,90 @@ def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optiona
     check_canvas(width, height)
     if not geometry:
         raise ValueError("geometry needs at least one polygon")
-    spans = sorted(s for poly in geometry for s in _spans(poly, width, height) if s[1] < s[2])
-    if not spans:
+    rows = _row_union(geometry, width, height)
+    if not rows:
         return 0, None
-    area, row, reach = 0, -1, 0
-    for y, start, stop in spans:  # by row, then from the left
-        if y != row:
-            row, reach = y, 0
-        if stop > reach:  # count what no span before it in the row covers
-            area += stop - max(start, reach)
-            reach = stop
-    left, right = min(s[1] for s in spans), max(s[2] for s in spans)
-    return area, BBox(left, spans[0][0], right - 1, spans[-1][0])
+    area = sum(stop - start for _, start, stop in rows)
+    return area, BBox(min(r[1] for r in rows), rows[0][0], max(r[2] for r in rows) - 1, rows[-1][0])
+
+
+def union_rle(items: Sequence[tuple[Geometry, int, int]]) -> Rle:
+    """`mask.rle_encode(mask.mask_union(decode_geometries(items)))`, counted
+    from the geometry without drawing a pixel: the column-major code, in
+    `rle_encode`'s form, of the union of the masks of every (geometry,
+    width, height) of `items`.
+
+    Each mask must lie on the canvas of the first, as `mask_union` requires,
+    and is the one `decode_geometries` makes: an rle on its own canvas,
+    polygons on width x height. The polygons are united row by row as
+    `footprint` unites them and their runs read down the columns; each set
+    run of an rle is already an interval of the column-major order.
+    """
+    if not items:
+        raise ValueError("union_rle needs at least one geometry")
+    polygons: list[Polygon] = []
+    runs: list[tuple[int, int]] = []  # [start, stop) in the column-major order
+    canvases = []
+    for geometry, width, height in items:
+        if isinstance(geometry, Rle):
+            ends = list(accumulate(geometry.counts))
+            runs += zip(ends[0::2], ends[1::2])
+            width, height = geometry.width, geometry.height
+        else:
+            check_canvas(width, height)
+            if not geometry:
+                raise ValueError("geometry needs at least one polygon")
+            polygons += geometry
+        canvases.append((width, height))
+    width, height = canvases[0]
+    for w, h in canvases:
+        if (w, h) != (width, height):
+            raise ValueError(f"mask canvases differ: {width}x{height} vs {w}x{h}")
+    runs += _column_runs(_row_union(polygons, width, height), height)
+    runs.sort()
+    # a run that touches or overlaps the last one extends it
+    total, counts, end = width * height, [], -1
+    for start, stop in runs:
+        if start > end:
+            counts += (start - max(end, 0), stop - start)
+            end = stop
+        elif stop > end:
+            counts[-1] += stop - end
+            end = stop
+    if end < total:  # the clear run after the last set one, or the whole canvas
+        counts.append(total - max(end, 0))
+    return Rle(width, height, counts)
+
+
+def _row_union(polygons: Sequence[Polygon], width: int, height: int) -> list[tuple[int, int, int]]:
+    """(y, start, stop) of each maximal run [start, stop) of pixels of row y
+    that any of `polygons` holds, by row and then from the left."""
+    out: list[tuple[int, int, int]] = []
+    for y, start, stop in sorted(s for poly in polygons for s in _spans(poly, width, height) if s[1] < s[2]):
+        if out and out[-1][0] == y and start <= out[-1][2]:  # touches or overlaps the last run
+            if stop > out[-1][2]:
+                out[-1] = (y, out[-1][1], stop)
+        else:
+            out.append((y, start, stop))
+    return out
+
+
+def _column_runs(rows: list[tuple[int, int, int]], height: int) -> list[tuple[int, int]]:
+    """The pixels of `_row_union`'s runs as [start, stop) intervals of the
+    column-major order, column by column and down each column."""
+    # sweeping the columns from the left, a run turns its row on at its
+    # start and off at its stop; the rows of a column then hold the runs
+    # between the boundaries where a row and the one above it differ
+    toggles = sorted([(start, y) for y, start, _ in rows] + [(stop, y) for y, _, stop in rows])
+    edges: set[int] = set()
+    bounds: list[int] = []  # the start and stop of each run, in order
+    for (x, y), (following, _) in zip(toggles, toggles[1:] + toggles[-1:]):
+        edges.symmetric_difference_update((y, y + 1))
+        if following > x and edges:  # columns x .. following - 1 look alike
+            cut = sorted(edges)
+            for base in range(x * height, following * height, height):
+                bounds += map(base.__add__, cut)
+    return list(zip(bounds[0::2], bounds[1::2]))
 
 
 def _spans(poly: Polygon, width: int, height: int) -> list[tuple[int, int, int]]:

@@ -5,7 +5,8 @@ path from geometry to masks.
 building or AP scoring, so they live apart from `segdial.curation` and
 `segdial.metrics`, which re-export them under their public names. The
 pixel layer, `segdial.mask`, loads on the first decode, so building prompts
-from areas and boxes alone (`curate`) loads no NumPy.
+from areas and boxes alone (`curate`) or merging instances by their
+geometry (`transform`) loads no NumPy.
 """
 
 from __future__ import annotations

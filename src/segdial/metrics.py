@@ -13,7 +13,6 @@ from the precision/recall tallies instead of counting as a false positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,8 +73,7 @@ class ApProtocol(_ApProtocolFields):
         )
 
 
-@dataclass(frozen=True)
-class ApBlock:
+class ApBlock(NamedTuple):
     """The six headline AP numbers."""
 
     mAP: float
@@ -86,8 +84,16 @@ class ApBlock:
     AP_large: float
 
 
-@dataclass(frozen=True)
-class ApReport(ApBlock):
+class ApReport(NamedTuple):
+    """The six headline AP numbers of `ApBlock` over all categories, and
+    each category's own block."""
+
+    mAP: float
+    AP50: float
+    AP75: float
+    AP_small: float
+    AP_medium: float
+    AP_large: float
     per_category: Mapping[int, ApBlock]
 
 

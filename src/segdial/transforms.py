@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from segdial.parsing import (
     TASK_MODES,
@@ -105,13 +105,23 @@ def to_semantic(
     references of the same category fold back to their surface word. Returns
     the rewritten record plus the merged annotations it now points at.
     """
+    out, merged = _regroup(record, annotations, lambda members: mask_union([a.mask for a in members]))
+    return out, tuple(MergedAnnotation._make(fields) for fields in merged)
+
+
+def _regroup(record: DialogueRecord, annotations, merge: Callable[[list], object]) -> tuple[DialogueRecord, list[tuple]]:
+    """`to_semantic` with `merge` in place of the union of masks: the
+    rewritten record and the fields of each merged annotation in
+    `MergedAnnotation`'s order, the last being `merge` of the member
+    annotations. Each `merge` runs as soon as its turn is regrouped, so
+    errors surface in the order `to_semantic` raises them."""
     if record.task_mode not in _SEMANTIC_MODE:
         raise TransformError(
             f"task_mode {record.task_mode!r} carries no instance supervision to regroup"
         )
     ann = annotations_by_id(annotations)
     new_turns: list[Turn] = []
-    merged: list[MergedAnnotation] = []
+    merged: list[tuple] = []
     for ti, turn in enumerate(record.turns):
         if turn.role != "robot":
             new_turns.append(turn)
@@ -151,18 +161,10 @@ def to_semantic(
                 segments.append(TextSpan(seg.surface))
         new_turns.append(Turn(role="robot", segments=_merge_text(segments)))
         for cat, ids in members.items():
-            merged.append(
-                MergedAnnotation(
-                    turn_index=ti,
-                    instance_id=reps[cat],
-                    category_id=cat,
-                    label_name=ann[ids[0]].label_name,
-                    member_ids=tuple(ids),
-                    mask=mask_union([ann[i].mask for i in ids]),
-                )
-            )
+            group = [ann[i] for i in ids]
+            merged.append((ti, reps[cat], cat, group[0].label_name, tuple(ids), merge(group)))
     out = DialogueRecord(record.image_id, new_turns, _SEMANTIC_MODE[record.task_mode], record.provenance)
-    return out, tuple(merged)
+    return out, merged
 
 
 def to_pure_text(record: DialogueRecord) -> DialogueRecord:

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
 from segdial.cli import main
-from segdial.dataset_io import read_records, write_predictions, write_records
-from segdial.mask import mask_union
+from segdial.dataset_io import load_coco, read_records, rle_to_obj, write_predictions, write_records
+from segdial.mask import mask_union, rle_encode
 from segdial.metrics import PredictionInstance
-from segdial.parsing import parse_sid_response, to_training_record
-from segdial.transforms import TASK_TEMPLATES
+from segdial.parsing import from_training_record, parse_sid_response, to_training_record
+from segdial.transforms import TASK_TEMPLATES, to_semantic
 
 M_KEY1 = rect_mask(512, 512, 10, 10, 40, 40)
 M_KEY2 = rect_mask(512, 512, 100, 100, 130, 130)
@@ -236,7 +236,10 @@ class TestMalformedGroundTruth:
         {"size": [12], "counts": [192]}, {"size": ["x", 16], "counts": [192]}, {"size": [16, 12], "counts": [192]},
         {"size": [12, 16], "counts": "abc"}, {"size": [12, 16], "counts": [193]},
         {"size": [12, 16], "counts": [None]}, {"size": [12, 16], "counts": [math.inf]},
+        {"size": [12, 16], "counts": [1.7, 191]}, {"size": [12, 16], "counts": [True, 191]},
+        [[True, 1, 6, 1, 6, 5]], [[1, 1, 6, 1, 6, 5, 1, False]],
     )
+    ID_VALUES = NOT_INTS + (99, 1.0, 3.0)  # 1.0 and 3.0 equal the ids of image 1 and category 3
 
     @staticmethod
     def payload():
@@ -263,7 +266,7 @@ class TestMalformedGroundTruth:
             spots.append((("images", n, "file_name"), self.NOT_STRINGS))
         for n in range(len(payload["annotations"])):
             spots.append((("annotations", n, "id"), self.NOT_INTS))
-            spots += [(("annotations", n, key), self.NOT_INTS + (99,)) for key in ("image_id", "category_id")]
+            spots += [(("annotations", n, key), self.ID_VALUES) for key in ("image_id", "category_id")]
             spots.append((("annotations", n, "segmentation"), self.BAD_SEGMENTATIONS))
         return [(path, value) for path, values in spots for value in values]
 
@@ -323,6 +326,18 @@ class TestMalformedGroundTruth:
                  ("annotations", 0, "id"), ("annotations", 2, "image_id"), ("annotations", 2, "category_id")]
         self.assert_refused(tmp_path, capsys, [(path, value) for path in spots for value in (True, False)])
 
+    def test_floats_and_booleans_in_geometry_and_ids_are_refused(self, tmp_path, capsys):
+        # each decodes to a value equal to a valid one: a count of 1.7 would
+        # be read as 1, a vertex of true as 1.0, an image_id of 1.0 as image 1
+        cases = [(("annotations", n, "segmentation"), value) for n in (0, 1)
+                 for value in self.BAD_SEGMENTATIONS[-4:]]
+        cases += [(("annotations", 2, "image_id"), 1.0), (("annotations", 2, "category_id"), 3.0)]
+        runs = [(cases, ""), (cases[:1], "annotation 11: rle counts must be integers, got 1.7"),
+                (cases[-1:], "annotation 21: unknown category_id 3.0")]
+        for n, (some, message) in enumerate(runs):
+            (tmp_path / str(n)).mkdir()
+            self.assert_refused(tmp_path / str(n), capsys, some, message)
+
     def test_a_vertex_past_the_bound_is_refused(self, tmp_path, capsys):
         # its row crossings would overflow when the polygon is drawn or counted
         cases = [(("annotations", 1, "segmentation"), [[0, 0, 1.5e308, 8, 0, 9]])]
@@ -372,10 +387,12 @@ class TestMalformedPredictions:
         {"size": [12, 16], "counts": []}, {"size": [12, 16], "counts": [193]}, {"size": [12, 16], "counts": [None]},
         {"size": [12, 16], "counts": [math.inf]}, {"size": [12, 16], "counts": [-1, 193]},
         {"size": [12, 16], "counts": [0, 0, 192]}, {"size": [12, 16], "counts": [10 ** 400]},
-        {"size": [16, 12], "counts": [192]}, [[1, 1, 9, 1, 9, 7]],
+        {"size": [16, 12], "counts": [192]}, [[1, 1, 9, 1, 9, 7]], {"size": [12, 16], "counts": [1.7, 191]},
+        {"size": [12, 16], "counts": [True, 191]},
     )
     BAD_POLYGONS = TestMalformedGroundTruth.BAD_SEGMENTATIONS[:11] + (
-        {"size": [12, 16], "counts": [192]}, [[0, 0, 1.5e308, 8, 0, 9]],
+        {"size": [12, 16], "counts": [192]}, [[0, 0, 1.5e308, 8, 0, 9]], [[True, 1, 6, 1, 6, 5]],
+        [[1, 1, 6, 1, 6, 5, 1, False]],
     )
 
     @staticmethod
@@ -394,9 +411,9 @@ class TestMalformedPredictions:
             spots.append(((n,), self.NOT_OBJECTS))
             spots += [((n, key), (self.DELETED,)) for key in ("image_id", "rle", "polygon", "width", "height")
                       if key in line]
-            spots.append(((n, "image_id"), self.NOT_INTS + (99, True)))
+            spots.append(((n, "image_id"), self.NOT_INTS + (99, True, 1.0)))
             spots.append(((n, "score"), ("x", None, [], {}, "0.5", 1.5, -0.5, math.inf, math.nan, 10 ** 400, True)))
-            spots.append(((n, "category_id"), ("x", 2.5, [], [3], {}, True)))
+            spots.append(((n, "category_id"), ("x", 2.5, [], [3], {}, True, 3.0)))
             if "rle" in line:
                 spots.append(((n, "rle"), self.BAD_RLES))
             else:
@@ -506,6 +523,55 @@ class TestImportBoundary:
             assert (tmp_path / f"fresh-{name}").read_bytes() == (tmp_path / f"here-{name}").read_bytes()
         assert len((tmp_path / "here-jobs.dropped.jsonl").read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("task, target", [("instseg", "semseg"), ("qa", "sid-semseg")])
+    def test_semantic_transforms_run_without_numpy(self, tmp_path, capsys, task, target):
+        # each merged mask is coded from its members' polygons and run-length
+        # codes, so neither NumPy nor the pixel layer is needed; an rle and
+        # two overlapping polygons of one category merge in the fresh run, and
+        # every code equals the one of the decoded masks' union
+        gt = tmp_path / "gt.json"
+        write_json(gt, coco_payload(
+            images=[
+                (1, 16, 12, [(11, 3, rle_obj(rect_mask(16, 12, 2, 2, 9, 9))), (12, 5, [rect_polygon(1, 1, 6, 5)]),
+                             (13, 3, [rect_polygon(6.5, 0, 15, 11.5), [0, 12, 3, 0, 5.5, 12]])]),
+                (2, 16, 12, [(21, 3, [rect_polygon(3, 3, 12, 10), rect_polygon(0, 0, 2, 2)])]),
+            ],
+            categories=[(3, "keyboard"), (5, "lamp")],
+        ))
+        responses = tmp_path / "responses"
+        responses.mkdir()
+        if task == "qa":
+            (responses / "1.txt").write_text("<person>: which?\n<robot>: keys <11; keyboard> <13; keyboard> "
+                                             "and a lamp <12; lamp>")
+            (responses / "2.txt").write_text("<person>: and here?\n<robot>: a keyboard <21; keyboard>")
+        else:
+            (responses / "1.txt").write_text("Q1: What is there?\nA1: instance id is 11, label name is keyboard; "
+                                             "instance id is 13, label name is keyboard; "
+                                             "instance id is 12, label name is lamp")
+            (responses / "2.txt").write_text("Q1: And here?\nA1: instance id is 21, label name is keyboard")
+        records = tmp_path / "records.jsonl"
+        assert main(list(map(str, ["parse", "--responses", responses, "--annotations", gt, "--task", task,
+                                   "--out", records]))) == 0
+        capsys.readouterr()
+
+        def args(how):
+            return ["transform", "--in", records, "--to", target, "--annotations", gt,
+                    "--out", tmp_path / f"{how}.jsonl", "--merged-out", tmp_path / f"{how}-merged.jsonl"]
+
+        assert main([str(a) for a in args("here")]) == 0
+        here = capsys.readouterr()
+        code, fresh, err = _run_fresh(args("fresh"), ["numpy", "segdial.mask"], tmp_path)
+        assert code == 0, err
+        assert (fresh, err) == (here.out, here.err)
+        for name in ("", "-merged"):
+            assert (tmp_path / f"fresh{name}.jsonl").read_bytes() == (tmp_path / f"here{name}.jsonl").read_bytes()
+        merged = [json.loads(line) for line in (tmp_path / "here-merged.jsonl").read_text().splitlines()]
+        assert [m["member_ids"] for m in merged] == [[11, 13], [12], [21]]
+        anns = {a.instance_id: a for img in load_coco(gt).images for a in img.annotations}
+        decoded = [rle_to_obj(rle_encode(m.mask)) for srec in read_records(records)
+                   for m in to_semantic(from_training_record(srec, anns), anns)[1]]
+        assert [m["rle"] for m in merged] == decoded
+
     def test_report_runs_without_numpy(self, tmp_path, capsys):
         report = tmp_path / "inst.json"
         assert main(["evaluate", "--gt", str(write_gt(tmp_path)), "--preds", str(write_perfect_preds(tmp_path)),
@@ -553,9 +619,10 @@ class TestImportBoundary:
     def test_each_subcommand_loads_its_own_modules(self, tmp_path):
         # the segdial modules of every subcommand, pinned: scoring loads no
         # prompt building (`curation`), `match` no AP scoring, `evaluate` no
-        # matcher and `curate` no pixel layer (`mask`); only hashing a parsed response loads hashlib, and the
-        # NumPy-free subcommands define no dataclass, so they load neither
-        # `dataclasses` nor the `inspect` it pulls in
+        # matcher and `curate` and `transform` no pixel layer (`mask`); only
+        # hashing a parsed response loads hashlib, and no subcommand defines a
+        # dataclass, so none loads `dataclasses`, and the NumPy-free ones not
+        # the `inspect` it pulls in either
         import segdial
 
         env = dict(os.environ)
@@ -577,7 +644,7 @@ class TestImportBoundary:
             (["curate", "--input", gt, "--task", "qa", "--out", tmp_path / "jobs.jsonl"],
              ["cli", "clients", "curation", "dataset_io", "geometry", "instances"], []),
             (["transform", "--in", records, "--to", "sid-semseg", "--annotations", gt, "--out", tmp_path / "sem.jsonl"],
-             sorted([*scoring, "parsing", "transforms"]), None),
+             ["cli", "dataset_io", "geometry", "instances", "parsing", "transforms"], []),
             (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
              ["cli", "dataset_io", "parsing", "transforms"], []),
             (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
@@ -596,6 +663,7 @@ class TestImportBoundary:
             status, loaded, markers = json.loads(proc.stdout.splitlines()[-1])
             assert (status, loaded) == (0, modules), args[:3]
             assert ("hashlib" in markers) == (args[0] == "parse"), args[:3]
+            assert "dataclasses" not in markers, args[:3]
             if stdlib is not None:  # the NumPy-free subcommands: exactly these
                 assert markers == stdlib, args[:3]
 

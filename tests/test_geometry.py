@@ -1,9 +1,10 @@
-"""`geometry.footprint` against the masks it stands in for.
+"""`geometry.footprint` and `geometry.union_rle` against the masks they stand in for.
 
-`footprint` counts the area and tight box of a mask from its polygons or
-run-length code in pure Python; `decode_geometries` draws the mask with
-NumPy. The two implement the same coverage rule independently, so every
-case here compares them, and one compares both with the per-pixel oracle.
+`footprint` counts the area and tight box of a mask, and `union_rle` codes
+the union of several masks, from their polygons or run-length codes in pure
+Python; `decode_geometries` draws the masks with NumPy. The two implement
+the same coverage rule independently, so every case here compares them,
+and one of each compares with the per-pixel oracle.
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import rect_polygon
-from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint
+from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint, union_rle
 from segdial.instances import decode_geometries
-from segdial.mask import RasterMask, area, bbox_of, rle_encode
+from segdial.mask import RasterMask, area, bbox_of, mask_union, rle_encode
 
 
 def decoded(geometry, width, height):
@@ -35,16 +36,16 @@ def coordinate(limit):
 
 
 @st.composite
-def polygon_geometries(draw, max_side=14):
-    width, height = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+def polygon_geometries(draw, max_side=14, canvas=None):
+    width, height = canvas or (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
     vertex = st.tuples(coordinate(width), coordinate(height))
     parts = draw(st.lists(st.lists(vertex, max_size=8).map(Polygon), min_size=1, max_size=4))
     return tuple(parts), width, height
 
 
 @st.composite
-def rle_geometries(draw, max_side=14):
-    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+def rle_geometries(draw, max_side=14, canvas=None):
+    shape = canvas[::-1] if canvas else (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
     fill = draw(st.sampled_from(["any", "empty", "full", "sparse"]))
     if fill == "any":
         pixels = draw(hnp.arrays(bool, shape))
@@ -53,6 +54,27 @@ def rle_geometries(draw, max_side=14):
     else:
         pixels = np.full(shape, fill == "full")
     return rle_encode(RasterMask(pixels)), shape[1], shape[0]
+
+
+@st.composite
+def member_lists(draw, max_side=14):
+    """1 to 4 geometries, polygons and rle mixed, on one canvas."""
+    canvas = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    member = st.one_of(polygon_geometries(canvas=canvas), rle_geometries(canvas=canvas))
+    return draw(st.lists(member, min_size=1, max_size=4))
+
+
+def decoded_union(items):
+    return rle_encode(mask_union(decode_geometries(items)))
+
+
+def column_major_counts(pixels):
+    """The run lengths of a (height, width) array read down each column,
+    starting with a clear run, dropping a trailing clear one."""
+    flat = np.concatenate(([False], pixels.ravel(order="F"), [False]))
+    bounds = np.flatnonzero(flat[1:] != flat[:-1])
+    counts = np.diff(np.concatenate(([0], bounds, [pixels.size]))).tolist()
+    return tuple(counts[:-1] if len(counts) > 1 and counts[-1] == 0 else counts)
 
 
 class TestFootprint:
@@ -131,3 +153,52 @@ class TestFootprint:
             geometry = (Polygon(vertices),)
             with np.errstate(all="raise"):
                 assert decoded(geometry, 4, 9) == footprint(geometry, 4, 9)
+
+
+class TestUnionRle:
+    @settings(max_examples=400, deadline=None)
+    @given(member_lists())
+    def test_agrees_with_the_decoded_union(self, items):
+        assert union_rle(items) == decoded_union(items)
+
+    @pytest.mark.parametrize(
+        "members, width, height, counts",
+        [
+            ([[[1, 1, 4, 1, 4, 1]], (12,)], 4, 3, (12,)),  # an empty union
+            ([[rect_polygon(0, 0, 4, 3)]], 4, 3, (0, 12)),  # the full canvas
+            ([(4, 2, 6), [rect_polygon(2, 0, 3, 2)]], 4, 3, (4, 4, 4)),  # a run wraps into the next column
+            ([(0, 2, 1, 2, 7)], 4, 3, (0, 2, 1, 2, 7)),  # an rle alone is its own code
+            ([[rect_polygon(2.5, 1, 9, 7)], [rect_polygon(0, 2, 1, 7)]], 4, 3, (2, 1, 4, 2, 1, 2)),  # clipped
+            ([[[0, 0, 4, 3]], [[0, 0, 4, 0, 4, 3, 0, 3]]], 4, 3, (0, 12)),  # fewer than 3 vertices add nothing
+            ([(1, 2, 9), (3, 2, 7), (6, 3, 3)], 4, 3, (1, 4, 1, 3, 3)),  # rle runs touch and overlap
+        ],
+    )
+    def test_named_unions(self, members, width, height, counts):
+        items = [
+            (Rle(width, height, m) if isinstance(m, tuple) else tuple(Polygon.from_flat(p) for p in m), width, height)
+            for m in members
+        ]
+        assert union_rle(items) == Rle(width, height, counts) == decoded_union(items)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_geometries(max_side=10), st.data())
+    def test_polygons_agree_with_the_pixel_center_oracle(self, case, data):
+        geometry, width, height = case
+        split = data.draw(st.integers(0, len(geometry)))  # the parts, as one member or two
+        items = [(g, width, height) for g in (geometry[:split], geometry[split:]) if g]
+        pixels = np.zeros((height, width), dtype=bool)
+        for poly in geometry:
+            pixels |= oracles.rasterize_reference(poly.vertices, width, height)
+        assert union_rle(items) == Rle(width, height, column_major_counts(pixels))
+
+    def test_refuses_what_the_decoded_union_refuses(self):
+        triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
+        cases = [[], [(triangle, 0, 4)], [((), 4, 4)], [(Rle(4, 3, (12,)), 4, 3), (triangle, 3, 4)],
+                 [(triangle, 4, 3), (Rle(3, 4, (12,)), 4, 3)]]
+        for items in cases:
+            with pytest.raises(ValueError):
+                decoded_union(items)
+            with pytest.raises(ValueError):
+                union_rle(items)
+        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+            union_rle(cases[-1])
