@@ -1,5 +1,8 @@
 """Micro-benchmarks of the scoring layers: the pairwise overlap matrix and
-`evaluate_ap`, on the shapes the benchmark workloads give them.
+`evaluate_ap`, on the shapes the benchmark workloads give them, and the
+whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
+0), counted from run-length codes (what the CLI runs) next to the decode
+path it replaces.
 
     pytest perf --benchmark-only
 
@@ -8,14 +11,22 @@ not time them.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segdial.curation import ImageRecord, InstanceAnnotation
-from segdial.mask import Polygon, RasterMask, area, bbox_of, rasterize
+from segdial.dataset_io import load_coco_geometries, read_prediction_geometries
+from segdial.geometry import Rle, union_rle
+from segdial.instances import decode_geometries
+from segdial.mask import Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize
 from segdial.matching import build_cost_matrix
-from segdial.metrics import PredictionInstance, evaluate_ap
+from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def _star(rng, width, height, r):
@@ -80,3 +91,45 @@ def test_evaluate_ap(benchmark, name):
     preds, images = DATASETS[name]
     report = benchmark(evaluate_ap, preds, images)
     assert 0.0 <= report.mAP <= 1.0
+
+
+@pytest.fixture(scope="module")
+def semantic_inputs(tmp_path_factory):
+    """(images, ground-truth geometries by annotation id, prediction rows) of
+    the eval_coco workload, read without decoding."""
+    files = workloads.generate("eval_coco", 0, tmp_path_factory.mktemp("eval_coco")).files
+    dataset, geometries = load_coco_geometries(files["gt"])
+    return dataset.images, geometries, read_prediction_geometries(files["sem_preds"])
+
+
+def _semseg_from_codes(images, geometries, rows):
+    preds = {i: g if isinstance(g, Rle) else union_rle([(g, w, h)]) for i, _, _, g, w, h in rows}
+    gts = {
+        img.image_id: union_rle([geometries[a.instance_id] for a in img.annotations])
+        if img.annotations else Rle(img.width, img.height, [img.width * img.height])
+        for img in images
+    }
+    score = evaluate_semseg(preds, gts)
+    return score.gIoU, score.cIoU
+
+
+def _semseg_through_pixels(images, geometries, rows):
+    preds = dict(zip([r[0] for r in rows], decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])))
+    per_image, inter_total, union_total = [], 0, 0
+    for img in images:
+        gt = (mask_union(decode_geometries([geometries[a.instance_id] for a in img.annotations]))
+              if img.annotations else RasterMask.zeros(img.width, img.height))
+        inter, union = overlap(preds[img.image_id], gt)
+        per_image.append(inter / union if union else 0.0)
+        inter_total += inter
+        union_total += union
+    return math.fsum(per_image) / len(per_image), inter_total / union_total if union_total else 0.0
+
+
+def test_semseg_from_codes(benchmark, semantic_inputs):
+    scores = benchmark(_semseg_from_codes, *semantic_inputs)
+    assert scores == _semseg_through_pixels(*semantic_inputs)
+
+
+def test_semseg_through_pixels(benchmark, semantic_inputs):
+    assert benchmark(_semseg_through_pixels, *semantic_inputs)

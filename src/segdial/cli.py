@@ -19,8 +19,8 @@ if TYPE_CHECKING:
     from segdial import metrics
 
 # Each command imports the modules it runs, so `import segdial.cli` loads no
-# NumPy, `curate`, `parse`, `transform`, `split` and `report` never do, and
-# no command loads a module it does not use.
+# NumPy, `curate`, `parse`, `transform`, `split`, `report` and `evaluate
+# --mode sem` never do, and no command loads a module it does not use.
 
 ENV_PREFIX = "SEGDIAL_"
 MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
@@ -378,34 +378,44 @@ def _render_report(obj: dict) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    from segdial import dataset_io, mask, metrics
+    from segdial import dataset_io
 
-    dataset = dataset_io.load_coco(args.gt)
-    for w in dataset.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    preds = dataset_io.read_predictions(args.preds)
     if args.mode == "inst":
+        from segdial import metrics
+
+        dataset = dataset_io.load_coco(args.gt)
+        for w in dataset.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        preds = dataset_io.read_predictions(args.preds)
         report = metrics.evaluate_ap(
             preds, dataset.images, categories=set(dataset.categories)
         )
         obj = _inst_metrics_obj(report)
     else:
-        by_image: dict[int, mask.RasterMask] = {}
-        for n, p in enumerate(preds):
-            if p.image_id in by_image:
-                raise metrics.EvalValidationError(
-                    [f"prediction {n}: duplicate whole-image mask for image {p.image_id}"]
-                )
-            by_image[p.image_id] = p.mask
+        from segdial.geometry import Rle, union_rle
+        from segdial.instances import EvalValidationError
+        from segdial.semseg import evaluate_semseg
+
+        # every mask is scored as a run-length code, so no pixel is drawn
+        dataset, geometries = dataset_io.load_coco_geometries(args.gt)
+        for w in dataset.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        by_image: dict[int, Rle] = {}
+        for n, (image_id, _, _, geometry, width, height) in enumerate(
+            dataset_io.read_prediction_geometries(args.preds)
+        ):
+            if image_id in by_image:
+                raise EvalValidationError([f"prediction {n}: duplicate whole-image mask for image {image_id}"])
+            by_image[image_id] = geometry if isinstance(geometry, Rle) else union_rle([(geometry, width, height)])
         gts = {
             img.image_id: (
-                mask.mask_union([a.mask for a in img.annotations])
+                union_rle([geometries[a.instance_id] for a in img.annotations])
                 if img.annotations
-                else mask.RasterMask.zeros(img.width, img.height)
+                else Rle(img.width, img.height, [img.width * img.height])
             )
             for img in dataset.images
         }
-        score = metrics.evaluate_semseg(by_image, gts)
+        score = evaluate_semseg(by_image, gts)
         obj = {
             "schema_version": dataset_io.SCHEMA_VERSION,
             "mode": "sem",

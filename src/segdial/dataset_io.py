@@ -4,9 +4,10 @@ All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
 with "\n" endings, so identical inputs produce byte-identical files. The
 geometry modules and the record types load inside the functions that use
 them: checking a COCO file or reading its labels loads only the NumPy-free
-`segdial.geometry`, reading its areas, boxes and geometry adds only
-`segdial.instances`, reading records never loads NumPy, checking record
-lines loads no other module, and reading masks never loads the parser.
+`segdial.geometry`, reading its areas, boxes and geometry, or the geometry
+of predictions, adds only `segdial.instances`, reading records never loads
+NumPy, checking record lines loads no other module, and reading masks never
+loads the parser.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "load_coco_footprints",
     "load_coco_geometries",
     "load_coco_labels",
+    "read_prediction_geometries",
     "read_predictions",
     "read_record_lines",
     "read_records",
@@ -67,12 +69,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_integers(values, what: str) -> None:
+    """Raise ValueError unless every decoded JSON value of `values` is an
+    integer or a float without a fractional part: `Rle` would take a string,
+    a boolean or 1.7 for the integer it converts to."""
+    if not set(map(type, values)) <= {int}:
+        for v in values:
+            if not (_is_int(v) or (isinstance(v, float) and v.is_integer())):
+                raise ValueError(f"{what} must be integers, got {v!r}")
+
+
 def _coerce_geometry(seg) -> Geometry:
     """COCO segmentation field: list of flat polygons, or {size, counts} rle.
-    Any other value raises ValueError saying what is wrong with it. So do a
-    JSON boolean among the coordinates or counts and a count with a
-    fractional part, which `Polygon` and `Rle` would take for 1, 0 or the
-    count truncated."""
+    Any other value raises ValueError saying what is wrong with it. So does a
+    number given as anything but a JSON number, a boolean among them, and an
+    rle size or count with a fractional part, which `Polygon` and `Rle`
+    would convert."""
     from segdial.geometry import Polygon, Rle
 
     try:
@@ -80,15 +92,15 @@ def _coerce_geometry(seg) -> Geometry:
             size = seg.get("size")
             counts = seg.get("counts")
             if isinstance(size, (list, tuple)) and len(size) == 2 and isinstance(counts, (list, tuple)):
-                if not set(map(type, counts)) <= {int}:
-                    for c in counts:
-                        if isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()):
-                            raise ValueError(f"rle counts must be integers, got {c!r}")
+                _check_integers(size, "rle size entries")
+                _check_integers(counts, "rle counts")
                 return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
             raise ValueError("malformed rle segmentation")
         if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
-            if any(bool in set(map(type, p)) for p in seg):
-                raise ValueError("polygon vertices must be numbers, not booleans")
+            for p in seg:
+                if not set(map(type, p)) <= {int, float}:
+                    bad = next(v for v in p if type(v) not in (int, float))
+                    raise ValueError(f"polygon vertices must be numbers, got {bad!r}")
             return tuple(Polygon.from_flat(p) for p in seg)
     except (TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
@@ -246,15 +258,18 @@ def load_coco_footprints(path: str | Path) -> CocoDataset:
 def load_coco_geometries(path: str | Path) -> tuple[CocoDataset, dict[int, tuple[Geometry, int, int]]]:
     """`load_coco_footprints` of the file and, by annotation id, the
     (geometry, image width, image height) each annotation was counted from,
-    from one read of the file."""
-    from segdial.geometry import footprint
+    from one read of the file. The polygons keep the row runs `footprint`
+    counted, so `geometry.union_rle` of them does not count them again."""
+    from segdial.geometry import Rle, _Counted, footprint
     from segdial.instances import InstanceAnnotation
 
     categories, image_meta, annotations = _read_coco(path)
-    geometries = {
-        ann["id"]: (geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
-        for ann, geometry in annotations
-    }
+    geometries = {}
+    for ann, geometry in annotations:
+        width, height = image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"]
+        if not isinstance(geometry, Rle):
+            geometry = _Counted(geometry, width, height)
+        geometries[ann["id"]] = (geometry, width, height)
     built = [
         InstanceAnnotation.from_footprint(
             ann["id"], ann["category_id"], categories[ann["category_id"]], *footprint(*geometries[ann["id"]])
@@ -437,9 +452,11 @@ def read_record_lines(path: str | Path) -> list[str]:
 
 
 def _prediction_fields(obj, where: str) -> tuple:
-    """(image id, category id, score, geometry, width, height) of one
-    prediction object; the canvas is None for an rle, which carries its own."""
+    """(image id, category id, score as a float, geometry, width, height) of
+    one prediction object, or RecordError at `where`; the canvas is None for
+    an rle, which carries its own."""
     from segdial.geometry import Rle, check_canvas
+    from segdial.instances import check_score
 
     if not isinstance(obj, dict):
         raise RecordError(f"{where}: prediction must be a JSON object")
@@ -470,9 +487,19 @@ def _prediction_fields(obj, where: str) -> tuple:
             if isinstance(geometry, Rle):
                 raise ValueError("expected polygons")
             check_canvas(width, height)
-    except ValueError as exc:
+        score = check_score(float(score))
+    except (ValueError, OverflowError) as exc:
         raise RecordError(f"{where}: {exc}") from exc
     return image_id, category_id, score, geometry, width, height
+
+
+def read_prediction_geometries(path: str | Path) -> list[tuple]:
+    """(image id, category id, score, geometry, width, height) of each
+    prediction line, in file order, after every check `read_predictions`
+    makes; the score is a float, and the canvas is None for an rle, which
+    carries its own. Nothing is decoded and NumPy stays unloaded. The error
+    raised is that of the first bad line, with its position."""
+    return [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
 
 
 def read_predictions(path: str | Path) -> list[PredictionInstance]:
@@ -481,28 +508,17 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
     [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
     category_id is optional (instance evaluation requires it, whole-image
-    evaluation ignores it). The lines are read and checked first and every
-    rle is decoded in one pass; the error raised is that of the first bad
-    line, with its position.
+    evaluation ignores it). The lines are read and checked by
+    `read_prediction_geometries`, then every rle is decoded in one pass.
     """
     from segdial.instances import PredictionInstance, decode_geometries
 
-    rows, bad = [], None
-    try:
-        for where, _, obj in _read_jsonl(path):
-            rows.append((where, _prediction_fields(obj, where)))
-    except RecordError as exc:  # raised once the lines before it are known to be good
-        bad = exc
-    masks = decode_geometries([(g, w, h) for _, (_, _, _, g, w, h) in rows])
-    preds = []
-    for (where, (image_id, category_id, score, _, _, _)), mask in zip(rows, masks):
-        try:
-            preds.append(PredictionInstance(image_id, mask, float(score), category_id))
-        except (ValueError, OverflowError) as exc:
-            raise RecordError(f"{where}: {exc}") from exc
-    if bad is not None:
-        raise bad
-    return preds
+    rows = read_prediction_geometries(path)
+    masks = decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])
+    return [
+        PredictionInstance(image_id, mask, score, category_id)
+        for (image_id, category_id, score, _, _, _), mask in zip(rows, masks)
+    ]
 
 
 def rle_to_obj(rle: Rle) -> dict:

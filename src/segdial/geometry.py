@@ -4,8 +4,9 @@ Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
 for pixels. `segdial.mask` turns these values into masks; `footprint` gives
-the area and box of such a mask, and `union_rle` the run-length code of a
-union of such masks, from the geometry alone.
+the area and box of such a mask, `union_rle` the run-length code of a union
+of such masks, and `rle_overlap` the pixels two coded masks share, from the
+geometry alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import operator
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
-__all__ = ["BBox", "Geometry", "Polygon", "Rle", "check_canvas", "check_fit", "footprint", "union_rle"]
+__all__ = [
+    "BBox", "Geometry", "Polygon", "Rle", "check_canvas", "check_fit", "footprint", "rle_overlap", "union_rle",
+]
 
 
 # A checked record type is a NamedTuple of its fields plus a subclass whose
@@ -153,7 +156,7 @@ def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optiona
     check_canvas(width, height)
     if not geometry:
         raise ValueError("geometry needs at least one polygon")
-    rows = _row_union(geometry, width, height)
+    rows = _rows(geometry, width, height)
     if not rows:
         return 0, None
     area = sum(stop - start for _, start, stop in rows)
@@ -174,25 +177,26 @@ def union_rle(items: Sequence[tuple[Geometry, int, int]]) -> Rle:
     """
     if not items:
         raise ValueError("union_rle needs at least one geometry")
-    polygons: list[Polygon] = []
+    rows: list[tuple[int, int, int]] = []
     runs: list[tuple[int, int]] = []  # [start, stop) in the column-major order
     canvases = []
     for geometry, width, height in items:
         if isinstance(geometry, Rle):
-            ends = list(accumulate(geometry.counts))
-            runs += zip(ends[0::2], ends[1::2])
+            runs += _set_runs(geometry)
             width, height = geometry.width, geometry.height
         else:
             check_canvas(width, height)
             if not geometry:
                 raise ValueError("geometry needs at least one polygon")
-            polygons += geometry
+            rows += _rows(geometry, width, height)
         canvases.append((width, height))
     width, height = canvases[0]
     for w, h in canvases:
         if (w, h) != (width, height):
             raise ValueError(f"mask canvases differ: {width}x{height} vs {w}x{h}")
-    runs += _column_runs(_row_union(polygons, width, height), height)
+    # each member's rows are united already; the union of those is the row
+    # union of all their polygons
+    runs += _column_runs(_merged_rows(rows), height)
     runs.sort()
     # a run that touches or overlaps the last one extends it
     total, counts, end = width * height, [], -1
@@ -208,11 +212,58 @@ def union_rle(items: Sequence[tuple[Geometry, int, int]]) -> Rle:
     return Rle(width, height, counts)
 
 
+def rle_overlap(a: Rle, b: Rle) -> tuple[int, int]:
+    """(intersection, union) pixel counts of two codes on one canvas, counted
+    from their runs in the manner of cocoapi's `rleIou`: `mask.overlap` of
+    the decoded masks, without drawing a pixel."""
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(f"mask canvases differ: {a.width}x{a.height} vs {b.width}x{b.height}")
+    # taken from the left, the part of each run past the ones before it is new to the union
+    union, end = 0, 0
+    for start, stop in sorted(_set_runs(a) + _set_runs(b)):
+        if stop > end:
+            union += stop - max(start, end)
+            end = stop
+    return sum(a.counts[1::2]) + sum(b.counts[1::2]) - union, union
+
+
+def _set_runs(rle: Rle) -> list[tuple[int, int]]:
+    """[start, stop) of each set run of `rle`, in the column-major order."""
+    ends = list(accumulate(rle.counts))
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+class _Counted(tuple):
+    """Polygons that keep their `_row_union` on the canvas it was counted on,
+    so `footprint` and `union_rle` count an annotation's rows once; to every
+    other reader, the tuple of its polygons."""
+
+    def __new__(cls, polygons: Sequence[Polygon], width: int, height: int):
+        counted = super().__new__(cls, polygons)
+        counted.rows = ((width, height), _row_union(counted, width, height))
+        return counted
+
+
+def _rows(polygons: Sequence[Polygon], width: int, height: int) -> list[tuple[int, int, int]]:
+    """`_row_union` of `polygons` on width x height, kept from when they
+    were `_Counted` there."""
+    kept = getattr(polygons, "rows", None)
+    if kept is not None and kept[0] == (width, height):
+        return kept[1]
+    return _row_union(polygons, width, height)
+
+
 def _row_union(polygons: Sequence[Polygon], width: int, height: int) -> list[tuple[int, int, int]]:
     """(y, start, stop) of each maximal run [start, stop) of pixels of row y
     that any of `polygons` holds, by row and then from the left."""
+    return _merged_rows([s for poly in polygons for s in _spans(poly, width, height)])
+
+
+def _merged_rows(spans: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The maximal runs, by row and then from the left, of the pixels that
+    the (y, start, stop) runs `spans` hold; empty runs hold none."""
     out: list[tuple[int, int, int]] = []
-    for y, start, stop in sorted(s for poly in polygons for s in _spans(poly, width, height) if s[1] < s[2]):
+    for y, start, stop in sorted(s for s in spans if s[1] < s[2]):
         if out and out[-1][0] == y and start <= out[-1][2]:  # touches or overlaps the last run
             if stop > out[-1][2]:
                 out[-1] = (y, out[-1][1], stop)

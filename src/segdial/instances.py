@@ -24,6 +24,7 @@ __all__ = [
     "ImageRecord",
     "InstanceAnnotation",
     "PredictionInstance",
+    "check_score",
     "decode_geometries",
 ]
 
@@ -167,6 +168,12 @@ class PredictionInstance(_PredictionInstanceFields):
 
     def __new__(cls, *args, **kwargs):
         pred = super().__new__(cls, *args, **kwargs)
-        if not (0.0 <= pred.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {pred.score}")
+        check_score(pred.score)
         return pred
+
+
+def check_score(score: float) -> float:
+    """`score`, or ValueError unless it lies in [0, 1]."""
+    if not (0.0 <= score <= 1.0):
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    return score

@@ -1,4 +1,5 @@
-"""Mask evaluation: COCO-protocol average precision, gIoU, and cIoU.
+"""Mask evaluation: COCO-protocol average precision, and gIoU and cIoU,
+which `segdial.semseg` scores from run-length codes.
 
 The AP protocol: IoU thresholds 0.50:0.05:0.95, greedy score-ordered
 matching (ties broken by input order) where each detection takes the
@@ -12,14 +13,14 @@ from the precision/recall tallies instead of counting as a false positive.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from segdial.instances import EvalValidationError, ImageRecord, PredictionInstance
-from segdial.mask import RasterMask, area, overlap, overlaps
+from segdial.mask import RasterMask, area, overlaps
 from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it here)
+from segdial.semseg import SemSegScore, evaluate_semseg
 
 __all__ = [
     "ApBlock",
@@ -95,18 +96,6 @@ class ApReport(NamedTuple):
     AP_medium: float
     AP_large: float
     per_category: Mapping[int, ApBlock]
-
-
-class SemSegScore(NamedTuple):
-    """Whole-image segmentation quality.
-
-    gIoU averages per-image IoUs so every image weighs the same; cIoU pools
-    intersections over pooled unions so pixels weigh the same.
-    """
-
-    gIoU: float
-    cIoU: float
-    warnings: tuple[str, ...] = ()
 
 
 class _Det(NamedTuple):
@@ -305,45 +294,3 @@ def evaluate_ap(
         )
 
     return ApReport(**block(cats), per_category={cat: ApBlock(**block([cat])) for cat in cats})
-
-
-def evaluate_semseg(
-    preds: Mapping[int, RasterMask],
-    gts: Mapping[int, RasterMask],
-) -> SemSegScore:
-    """Score one whole-image binary mask per image.
-
-    Every ground-truth image counts: an image without a prediction scores
-    IoU 0 and is reported in warnings. Predictions for unknown images are
-    rejected.
-    """
-    if not gts:
-        raise EvalValidationError(["no ground-truth images to evaluate"])
-    unknown = [f"prediction for unknown image_id {i}" for i in preds if i not in gts]
-    if unknown:
-        raise EvalValidationError(unknown)
-    warnings = []
-    per_image = []
-    inter_total = 0
-    union_total = 0
-    for image_id, gt in gts.items():
-        pred = preds.get(image_id)
-        if pred is None:
-            warnings.append(f"image {image_id}: no prediction, scored as IoU 0")
-            per_image.append(0.0)
-            union_total += area(gt)
-            continue
-        if (pred.width, pred.height) != (gt.width, gt.height):
-            raise EvalValidationError(
-                [
-                    f"image {image_id}: prediction is {pred.width}x{pred.height}, "
-                    f"ground truth is {gt.width}x{gt.height}"
-                ]
-            )
-        inter, union = overlap(pred, gt)
-        per_image.append(inter / union if union else 0.0)
-        inter_total += inter
-        union_total += union
-    giou = math.fsum(per_image) / len(per_image)
-    ciou = inter_total / union_total if union_total else 0.0
-    return SemSegScore(gIoU=giou, cIoU=ciou, warnings=tuple(warnings))

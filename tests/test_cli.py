@@ -5,11 +5,16 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
 from segdial.cli import main
-from segdial.dataset_io import load_coco, read_records, rle_to_obj, write_predictions, write_records
+from segdial.dataset_io import (
+    load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_predictions,
+    write_records,
+)
+from segdial.geometry import union_rle
 from segdial.mask import mask_union, rle_encode
 from segdial.metrics import PredictionInstance
 from segdial.parsing import from_training_record, parse_sid_response, to_training_record
@@ -47,6 +52,18 @@ def write_perfect_preds(tmp_path, name="preds.jsonl"):
     ]
     path = tmp_path / name
     write_predictions(preds, path)
+    return path
+
+
+def write_sem_preds(tmp_path, name="sem_preds.jsonl"):
+    path = tmp_path / name
+    write_predictions(
+        [
+            PredictionInstance(image_id=1, mask=mask_union([M_KEY1, M_KEY2]), score=1.0),
+            PredictionInstance(image_id=2, mask=M_LAMP, score=1.0),
+        ],
+        path,
+    )
     return path
 
 
@@ -236,9 +253,15 @@ class TestMalformedGroundTruth:
         {"size": [12], "counts": [192]}, {"size": ["x", 16], "counts": [192]}, {"size": [16, 12], "counts": [192]},
         {"size": [12, 16], "counts": "abc"}, {"size": [12, 16], "counts": [193]},
         {"size": [12, 16], "counts": [None]}, {"size": [12, 16], "counts": [math.inf]},
+        # numbers that are not JSON numbers, and fractional sizes; each but the
+        # boolean converts to a valid value
+        {"size": ["12", 16], "counts": [192]}, {"size": [12.4, 16], "counts": [192]},
+        {"size": [12, True], "counts": [12]}, {"size": [12, 16], "counts": ["2", 3, 187]},
+        [["1", "1", "6", "1", "6", "5"]],
         {"size": [12, 16], "counts": [1.7, 191]}, {"size": [12, 16], "counts": [True, 191]},
         [[True, 1, 6, 1, 6, 5]], [[1, 1, 6, 1, 6, 5, 1, False]],
     )
+    STRINGS_AND_SIZES = BAD_SEGMENTATIONS[-9:-4]
     ID_VALUES = NOT_INTS + (99, 1.0, 3.0)  # 1.0 and 3.0 equal the ids of image 1 and category 3
 
     @staticmethod
@@ -338,6 +361,17 @@ class TestMalformedGroundTruth:
             (tmp_path / str(n)).mkdir()
             self.assert_refused(tmp_path / str(n), capsys, some, message)
 
+    def test_strings_and_fractional_sizes_in_geometry_are_refused(self, tmp_path, capsys):
+        # "12" would be read as 12, 12.4 as 12 and "1" as 1.0
+        cases = [(("annotations", n, "segmentation"), value) for n in (0, 1) for value in self.STRINGS_AND_SIZES]
+        runs = [(cases, ""), (cases[:1], "annotation 11: rle size entries must be integers, got '12'"),
+                (cases[1:2], "annotation 11: rle size entries must be integers, got 12.4"),
+                (cases[3:4], "annotation 11: rle counts must be integers, got '2'"),
+                (cases[-1:], "annotation 12: polygon vertices must be numbers, got '1'")]
+        for n, (some, message) in enumerate(runs):
+            (tmp_path / str(n)).mkdir()
+            self.assert_refused(tmp_path / str(n), capsys, some, message)
+
     def test_a_vertex_past_the_bound_is_refused(self, tmp_path, capsys):
         # its row crossings would overflow when the polygon is drawn or counted
         cases = [(("annotations", 1, "segmentation"), [[0, 0, 1.5e308, 8, 0, 9]])]
@@ -388,11 +422,11 @@ class TestMalformedPredictions:
         {"size": [12, 16], "counts": [math.inf]}, {"size": [12, 16], "counts": [-1, 193]},
         {"size": [12, 16], "counts": [0, 0, 192]}, {"size": [12, 16], "counts": [10 ** 400]},
         {"size": [16, 12], "counts": [192]}, [[1, 1, 9, 1, 9, 7]], {"size": [12, 16], "counts": [1.7, 191]},
-        {"size": [12, 16], "counts": [True, 191]},
+        {"size": [12, 16], "counts": [True, 191]}, *TestMalformedGroundTruth.STRINGS_AND_SIZES[:4],
     )
     BAD_POLYGONS = TestMalformedGroundTruth.BAD_SEGMENTATIONS[:11] + (
         {"size": [12, 16], "counts": [192]}, [[0, 0, 1.5e308, 8, 0, 9]], [[True, 1, 6, 1, 6, 5]],
-        [[1, 1, 6, 1, 6, 5, 1, False]],
+        [[1, 1, 6, 1, 6, 5, 1, False]], TestMalformedGroundTruth.STRINGS_AND_SIZES[4],
     )
 
     @staticmethod
@@ -428,6 +462,50 @@ class TestMalformedPredictions:
         preds.write_text(json.dumps(line) + "\n", encoding="utf-8")
         assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst"]) == 1
         assert capsys.readouterr().err == f"validation error: {preds}: line 1: rle counts sum to 3, expected 192\n"
+
+    def test_strings_in_geometry_name_the_line(self, tmp_path, capsys):
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, TestMalformedGroundTruth.payload())
+        lines = self.lines()
+        lines[0]["rle"] = {"size": [12, 16], "counts": ["2", 3, 187]}
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        message = f"validation error: {preds}: line 1: rle counts must be integers, got '2'\n"
+        for mode in ("inst", "sem"):
+            assert main(["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", mode]) == 1
+            assert capsys.readouterr().err == message
+
+    def test_the_geometry_reader_refuses_what_read_predictions_refuses(self, tmp_path):
+        # `read_prediction_geometries` is the reader that `evaluate --mode sem`
+        # scores from without decoding: each mutation fails it with the
+        # exception `read_predictions` raises, message and line included, and
+        # one that only the scorers refuse (an unknown image) fails neither
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(line) + "\n" for line in self.lines()), encoding="utf-8")
+        rows = read_prediction_geometries(preds)
+        decoded = read_predictions(preds)
+        assert [r[:3] for r in rows] == [(p.image_id, p.category_id, p.score) for p in decoded] == [
+            (1, 3, 0.9), (2, 3, 0.8)]
+        assert [rle_encode(p.mask) for p in decoded] == [rows[0][3], union_rle([rows[1][3:]])]
+        refused = 0
+        for path, value in self.mutations():
+            lines = self.lines()
+            if len(path) == 1:
+                lines[path[0]] = value
+            elif value is self.DELETED:
+                del lines[path[0]][path[1]]
+            else:
+                lines[path[0]][path[1]] = value
+            preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+            outcomes = []
+            for read in (read_predictions, read_prediction_geometries):
+                try:
+                    outcomes.append(len(read(preds)))
+                except ValueError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (path, value)
+            assert outcomes[0] == 2 or f"{preds}: line " in outcomes[0][1], (path, value)
+            refused += outcomes[0] != 2
+        assert refused > 0.9 * len(self.mutations())
 
     def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
@@ -619,7 +697,8 @@ class TestImportBoundary:
     def test_each_subcommand_loads_its_own_modules(self, tmp_path):
         # the segdial modules of every subcommand, pinned: scoring loads no
         # prompt building (`curation`), `match` no AP scoring, `evaluate` no
-        # matcher and `curate` and `transform` no pixel layer (`mask`); only
+        # matcher and `curate`, `transform` and `evaluate --mode sem` no pixel
+        # layer (`mask`); only
         # hashing a parsed response loads hashlib, and no subcommand defines a
         # dataclass, so none loads `dataclasses`, and the NumPy-free ones not
         # the `inspect` it pulls in either
@@ -636,7 +715,7 @@ class TestImportBoundary:
             " sorted({'dataclasses', 'hashlib', 'inspect'} & set(sys.modules))]))"
         )
         gt, responses, preds = write_gt(tmp_path), write_qa_responses(tmp_path), write_perfect_preds(tmp_path)
-        records, report = tmp_path / "records.jsonl", tmp_path / "inst.json"
+        records, report, sem_preds = tmp_path / "records.jsonl", tmp_path / "inst.json", write_sem_preds(tmp_path)
         scoring = ["cli", "dataset_io", "geometry", "instances", "mask"]
         runs = [
             (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
@@ -652,7 +731,9 @@ class TestImportBoundary:
             (["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
              sorted([*scoring, "matching"]), None),
             (["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", report],
-             sorted([*scoring, "metrics"]), None),
+             sorted([*scoring, "metrics", "semseg"]), None),
+            (["evaluate", "--gt", gt, "--preds", sem_preds, "--mode", "sem", "--out", tmp_path / "sem.json"],
+             ["cli", "dataset_io", "geometry", "instances", "semseg"], []),
             (["report", "--in", report], ["cli"], []),
         ]
         for args, modules, stdlib in runs:
@@ -667,16 +748,57 @@ class TestImportBoundary:
             if stdlib is not None:  # the NumPy-free subcommands: exactly these
                 assert markers == stdlib, args[:3]
 
-    def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
-        gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)
-        sem_preds = tmp_path / "sem_preds.jsonl"
-        write_predictions(
-            [
-                PredictionInstance(image_id=1, mask=mask_union([M_KEY1, M_KEY2]), score=1.0),
-                PredictionInstance(image_id=2, mask=M_LAMP, score=1.0),
+    def test_semantic_scoring_runs_without_numpy(self, tmp_path, capsys):
+        # every mask is scored as a run-length code: polygons and rle on both
+        # sides, an image without annotations, one without a prediction and a
+        # stored-area warning all go through a fresh run that can load
+        # neither NumPy nor the pixel layer nor AP scoring
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        payload = coco_payload(
+            images=[
+                (1, 16, 12, [(11, 3, rle_obj(rect_mask(16, 12, 2, 2, 9, 9))), (12, 5, [rect_polygon(1, 1, 6, 5)])]),
+                (2, 16, 12, [(21, 3, [rect_polygon(3, 3, 12, 10), rect_polygon(0, 0, 2, 2)])]),
+                (3, 16, 12, []),
+                (4, 16, 12, [(41, 5, [[0, 12, 3, 0, 5.5, 12]])]),
             ],
-            sem_preds,
+            categories=[(3, "keyboard"), (5, "lamp")],
         )
+        payload["annotations"][0]["area"] = 7
+        write_json(gt, payload)
+        lines = [
+            {"image_id": 1, "rle": rle_obj(rect_mask(16, 12, 0, 3, 7, 12))},
+            {"image_id": 3, "score": 0.5, "rle": rle_obj(rect_mask(16, 12, 15, 11, 16, 12))},
+            {"image_id": 2, "polygon": [rect_polygon(6.5, 0, 15, 11.5), rect_polygon(0, 0, 3, 3)],
+             "width": 16, "height": 12},
+        ]
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+        def args(how):
+            return ["evaluate", "--gt", gt, "--preds", preds, "--mode", "sem", "--out", tmp_path / f"{how}.json"]
+
+        assert main([str(a) for a in args("here")]) == 0
+        here = capsys.readouterr()
+        code, fresh, err = _run_fresh(args("fresh"), ["numpy", "segdial.mask", "segdial.metrics"], tmp_path)
+        assert code == 0, err
+        assert (fresh, err) == (here.out, here.err)
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+        assert err == ("warning: annotation 11: stored area 7 vs computed 49\n"
+                       "warning: image 4: no prediction, scored as IoU 0\n")
+        # the scores of NumPy pixel counts of the decoded masks
+        truth = {img.image_id: mask_union([a.mask for a in img.annotations]).pixels if img.annotations else None
+                 for img in load_coco(gt).images}
+        counts = []
+        for image_id, pixels in truth.items():
+            pixels = np.zeros((12, 16), bool) if pixels is None else pixels
+            pred = next((p.mask.pixels for p in read_predictions(preds) if p.image_id == image_id), pixels & False)
+            counts.append((int((pred & pixels).sum()), int((pred | pixels).sum())))
+        sem = json.loads((tmp_path / "here.json").read_text())["metrics"]
+        assert sem["gIoU"] == math.fsum(i / u if u else 0.0 for i, u in counts) / 4
+        assert sem["cIoU"] == sum(i for i, _ in counts) / sum(u for _, u in counts)
+        assert 0 < sem["gIoU"] < sem["cIoU"] < 1
+
+    def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
+        gt, preds, sem_preds = write_gt(tmp_path), write_perfect_preds(tmp_path), write_sem_preds(tmp_path)
         refused = ["segdial.parsing", "segdial.clients", "segdial.transforms", "scipy"]
         runs = {
             "assign.jsonl": ["match", "--preds", preds, "--gt", gt, "--w-dice", "0.5", "--out"],

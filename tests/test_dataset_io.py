@@ -15,6 +15,7 @@ from segdial.dataset_io import (
     RecordError,
     load_coco,
     load_coco_footprints,
+    load_coco_geometries,
     load_coco_labels,
     read_predictions,
     read_record_lines,
@@ -22,7 +23,8 @@ from segdial.dataset_io import (
     write_predictions,
     write_records,
 )
-from segdial.mask import RasterMask
+from segdial.geometry import BBox, footprint, union_rle
+from segdial.mask import RasterMask, mask_union, rle_encode
 from segdial.metrics import PredictionInstance
 from segdial.parsing import (
     Provenance,
@@ -129,6 +131,36 @@ class TestLoadCoco:
         for load in (load_coco, load_coco_footprints):
             with pytest.raises(DatasetError, match=r"annotation 10: stored bbox \[3, 'x', 6, 6\] is not four numbers"):
                 load(path)
+
+    def test_each_polygon_is_traced_once(self, tmp_path, monkeypatch):
+        # `footprint` counts each annotation's row runs, and `union_rle` of
+        # the geometries reads them back: a polygon's edges are followed once,
+        # and the codes equal those of the decoded masks
+        import segdial.geometry as geometry
+
+        payload = coco_payload(
+            images=[
+                (1, 16, 12, [
+                    (10, 1, [rect_polygon(3, 2, 9, 8), rect_polygon(8, 7, 12, 11)]),
+                    (11, 1, rle_obj(rect_mask(16, 12, 0, 5, 3, 12))),
+                    (12, 2, [rect_polygon(0, 0, 4, 3)]),
+                ]),
+            ],
+            categories=[(1, "cat"), (2, "dog")],
+        )
+        path = tmp_path / "gt.json"
+        write_json(path, payload)
+        traced = []
+        spans = geometry._spans
+        monkeypatch.setattr(geometry, "_spans", lambda poly, w, h: traced.append(poly) or spans(poly, w, h))
+        dataset, geometries = load_coco_geometries(path)
+        codes = [union_rle([geometries[i] for i in ids]) for ids in ([10, 11], [12], [10, 11, 12])]
+        assert len(traced) == 3
+        masks = {a.instance_id: a.mask for a in load_coco(path).images[0].annotations}
+        assert codes == [rle_encode(mask_union([masks[i] for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])]
+        assert dataset == load_coco_footprints(path)
+        # on another canvas the kept rows do not hold: they are counted anew
+        assert footprint(geometries[10][0], 10, 9) == (39, BBox(3, 2, 9, 8)) != footprint(*geometries[10])
 
     def test_reference_and_id_errors_aggregate(self, tmp_path):
         payload = coco_payload(

@@ -1,8 +1,10 @@
-"""`geometry.footprint` and `geometry.union_rle` against the masks they stand in for.
+"""`geometry.footprint`, `geometry.union_rle` and `geometry.rle_overlap`
+against the masks they stand in for.
 
-`footprint` counts the area and tight box of a mask, and `union_rle` codes
-the union of several masks, from their polygons or run-length codes in pure
-Python; `decode_geometries` draws the masks with NumPy. The two implement
+`footprint` counts the area and tight box of a mask, `union_rle` codes the
+union of several masks and `rle_overlap` counts the pixels two masks share,
+from their polygons or run-length codes in pure Python; `decode_geometries`
+draws the masks with NumPy. The two implement
 the same coverage rule independently, so every case here compares them,
 and one of each compares with the per-pixel oracle.
 """
@@ -15,9 +17,9 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import rect_polygon
-from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint, union_rle
+from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint, rle_overlap, union_rle
 from segdial.instances import decode_geometries
-from segdial.mask import RasterMask, area, bbox_of, mask_union, rle_encode
+from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode
 
 
 def decoded(geometry, width, height):
@@ -202,3 +204,44 @@ class TestUnionRle:
                 union_rle(items)
         with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
             union_rle(cases[-1])
+
+
+@st.composite
+def coded_pairs(draw, max_side=14):
+    """Two run-length codes on one canvas, each of polygons (coded by
+    `union_rle`) or of pixels, empty and full ones among them."""
+    canvas = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    member = st.one_of(polygon_geometries(canvas=canvas), rle_geometries(canvas=canvas))
+    return tuple(union_rle([draw(member)]) for _ in range(2))
+
+
+class TestRleOverlap:
+    @settings(max_examples=400, deadline=None)
+    @given(coded_pairs())
+    def test_agrees_with_decoded_masks_and_a_pixel_count(self, pair):
+        a, b = map(rle_decode, pair)
+        counted = (int((a.pixels & b.pixels).sum()), int((a.pixels | b.pixels).sum()))
+        assert rle_overlap(*pair) == overlap(a, b) == counted
+        assert rle_overlap(*pair[::-1]) == counted
+
+    @pytest.mark.parametrize(
+        "a, b, width, height, counted",
+        [
+            ((12,), (12,), 4, 3, (0, 0)),  # both empty
+            ((12,), (0, 12), 4, 3, (0, 12)),  # empty and full
+            ((0, 12), (0, 12), 4, 3, (12, 12)),  # both full
+            ((2, 2, 8), (4, 2, 6), 4, 3, (0, 4)),  # runs touch across a column boundary
+            ((2, 3, 7), (4, 2, 6), 4, 3, (1, 4)),  # a run that wraps into the next column meets the other
+            ((0, 1, 1, 1, 1, 1, 7), (1, 5, 6), 4, 3, (2, 6)),  # one run spans several
+        ],
+    )
+    def test_named_overlaps(self, a, b, width, height, counted):
+        a, b = Rle(width, height, a), Rle(width, height, b)
+        assert rle_overlap(a, b) == rle_overlap(b, a) == overlap(rle_decode(a), rle_decode(b)) == counted
+
+    def test_refuses_what_the_decoded_overlap_refuses(self):
+        a, b = Rle(4, 3, (12,)), Rle(3, 4, (12,))
+        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+            overlap(rle_decode(a), rle_decode(b))
+        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+            rle_overlap(a, b)

@@ -4,11 +4,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
 from segdial.curation import ImageRecord, InstanceAnnotation
-from segdial.mask import RasterMask, area, bbox_of, mask_iou
+from segdial.mask import RasterMask, area, bbox_of, mask_iou, rle_decode
 from segdial.metrics import (
     ApBlock,
     ApProtocol,
@@ -20,6 +22,7 @@ from segdial.metrics import (
     evaluate_ap,
     evaluate_semseg,
 )
+from test_geometry import coded_pairs
 
 CANVAS = 128
 
@@ -542,6 +545,23 @@ class TestEvaluateSemseg:
     def test_no_ground_truth_rejected(self):
         with pytest.raises(EvalValidationError):
             evaluate_semseg({}, {})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(coded_pairs(), st.sampled_from(["both", "no prediction", "masks", "mixed"])),
+                    min_size=1, max_size=5))
+    def test_codes_and_masks_score_alike(self, images):
+        # codes are scored from their runs; masks are encoded first, so both
+        # forms, and a mix of them, give the same floats and warnings
+        preds, gts, pred_masks, gt_masks = {}, {}, {}, {}
+        for image_id, ((pred_code, gt_code), how) in enumerate(images):
+            gts[image_id], gt_masks[image_id] = gt_code, rle_decode(gt_code)
+            if how != "no prediction":
+                preds[image_id], pred_masks[image_id] = pred_code, rle_decode(pred_code)
+            if how == "masks":
+                preds[image_id], gts[image_id] = pred_masks[image_id], gt_masks[image_id]
+            elif how == "mixed":
+                preds[image_id] = pred_masks[image_id]
+        assert evaluate_semseg(preds, gts) == evaluate_semseg(pred_masks, gt_masks)
 
     def test_giou_is_exact_mean_of_per_image_ious(self, rng):
         from conftest import random_mask
