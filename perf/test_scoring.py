@@ -1,8 +1,10 @@
 """Micro-benchmarks of the scoring layers: the pairwise overlap matrix and
-`evaluate_ap`, on the shapes the benchmark workloads give them, and the
+`evaluate_ap`, on the shapes the benchmark workloads give them; one cell
+scored on bitsets built from run-length codes (what `evaluate --mode inst`
+runs) next to the decoding and pixel overlaps it replaces; and the
 whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
-0), counted from run-length codes (what the CLI runs) next to the decode
-path it replaces.
+0), counted on bitsets (what the CLI runs) next to the decode path they
+replace.
 
     pytest perf --benchmark-only
 
@@ -19,9 +21,11 @@ import pytest
 
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.dataset_io import load_coco_geometries, read_prediction_geometries
-from segdial.geometry import Rle, union_rle
+from segdial.geometry import Bitset, bitset, bitset_union
 from segdial.instances import decode_geometries
-from segdial.mask import Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize
+from segdial.mask import (
+    Polygon, RasterMask, area, bbox_of, mask_union, overlap, overlaps, rasterize, rle_decode_many, rle_encode,
+)
 from segdial.matching import build_cost_matrix
 from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
 
@@ -63,6 +67,45 @@ def test_cost_matrix(benchmark, name):
     assert benchmark(build_cost_matrix, preds, gts).shape == (len(preds), len(gts))
 
 
+@pytest.fixture(scope="module", params=["dense_100x60_128", "sparse_24x7_640x480"])
+def coded_cell(request):
+    """(prediction codes, ground-truth codes) of one cell."""
+    preds, gts = CELLS[request.param]
+    return [rle_encode(m) for m in preds], [rle_encode(m) for m in gts]
+
+
+def _bitset_cell(pred_codes, gt_codes):
+    """The cell as one image and one category of bitsets, scores descending."""
+    gts = [bitset(c, c.width, c.height) for c in gt_codes]
+    anns = tuple(InstanceAnnotation(k, 1, "kind1", g, None, g.area, None) for k, g in enumerate(gts))
+    image = ImageRecord(1, gt_codes[0].width, gt_codes[0].height, "1.jpg", anns)
+    preds = [
+        PredictionInstance(1, bitset(c, c.width, c.height), 1.0 - k / len(pred_codes), 1)
+        for k, c in enumerate(pred_codes)
+    ]
+    return preds, [image]
+
+
+def test_cell_bitsets_and_ap(benchmark, coded_cell):
+    # the counting of every pair and the AP accumulation of `evaluate --mode inst`
+    preds, images = _bitset_cell(*coded_cell)
+    assert 0.0 < benchmark(evaluate_ap, preds, images).mAP <= 1.0
+
+
+def test_cell_decode_and_overlaps(benchmark, coded_cell):
+    # the decoding and pixel overlaps that the bitsets replace
+    pred_codes, gt_codes = coded_cell
+    inter, _ = benchmark(lambda: overlaps(rle_decode_many(pred_codes), rle_decode_many(gt_codes)))
+    assert inter.sum() > 0
+
+
+def test_cell_bitsets_from_codes(benchmark, coded_cell):
+    # building the bitsets, which the decode above stands beside
+    codes = [c for side in coded_cell for c in side]
+    built = benchmark(lambda: [bitset(c, c.width, c.height) for c in codes])
+    assert sum(b.area for b in built) == sum(sum(c.counts[1::2]) for c in codes)
+
+
 def _dataset(rng, images, width, height, n_gt, n_pred, categories, radii):
     """Ground-truth images and scored predictions, most of them jittered copies."""
     records, preds = [], []
@@ -102,11 +145,11 @@ def semantic_inputs(tmp_path_factory):
     return dataset.images, geometries, read_prediction_geometries(files["sem_preds"])
 
 
-def _semseg_from_codes(images, geometries, rows):
-    preds = {i: g if isinstance(g, Rle) else union_rle([(g, w, h)]) for i, _, _, g, w, h in rows}
+def _semseg_from_bitsets(images, geometries, rows):
+    preds = {i: bitset(g, w, h) for i, _, _, g, w, h in rows}
     gts = {
-        img.image_id: union_rle([geometries[a.instance_id] for a in img.annotations])
-        if img.annotations else Rle(img.width, img.height, [img.width * img.height])
+        img.image_id: bitset_union([bitset(*geometries[a.instance_id]) for a in img.annotations])
+        if img.annotations else Bitset(img.width, img.height, 0, 0, 0)
         for img in images
     }
     score = evaluate_semseg(preds, gts)
@@ -126,8 +169,8 @@ def _semseg_through_pixels(images, geometries, rows):
     return math.fsum(per_image) / len(per_image), inter_total / union_total if union_total else 0.0
 
 
-def test_semseg_from_codes(benchmark, semantic_inputs):
-    scores = benchmark(_semseg_from_codes, *semantic_inputs)
+def test_semseg_from_bitsets(benchmark, semantic_inputs):
+    scores = benchmark(_semseg_from_bitsets, *semantic_inputs)
     assert scores == _semseg_through_pixels(*semantic_inputs)
 
 

@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from segdial import metrics
+    from segdial import ap
 
 # Each command imports the modules it runs, so `import segdial.cli` loads no
-# NumPy, `curate`, `parse`, `transform`, `split`, `report` and `evaluate
-# --mode sem` never do, and no command loads a module it does not use.
+# NumPy, only `match` does, and no command loads a module it does not use:
+# the other commands count areas, unions and overlaps from the geometry.
 
 ENV_PREFIX = "SEGDIAL_"
 MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
@@ -334,10 +334,10 @@ def _cmd_match(args) -> int:
 # --- evaluate / report ------------------------------------------------------------
 
 
-def _inst_metrics_obj(report: metrics.ApReport) -> dict:
+def _inst_metrics_obj(report: ap.ApReport) -> dict:
     from segdial import dataset_io
 
-    def block(b: metrics.ApBlock) -> dict:
+    def block(b: ap.ApBlock) -> dict:
         return {
             "AP50": b.AP50,
             "AP75": b.AP75,
@@ -379,39 +379,44 @@ def _render_report(obj: dict) -> str:
 
 def _cmd_evaluate(args) -> int:
     from segdial import dataset_io
+    from segdial.geometry import Bitset, bitset
 
+    # every mask is scored as a bitset built from its geometry, so no pixel is drawn
+    dataset, geometries = dataset_io.load_coco_geometries(args.gt)
+    for w in dataset.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    rows = dataset_io.read_prediction_geometries(args.preds)
     if args.mode == "inst":
-        from segdial import metrics
+        from segdial.ap import evaluate_ap
+        from segdial.instances import PredictionInstance
 
-        dataset = dataset_io.load_coco(args.gt)
-        for w in dataset.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        preds = dataset_io.read_predictions(args.preds)
-        report = metrics.evaluate_ap(
-            preds, dataset.images, categories=set(dataset.categories)
-        )
+        preds = [
+            PredictionInstance(image_id, bitset(geometry, width, height), score, category_id)
+            for image_id, category_id, score, geometry, width, height in rows
+        ]
+        images = [
+            img._replace(
+                annotations=tuple(a._replace(mask=bitset(*geometries[a.instance_id])) for a in img.annotations)
+            )
+            for img in dataset.images
+        ]
+        report = evaluate_ap(preds, images, categories=set(dataset.categories))
         obj = _inst_metrics_obj(report)
     else:
-        from segdial.geometry import Rle, union_rle
+        from segdial.geometry import bitset_union
         from segdial.instances import EvalValidationError
         from segdial.semseg import evaluate_semseg
 
-        # every mask is scored as a run-length code, so no pixel is drawn
-        dataset, geometries = dataset_io.load_coco_geometries(args.gt)
-        for w in dataset.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        by_image: dict[int, Rle] = {}
-        for n, (image_id, _, _, geometry, width, height) in enumerate(
-            dataset_io.read_prediction_geometries(args.preds)
-        ):
+        by_image: dict[int, Bitset] = {}
+        for n, (image_id, _, _, geometry, width, height) in enumerate(rows):
             if image_id in by_image:
                 raise EvalValidationError([f"prediction {n}: duplicate whole-image mask for image {image_id}"])
-            by_image[image_id] = geometry if isinstance(geometry, Rle) else union_rle([(geometry, width, height)])
+            by_image[image_id] = bitset(geometry, width, height)
         gts = {
             img.image_id: (
-                union_rle([geometries[a.instance_id] for a in img.annotations])
+                bitset_union([bitset(*geometries[a.instance_id]) for a in img.annotations])
                 if img.annotations
-                else Rle(img.width, img.height, [img.width * img.height])
+                else Bitset(img.width, img.height, 0, 0, 0)
             )
             for img in dataset.images
         }

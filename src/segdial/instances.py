@@ -1,19 +1,19 @@
-"""Images, instances and predictions as the scorers read them, and the one
-path from geometry to masks.
+"""Images, instances and predictions as the scorers read them, the one
+path from geometry to masks, and the one from any mask to a bitset.
 
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
 `segdial.metrics`, which re-export them under their public names. The
 pixel layer, `segdial.mask`, loads on the first decode, so building prompts
-from areas and boxes alone (`curate`) or merging instances by their
-geometry (`transform`) loads no NumPy.
+from areas and boxes alone (`curate`), merging instances by their geometry
+(`transform`) or scoring bitsets (`evaluate`) loads no NumPy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from segdial.geometry import BBox, Geometry, Rle, check_fit
+from segdial.geometry import BBox, Bitset, Geometry, Rle, bitset, check_fit
 
 if TYPE_CHECKING:
     from segdial.mask import RasterMask
@@ -24,6 +24,7 @@ __all__ = [
     "ImageRecord",
     "InstanceAnnotation",
     "PredictionInstance",
+    "as_bitset",
     "check_score",
     "decode_geometries",
 ]
@@ -56,15 +57,28 @@ def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[Raster
     ]
 
 
+def as_bitset(mask: Union[Bitset, Rle, RasterMask]) -> Bitset:
+    """`mask` as a Bitset: a run-length code is counted from its runs, and a
+    RasterMask is packed by `segdial.mask.to_bitset`."""
+    if isinstance(mask, Bitset):
+        return mask
+    if isinstance(mask, Rle):
+        return bitset(mask, mask.width, mask.height)
+    from segdial.mask import to_bitset
+
+    return to_bitset(mask)
+
+
 class InstanceAnnotation(NamedTuple):
     """One object instance; mask, bbox, area, and center are derived from
     geometry. The mask is None where only the area and box were read
-    (`segdial.dataset_io.load_coco_footprints`)."""
+    (`segdial.dataset_io.load_coco_footprints`), and a Bitset where AP is
+    scored from the geometry (`evaluate --mode inst`)."""
 
     instance_id: int
     category_id: int
     label_name: str
-    mask: Optional[RasterMask]
+    mask: Optional[Union[RasterMask, Bitset]]
     bbox: Optional[BBox]
     area: int
     center_point: Optional[tuple[int, int]]
@@ -156,13 +170,14 @@ class ImageRecord(_ImageRecordFields):
 
 class _PredictionInstanceFields(NamedTuple):
     image_id: int
-    mask: RasterMask
+    mask: Union[RasterMask, Bitset]
     score: float = 1.0
     category_id: Optional[int] = None
 
 
 class PredictionInstance(_PredictionInstanceFields):
-    """One predicted instance mask with an optional confidence."""
+    """One predicted instance mask, a RasterMask or a Bitset, with an
+    optional confidence."""
 
     __slots__ = ()
 

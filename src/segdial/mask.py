@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from segdial.geometry import BBox, Polygon, Rle, check_canvas
+from segdial.geometry import BBox, Bitset, Polygon, Rle, check_canvas
 
 __all__ = [
     "BBox",
@@ -42,6 +42,7 @@ __all__ = [
     "rle_decode",
     "rle_decode_many",
     "rle_encode",
+    "to_bitset",
 ]
 
 
@@ -197,6 +198,19 @@ def rle_encode(mask: RasterMask) -> Rle:
     bounds += mask._left * h
     counts = np.diff(bounds, prepend=0, append=total)
     return Rle(mask.width, h, (counts[:-1] if counts[-1] == 0 else counts).tolist())
+
+
+def to_bitset(mask: RasterMask) -> Bitset:
+    """The `geometry.Bitset` of a mask: the full-height columns of its box,
+    packed a byte at a time."""
+    h = mask.height
+    if not mask._area:
+        return Bitset(mask.width, h, 0, 0, 0)
+    columns = np.zeros((mask._right - mask._left, h), dtype=bool)
+    columns[:, mask._top : mask._bottom] = mask._bits.T
+    bits = int.from_bytes(np.packbits(columns, bitorder="little").tobytes(), "little")
+    first = mask._top + int(np.argmax(mask._bits[:, 0]))  # the crop is tight, so its first column holds a pixel
+    return Bitset(mask.width, h, mask._left * h + first, bits >> first, mask._area)
 
 
 # booleans one expansion of `rle_decode_many` may allocate (4 MiB); a code

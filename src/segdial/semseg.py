@@ -1,9 +1,9 @@
 """Whole-image segmentation scores: gIoU and cIoU.
 
 Each image needs two integers, the pixels its prediction shares with the
-ground truth and the pixels of their union, and both come from the runs of
-the two masks' run-length codes (`geometry.rle_overlap`). So this module
-loads no NumPy; `segdial.metrics` re-exports its names.
+ground truth and the pixels of their union, and both come from the two
+masks as bitsets (`geometry.bitset_overlap`). So this module loads no
+NumPy; `segdial.metrics` re-exports its names.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from segdial.geometry import Rle, rle_overlap
-from segdial.instances import EvalValidationError
+from segdial.geometry import Bitset, Rle, bitset_overlap
+from segdial.instances import EvalValidationError, as_bitset
 
 if TYPE_CHECKING:
     from segdial.mask import RasterMask
@@ -33,18 +33,18 @@ class SemSegScore(NamedTuple):
 
 
 def evaluate_semseg(
-    preds: Mapping[int, Union[Rle, RasterMask]],
-    gts: Mapping[int, Union[Rle, RasterMask]],
+    preds: Mapping[int, Union[Bitset, Rle, RasterMask]],
+    gts: Mapping[int, Union[Bitset, Rle, RasterMask]],
 ) -> SemSegScore:
-    """Score one whole-image binary mask per image, given as a run-length
-    code or as a mask, which is encoded first.
+    """Score one whole-image binary mask per image, given as a bitset, a
+    run-length code or a mask; each is turned into a bitset first.
 
     Every ground-truth image counts: an image without a prediction scores
     IoU 0 and is reported in warnings. Predictions for unknown images are
     rejected.
     """
-    preds = {image_id: _coded(m) for image_id, m in preds.items()}
-    gts = {image_id: _coded(m) for image_id, m in gts.items()}
+    preds = {image_id: as_bitset(m) for image_id, m in preds.items()}
+    gts = {image_id: as_bitset(m) for image_id, m in gts.items()}
     if not gts:
         raise EvalValidationError(["no ground-truth images to evaluate"])
     unknown = [f"prediction for unknown image_id {i}" for i in preds if i not in gts]
@@ -59,7 +59,7 @@ def evaluate_semseg(
         if pred is None:
             warnings.append(f"image {image_id}: no prediction, scored as IoU 0")
             per_image.append(0.0)
-            union_total += sum(gt.counts[1::2])
+            union_total += gt.area
             continue
         if (pred.width, pred.height) != (gt.width, gt.height):
             raise EvalValidationError(
@@ -68,7 +68,7 @@ def evaluate_semseg(
                     f"ground truth is {gt.width}x{gt.height}"
                 ]
             )
-        inter, union = rle_overlap(pred, gt)
+        inter, union = bitset_overlap(pred, gt)
         per_image.append(inter / union if union else 0.0)
         inter_total += inter
         union_total += union
@@ -76,10 +76,3 @@ def evaluate_semseg(
     ciou = inter_total / union_total if union_total else 0.0
     return SemSegScore(gIoU=giou, cIoU=ciou, warnings=tuple(warnings))
 
-
-def _coded(m: Union[Rle, RasterMask]) -> Rle:
-    if isinstance(m, Rle):
-        return m
-    from segdial.mask import rle_encode
-
-    return rle_encode(m)

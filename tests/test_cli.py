@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
-from segdial.cli import main
+from segdial.cli import _inst_metrics_obj, build_parser, main
 from segdial.dataset_io import (
     load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_predictions,
     write_records,
 )
 from segdial.geometry import union_rle
 from segdial.mask import mask_union, rle_encode
-from segdial.metrics import PredictionInstance
+from segdial.metrics import PredictionInstance, evaluate_ap
 from segdial.parsing import from_training_record, parse_sid_response, to_training_record
 from segdial.transforms import TASK_TEMPLATES, to_semantic
 
@@ -507,6 +507,48 @@ class TestMalformedPredictions:
             refused += outcomes[0] != 2
         assert refused > 0.9 * len(self.mutations())
 
+    def test_instance_scoring_refuses_what_the_decoded_path_refuses(self, tmp_path, capsys):
+        # `evaluate --mode inst` scores bitsets built from the geometry: each
+        # mutation fails it with the exception, message included, that
+        # `read_predictions` and `metrics.evaluate_ap` of decoded masks
+        # raise, and one that both accept gives the same report
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, TestMalformedGroundTruth.payload())
+        args = build_parser("evaluate").parse_args(
+            ["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst", "--out", str(tmp_path / "inst.json")]
+        )
+
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        def decoded():
+            dataset = load_coco(gt)
+            report = evaluate_ap(read_predictions(preds), dataset.images, categories=set(dataset.categories))
+            return _inst_metrics_obj(report)
+
+        def from_bitsets():
+            args.func(args)
+            return json.loads((tmp_path / "inst.json").read_text())
+
+        refused = 0
+        for path, value in [((), None), *self.mutations()]:
+            lines = self.lines()
+            if len(path) == 1:
+                lines[path[0]] = value
+            elif value is self.DELETED:
+                del lines[path[0]][path[1]]
+            elif path:
+                lines[path[0]][path[1]] = value
+            preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+            want = outcome(decoded)
+            assert outcome(from_bitsets) == want, (path, value)
+            refused += isinstance(want, tuple)
+        capsys.readouterr()
+        assert refused > 0.9 * len(self.mutations())
+
     def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
         write_json(gt, TestMalformedGroundTruth.payload())
@@ -697,8 +739,7 @@ class TestImportBoundary:
     def test_each_subcommand_loads_its_own_modules(self, tmp_path):
         # the segdial modules of every subcommand, pinned: scoring loads no
         # prompt building (`curation`), `match` no AP scoring, `evaluate` no
-        # matcher and `curate`, `transform` and `evaluate --mode sem` no pixel
-        # layer (`mask`); only
+        # matcher and no subcommand but `match` the pixel layer (`mask`); only
         # hashing a parsed response loads hashlib, and no subcommand defines a
         # dataclass, so none loads `dataclasses`, and the NumPy-free ones not
         # the `inspect` it pulls in either
@@ -716,7 +757,6 @@ class TestImportBoundary:
         )
         gt, responses, preds = write_gt(tmp_path), write_qa_responses(tmp_path), write_perfect_preds(tmp_path)
         records, report, sem_preds = tmp_path / "records.jsonl", tmp_path / "inst.json", write_sem_preds(tmp_path)
-        scoring = ["cli", "dataset_io", "geometry", "instances", "mask"]
         runs = [
             (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
              ["cli", "dataset_io", "geometry", "parsing"], ["hashlib"]),
@@ -729,9 +769,9 @@ class TestImportBoundary:
             (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
              ["cli", "dataset_io"], []),
             (["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
-             sorted([*scoring, "matching"]), None),
+             ["cli", "dataset_io", "geometry", "instances", "mask", "matching"], None),
             (["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", report],
-             sorted([*scoring, "metrics", "semseg"]), None),
+             ["ap", "cli", "dataset_io", "geometry", "instances"], []),
             (["evaluate", "--gt", gt, "--preds", sem_preds, "--mode", "sem", "--out", tmp_path / "sem.json"],
              ["cli", "dataset_io", "geometry", "instances", "semseg"], []),
             (["report", "--in", report], ["cli"], []),
@@ -796,6 +836,56 @@ class TestImportBoundary:
         assert sem["gIoU"] == math.fsum(i / u if u else 0.0 for i, u in counts) / 4
         assert sem["cIoU"] == sum(i for i, _ in counts) / sum(u for _, u in counts)
         assert 0 < sem["gIoU"] < sem["cIoU"] < 1
+
+    def test_instance_scoring_runs_without_numpy(self, tmp_path, capsys):
+        # every mask is scored as a bitset: polygons and rle on both sides,
+        # objects in every area band, an image without annotations, one
+        # without predictions, a category without ground truth and a
+        # stored-area warning all go through a fresh run that can load
+        # neither NumPy nor the pixel layer nor `metrics`
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        payload = coco_payload(
+            images=[
+                (1, 160, 120, [(11, 3, rle_obj(rect_mask(160, 120, 2, 2, 9, 9))),
+                               (12, 5, [rect_polygon(10, 10, 60, 50)]),
+                               (13, 3, [rect_polygon(0, 0, 150, 100), rect_polygon(140, 100, 160, 120)])]),
+                (2, 160, 120, [(21, 3, [rect_polygon(30, 30, 120, 100)]), (22, 3, [[0, 120, 30, 0, 55, 120]])]),
+                (3, 160, 120, []),
+                (4, 160, 120, [(41, 5, rle_obj(rect_mask(160, 120, 100, 0, 160, 120)))]),
+            ],
+            categories=[(3, "keyboard"), (5, "lamp"), (7, "vase")],
+        )
+        payload["annotations"][0]["area"] = 7
+        write_json(gt, payload)
+        lines = [
+            {"image_id": 1, "category_id": 3, "score": 0.9, "rle": rle_obj(rect_mask(160, 120, 3, 2, 9, 10))},
+            {"image_id": 1, "category_id": 5, "score": 0.8, "polygon": [rect_polygon(12, 8, 60, 50)],
+             "width": 160, "height": 120},
+            {"image_id": 1, "category_id": 3, "score": 0.7, "polygon": [rect_polygon(0, 0, 150, 90)],
+             "width": 160, "height": 120},
+            {"image_id": 2, "category_id": 3, "score": 0.81, "rle": rle_obj(rect_mask(160, 120, 28, 30, 120, 100))},
+            {"image_id": 2, "category_id": 3, "score": 0.84, "polygon": [rect_polygon(0, 0, 200, 200)],
+             "width": 160, "height": 120},
+            {"image_id": 3, "category_id": 7, "score": 0.5, "rle": rle_obj(rect_mask(160, 120, 0, 0, 4, 4))},
+            {"image_id": 3, "category_id": 3, "score": 0.4, "polygon": [[1, 1, 9, 9]], "width": 160, "height": 120},
+        ]
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+        def args(how):
+            return ["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", tmp_path / f"{how}.json"]
+
+        assert main([str(a) for a in args("here")]) == 0
+        here = capsys.readouterr()
+        code, fresh, err = _run_fresh(args("fresh"), ["numpy", "segdial.mask", "segdial.metrics"], tmp_path)
+        assert code == 0, err
+        assert (fresh, err) == (here.out, here.err)
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+        assert err == "warning: annotation 11: stored area 7 vs computed 49\n"
+        # the report of the decoded masks
+        dataset = load_coco(gt)
+        report = evaluate_ap(read_predictions(preds), dataset.images, categories=set(dataset.categories))
+        assert json.loads((tmp_path / "here.json").read_text()) == _inst_metrics_obj(report)
+        assert 0 < report.mAP < 1 and min(report.AP_small, report.AP_medium, report.AP_large) > 0
 
     def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
         gt, preds, sem_preds = write_gt(tmp_path), write_perfect_preds(tmp_path), write_sem_preds(tmp_path)

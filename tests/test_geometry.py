@@ -1,10 +1,11 @@
-"""`geometry.footprint`, `geometry.union_rle` and `geometry.rle_overlap`
-against the masks they stand in for.
+"""`geometry.footprint`, `geometry.union_rle` and the bitsets of
+`geometry.bitset` against the masks they stand in for.
 
 `footprint` counts the area and tight box of a mask, `union_rle` codes the
-union of several masks and `rle_overlap` counts the pixels two masks share,
-from their polygons or run-length codes in pure Python; `decode_geometries`
-draws the masks with NumPy. The two implement
+union of several masks, `bitset` holds a mask in one int, on which
+`bitset_overlap` counts the pixels two masks share and `bitset_union` unites
+masks, from their polygons or run-length codes in pure Python;
+`decode_geometries` draws the masks with NumPy. The two implement
 the same coverage rule independently, so every case here compares them,
 and one of each compares with the per-pixel oracle.
 """
@@ -17,9 +18,11 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import rect_polygon
-from segdial.geometry import VERTEX_BOUND, BBox, Polygon, Rle, footprint, rle_overlap, union_rle
+from segdial.geometry import (
+    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, bitset, bitset_overlap, bitset_union, footprint, union_rle,
+)
 from segdial.instances import decode_geometries
-from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode
+from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode, to_bitset
 
 
 def decoded(geometry, width, height):
@@ -215,14 +218,100 @@ def coded_pairs(draw, max_side=14):
     return tuple(union_rle([draw(member)]) for _ in range(2))
 
 
+def pixel_bitset(pixels):
+    """The Bitset of a (height, width) array, one pixel at a time: bit k is
+    pixel offset + k, read down each column, and bit 0 is the first set one."""
+    height, width = pixels.shape
+    bits = 0
+    for x in range(width):
+        for y in range(height):
+            if pixels[y, x]:
+                bits |= 1 << (x * height + y)
+    if not bits:
+        return Bitset(width, height, 0, 0, 0)
+    offset = (bits & -bits).bit_length() - 1
+    return Bitset(width, height, offset, bits >> offset, int(pixels.sum()))
+
+
+def decoded_bitset(geometry, width, height):
+    """The Bitset of the decoded mask, pixel by pixel; `mask.to_bitset` of it must agree."""
+    (mask,) = decode_geometries([(geometry, width, height)])
+    bits = pixel_bitset(mask.pixels)
+    assert to_bitset(mask) == bits
+    return bits
+
+
+class TestBitset:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(polygon_geometries(), rle_geometries()))
+    def test_agrees_with_the_decoded_mask(self, case):
+        # empty and full masks, runs across column boundaries, polygons past
+        # the canvas edge and parts of fewer than 3 vertices among them
+        want = decoded_bitset(*case)
+        assert bitset(*case) == want
+        geometry, width, height = case
+        if not isinstance(geometry, Rle):  # the row runs kept from a footprint give the same bits
+            assert bitset(_Counted(geometry, width, height), width, height) == want
+
+    @pytest.mark.parametrize(
+        "member, width, height, want",
+        [
+            ((12,), 4, 3, (0, 0, 0)),  # empty
+            ((0, 12), 4, 3, (0, 2**12 - 1, 12)),  # full
+            ((4, 4, 4), 4, 3, (4, 0b1111, 4)),  # a run wraps into the next column
+            ([[1, 1, 4, 1, 4, 1]], 4, 3, (0, 0, 0)),  # fewer than 3 vertices
+            ([rect_polygon(0, 0, 4, 3)], 4, 3, (0, 2**12 - 1, 12)),  # the full canvas
+            ([rect_polygon(2.5, 1, 9, 7)], 4, 3, (7, 0b11011, 4)),  # clipped by the canvas edge
+            ([rect_polygon(1, 0, 2, 1), rect_polygon(1, 2, 2, 3)], 4, 3, (3, 0b101, 2)),  # two parts in a column
+        ],
+    )
+    def test_named_masks(self, member, width, height, want):
+        geometry = Rle(width, height, member) if isinstance(member, tuple) else tuple(map(Polygon.from_flat, member))
+        assert bitset(geometry, width, height) == Bitset(width, height, *want) == decoded_bitset(geometry, width, height)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygon_geometries(max_side=10))
+    def test_polygons_agree_with_the_pixel_center_oracle(self, case):
+        geometry, width, height = case
+        pixels = np.zeros((height, width), dtype=bool)
+        for poly in geometry:
+            pixels |= oracles.rasterize_reference(poly.vertices, width, height)
+        assert bitset(geometry, width, height) == pixel_bitset(pixels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(member_lists())
+    def test_union_agrees_with_the_decoded_union(self, items):
+        assert bitset_union([bitset(*item) for item in items]) == pixel_bitset(
+            mask_union(decode_geometries(items)).pixels
+        )
+
+    def test_refuses_what_decoding_refuses(self):
+        triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
+        for geometry, width, height in [(triangle, 0, 4), (triangle, 4, 0), ((), 4, 4)]:
+            with pytest.raises(ValueError):
+                decode_geometries([(geometry, width, height)])
+            with pytest.raises(ValueError):
+                bitset(geometry, width, height)
+        a, b = Bitset(4, 3, 0, 0, 0), Bitset(3, 4, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+            mask_union([RasterMask.zeros(4, 3), RasterMask.zeros(3, 4)])
+        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+            bitset_union([a, b])
+        with pytest.raises(ValueError):
+            bitset_union([])
+
+
 class TestRleOverlap:
+    """The pixels two run-length codes share, counted on their bitsets."""
+
     @settings(max_examples=400, deadline=None)
     @given(coded_pairs())
     def test_agrees_with_decoded_masks_and_a_pixel_count(self, pair):
         a, b = map(rle_decode, pair)
         counted = (int((a.pixels & b.pixels).sum()), int((a.pixels | b.pixels).sum()))
-        assert rle_overlap(*pair) == overlap(a, b) == counted
-        assert rle_overlap(*pair[::-1]) == counted
+        bits = [bitset(code, code.width, code.height) for code in pair]
+        assert bitset_overlap(*bits) == overlap(a, b) == counted
+        assert bitset_overlap(*bits[::-1]) == counted
 
     @pytest.mark.parametrize(
         "a, b, width, height, counted",
@@ -237,11 +326,13 @@ class TestRleOverlap:
     )
     def test_named_overlaps(self, a, b, width, height, counted):
         a, b = Rle(width, height, a), Rle(width, height, b)
-        assert rle_overlap(a, b) == rle_overlap(b, a) == overlap(rle_decode(a), rle_decode(b)) == counted
+        bits_a, bits_b = bitset(a, width, height), bitset(b, width, height)
+        assert bitset_overlap(bits_a, bits_b) == bitset_overlap(bits_b, bits_a) == counted
+        assert overlap(rle_decode(a), rle_decode(b)) == counted
 
     def test_refuses_what_the_decoded_overlap_refuses(self):
         a, b = Rle(4, 3, (12,)), Rle(3, 4, (12,))
         with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
             overlap(rle_decode(a), rle_decode(b))
         with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
-            rle_overlap(a, b)
+            bitset_overlap(bitset(a, 4, 3), bitset(b, 3, 4))
