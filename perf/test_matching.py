@@ -1,7 +1,10 @@
 """Micro-benchmarks of the matcher `hungarian` on the shapes it meets: drawn
 matrices, and the per-image cost matrices that `match` builds on the seed-0
 inputs of the match_dense (8 images) and eval_coco (12 images) workloads,
-which `bench/workloads.py` writes into a temporary directory.
+which `bench/workloads.py` writes into a temporary directory. Next to them,
+the two layers `match` runs on Python lists: the cost rows of the dense
+100x60 and sparse 24x7 cells of `test_scoring.py` from prebuilt bitsets, and
+the solver `linear_sum_assignment` on the 100x60 and 24x7 matrices.
 
     pytest perf --benchmark-only
 
@@ -15,11 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segdial import matching
 from segdial.dataset_io import load_coco, read_predictions
+from segdial.mask import to_bitset
 from segdial.matching import build_cost_matrix, hungarian
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
+from test_scoring import CELLS  # noqa: E402
 
 WORKLOADS = ("match_dense", "eval_coco")
 
@@ -58,6 +64,20 @@ def test_hungarian(benchmark, name):
     costs = MATRICES[name]
     got = benchmark(hungarian, costs)
     assert len(got.pairs) == min(costs.shape)
+
+
+@pytest.mark.parametrize("name", ["iou_like_100x60", "eval_like_24x7"])
+def test_linear_sum_assignment(benchmark, name):
+    costs = MATRICES[name].tolist()
+    rows, cols, _, _ = benchmark(matching.linear_sum_assignment, costs)
+    assert len(rows) == len(cols) == min(len(costs), len(costs[0]))
+
+
+@pytest.mark.parametrize("name", ["dense_100x60_128", "sparse_24x7_640x480"])
+def test_cost_rows(benchmark, name):
+    preds, gts = ([to_bitset(m) for m in masks] for masks in CELLS[name])
+    rows = benchmark(matching._cost_rows, preds, gts, 1.0, 0.0)
+    assert [len(row) for row in rows] == [len(gts)] * len(preds)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from segdial import ap
 
-# Each command imports the modules it runs, so `import segdial.cli` loads no
-# NumPy, only `match` does, and no command loads a module it does not use:
-# the other commands count areas, unions and overlaps from the geometry.
+# Each command imports the modules it runs, so no command loads a module it
+# does not use. Every command counts areas, unions and overlaps from the
+# geometry, so neither a command nor `import segdial.cli` loads NumPy.
 
 ENV_PREFIX = "SEGDIAL_"
 MAX_JOBS = 64  # --jobs sizes the curate thread pool; more threads than this only add contention
@@ -292,23 +292,25 @@ def _cmd_transform(args) -> int:
 
 def _cmd_match(args) -> int:
     from segdial import dataset_io, instances, matching
+    from segdial.geometry import bitset
 
-    dataset = dataset_io.load_coco(args.gt)
-    preds = dataset_io.read_predictions(args.preds)
+    matching.check_weights(args.w_iou, args.w_dice)  # before any file is read
+    # every mask is matched as a bitset built from its geometry, so no pixel is drawn
+    dataset, geometries = dataset_io.load_coco_geometries(args.gt)
+    preds = dataset_io.read_prediction_geometries(args.preds)
     known = {img.image_id for img in dataset.images}
-    bad = sorted({p.image_id for p in preds} - known)
+    bad = sorted({p[0] for p in preds} - known)
     if bad:
         raise instances.EvalValidationError([f"prediction for unknown image_id {i}" for i in bad])
-    by_image: dict[int, list[instances.PredictionInstance]] = {}
-    for p in preds:
-        by_image.setdefault(p.image_id, []).append(p)
+    by_image: dict[int, list] = {}
+    for image_id, _, _, geometry, width, height in preds:
+        by_image.setdefault(image_id, []).append((geometry, width, height))
 
     rows = []
-    for img in dataset.images:
-        img_preds = by_image.get(img.image_id, [])
+    for img in dataset.images:  # one image's bitsets at a time
         assignment = matching.assign_targets(
-            [p.mask for p in img_preds],
-            [a.mask for a in img.annotations],
+            [bitset(*p) for p in by_image.get(img.image_id, [])],
+            [bitset(*geometries[a.instance_id]) for a in img.annotations],
             w_iou=args.w_iou,
             w_dice=args.w_dice,
         )

@@ -1,16 +1,29 @@
-"""Optimal bipartite assignment between predicted masks and ground-truth targets."""
+"""Optimal bipartite assignment between predicted masks and ground-truth targets.
+
+Every mask is matched as a `geometry.Bitset`, so the pixels a prediction
+shares with a ground truth take one shift, AND and bit count, and the
+solver and its tie-break run on Python lists: this module loads no NumPy.
+`build_cost_matrix` and `hungarian` keep their ndarray interface for
+library callers and import NumPy when called.
+"""
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque
-from typing import NamedTuple, Sequence
+from itertools import compress, repeat
+from operator import sub
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-import numpy as np
+from segdial.geometry import Bitset, Rle
+from segdial.instances import as_bitset
 
-from segdial.mask import RasterMask, overlaps
-from segdial.mask import mask_iou  # noqa: F401  (bench/tracing.py rebinds it here)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from segdial.mask import RasterMask
 
 __all__ = ["Assignment", "build_cost_matrix", "hungarian", "assign_targets"]
 
@@ -24,82 +37,134 @@ class Assignment(NamedTuple):
     total_cost: float
 
 
+def mask_iou(a: RasterMask, b: RasterMask) -> float:
+    """`segdial.mask.mask_iou`, which loads NumPy on the first call
+    (bench/tracing.py rebinds this name)."""
+    from segdial.mask import mask_iou as iou
+
+    return iou(a, b)
+
+
+def check_weights(w_iou: float, w_dice: float) -> None:
+    """ValueError unless both cost weights are finite and non-negative."""
+    if not (0 <= w_iou < math.inf and 0 <= w_dice < math.inf):  # NaN fails both comparisons
+        raise ValueError("cost weights must be finite and non-negative")
+
+
 def build_cost_matrix(
-    predictions: Sequence[RasterMask],
-    groundtruths: Sequence[RasterMask],
+    predictions: Sequence[Union[RasterMask, Bitset, Rle]],
+    groundtruths: Sequence[Union[RasterMask, Bitset, Rle]],
     w_iou: float = 1.0,
     w_dice: float = 0.0,
 ) -> np.ndarray:
-    """Pairwise matching costs, shape (len(predictions), len(groundtruths)).
+    """Pairwise matching costs, a float64 array of shape (len(predictions),
+    len(groundtruths)).
 
-    Entry (i, j) is w_iou * (1 - IoU) + w_dice * (1 - Dice); with non-negative
-    weights every entry is finite and non-negative. IoU and Dice are 0 for two
-    empty masks.
+    Entry (i, j) is w_iou * (1 - IoU) + w_dice * (1 - Dice); IoU and Dice
+    are 0 for two empty masks. The weights must be finite and non-negative,
+    so every entry is non-negative, and finite unless w_iou + w_dice
+    overflows. The rows are those `assign_targets` solves.
     """
-    if w_iou < 0 or w_dice < 0:
-        raise ValueError("cost weights must be non-negative")
-    inter, union = overlaps(predictions, groundtruths)
-    # a zero union has a zero intersection, and 0 / 1 gives the 0 of two empty masks
-    costs = w_iou * (1.0 - inter / np.maximum(union, 1))
-    if w_dice:  # |a| + |b| == inter + union
-        costs += w_dice * (1.0 - 2.0 * inter / np.maximum(inter + union, 1))
-    return costs
+    import numpy as np
+
+    rows = _cost_rows([as_bitset(p) for p in predictions], [as_bitset(g) for g in groundtruths], w_iou, w_dice)
+    return np.array(rows, dtype=np.float64).reshape(len(predictions), len(groundtruths))
 
 
-def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A minimum-cost assignment of min(n, m) pairs as (rows, cols), rows
-    ascending, and the dual potentials (u, v) it ends with: u per row, v per
-    column.
+def _cost_rows(
+    predictions: Sequence[Bitset], groundtruths: Sequence[Bitset], w_iou: float, w_dice: float
+) -> list[list[float]]:
+    """The rows of `build_cost_matrix`, as lists of floats.
+
+    A canvas mismatch raises for the first mismatching pair in row-major
+    order, as `mask.overlaps` does. A pair whose column-major spans are
+    disjoint shares no pixel; the others take one shift, AND and bit count.
+    Each cost is the float expression of the decoded masks' pixel counts,
+    so it is bit-identical to theirs.
+    """
+    check_weights(w_iou, w_dice)
+    sizes = {(g.width, g.height) for g in groundtruths}
+    for p in predictions:
+        if len(sizes) > 1 or (p.width, p.height) not in sizes:
+            for g in groundtruths:
+                if (p.width, p.height) != (g.width, g.height):
+                    raise ValueError(f"mask canvases differ: {p.width}x{p.height} vs {g.width}x{g.height}")
+    truths = [(g.offset, g.offset + g.bits.bit_length(), g.bits, g.area) for g in groundtruths]
+    rows = []
+    for p in predictions:
+        start, bits, area = p.offset, p.bits, p.area
+        end = start + bits.bit_length()
+        row = []
+        for g_start, g_end, g_bits, g_area in truths:
+            if g_start >= end or start >= g_end:
+                inter = 0
+            elif g_start >= start:  # the mask that starts first is shifted onto the other
+                inter = ((bits >> (g_start - start)) & g_bits).bit_count()
+            else:
+                inter = ((g_bits >> (start - g_start)) & bits).bit_count()
+            union = area + g_area - inter
+            # a zero union has a zero intersection: the 0 of two empty masks
+            cost = w_iou * (1.0 - (inter / union if union else 0.0))
+            if w_dice:  # |a| + |b| == inter + union
+                cost += w_dice * (1.0 - (2.0 * inter / (inter + union) if union else 0.0))
+            row.append(cost)
+        rows.append(row)
+    return rows
+
+
+def linear_sum_assignment(costs: list[list[float]]) -> tuple[list[int], list[int], list[float], list[float]]:
+    """A minimum-cost assignment of min(n, m) pairs of the n x m matrix
+    `costs` (n rows of m floats, n, m >= 1) as (rows, cols), rows ascending,
+    and the dual potentials (u, v) it ends with: u per row, v per column.
 
     Shortest augmenting paths with dual potentials (Crouse 2016, "On
     implementing 2D rectangular assignment algorithms", the method behind
     scipy's solver). Each line of the shorter side joins through a Dijkstra
-    search over the lines of the longer one; one NumPy pass per step scans
-    the lines the search has not reached yet. In exact arithmetic the
-    reduced costs c - u[:, None] - v[None, :] are >= 0, and 0 on the pairs;
-    the longer side's potentials are <= 0, and 0 on its unmatched lines.
+    search over the lines of the longer one; each step scans the lines the
+    search has not reached yet and takes the first closest, a free one
+    among equals. In exact arithmetic the reduced costs c - u[i] - v[j] are
+    >= 0, and 0 on the pairs; the longer side's potentials are <= 0, and 0
+    on its unmatched lines.
     """
-    c = np.asarray(costs, dtype=np.float64)
-    transposed = c.shape[0] > c.shape[1]
+    c = costs
+    transposed = len(c) > len(c[0])
     if transposed:
-        c = c.T
-    n, m = c.shape
-    u = np.zeros(n)
-    v = np.zeros(m)
-    col_of = np.full(n, -1, dtype=np.intp)
-    row_of = np.full(m, -1, dtype=np.intp)
-    via = np.empty(m, dtype=np.intp)  # the row each column is reached from
+        c = [list(col) for col in zip(*c)]
+    n, m = len(c), len(c[0])
+    u, v = [0.0] * n, [0.0] * m
+    col_of, row_of = [-1] * n, [-1] * m
+    via = [-1] * m  # the row each column is reached from
     for start in range(n):
-        pending = np.full(m, np.inf)  # tentative distances of the columns not reached
-        shift = v.copy()  # v, but -inf at reached columns so that they stay put
+        pending = [math.inf] * m  # tentative distances of the columns not reached
+        todo = list(range(m))  # the columns not reached, ascending
         tree, reached, lows = [], [], []  # tree[k + 1] is the row of column reached[k]
         low = 0.0
         i = start
         while True:
             tree.append(i)
-            step = c[i] - shift
-            step += low - u[i]
-            closer = step < pending
-            np.copyto(pending, step, where=closer)
-            np.copyto(via, i, where=closer)
-            j = int(pending.argmin())
-            low = pending[j]
+            row, lift = c[i], low - u[i]
+            j, low = -1, math.inf
+            for k in todo:
+                step = row[k] - v[k] + lift
+                if step < pending[k]:
+                    pending[k], via[k] = step, i
+                else:
+                    step = pending[k]
+                if step < low:
+                    j, low = k, step
             if row_of[j] >= 0:  # prefer ending the path to extending it
-                ties = np.flatnonzero(pending == low)
-                free = ties[row_of[ties] < 0]
-                j = int(free[0] if free.size else j)
+                j = next((k for k in todo if pending[k] == low and row_of[k] < 0), j)
             if row_of[j] < 0:
                 break
             reached.append(j)
             lows.append(low)
-            pending[j] = np.inf
-            shift[j] = -np.inf
+            todo.remove(j)
             i = row_of[j]
         u[start] += low
-        if reached:
-            gain = low - np.array(lows)
-            u[tree[1:]] += gain
-            v[reached] -= gain
+        for r, col, before in zip(tree[1:], reached, lows):
+            gain = low - before
+            u[r] += gain
+            v[col] -= gain
         while True:  # flip the path from `start` to the free column j
             i = via[j]
             row_of[j] = i
@@ -107,9 +172,9 @@ def linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
             if i == start:
                 break
     if transposed:
-        order = np.argsort(col_of)
-        return col_of[order], order, v, u
-    return np.arange(n), col_of, u, v
+        order = sorted(range(n), key=col_of.__getitem__)
+        return [col_of[k] for k in order], order, v, u
+    return list(range(n)), col_of, u, v
 
 
 class _Residual:
@@ -254,7 +319,9 @@ def _last_total(lo: int, hi: int, scale: int, best: float) -> int:
     return lo
 
 
-def _lexmin_pairs(c: np.ndarray, rows: np.ndarray, cols: np.ndarray, viable: np.ndarray) -> list[tuple[int, int]]:
+def _lexmin_pairs(
+    c: list[list[float]], rows: list[int], cols: list[int], viable: list[list[int]]
+) -> list[tuple[int, int]]:
     """The lexicographically smallest pair list whose fsum total is minimal.
 
     Viable costs become ints over one power-of-two denominator, so totals
@@ -265,17 +332,17 @@ def _lexmin_pairs(c: np.ndarray, rows: np.ndarray, cols: np.ndarray, viable: np.
     takes its smallest free viable column j for which the cheapest exchange
     cycle through (i, j) keeps the total within `ceiling`. If no column does,
     row i stays unmatched. The current assignment stays the cheapest one
-    consistent with the rows fixed so far.
+    consistent with the rows fixed so far. `viable[i]` lists the columns
+    row i may take, ascending, the solver's pair among them: those pairs
+    anchor the graph.
     """
-    n = c.shape[0]
-    viable[rows, cols] = True  # the solver's pairs anchor the graph
-    ii, jj = np.nonzero(viable)
-    ratios = [x.as_integer_ratio() for x in c[ii, jj].tolist()]
-    scale = max(den for _, den in ratios)
+    n = len(c)
+    cells = [(i, j, c[i][j].as_integer_ratio()) for i, keep in enumerate(viable) for j in keep]
+    scale = max(den for _, _, (_, den) in cells)
     w: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, j, (num, den) in zip(ii.tolist(), jj.tolist(), ratios):
+    for i, j, (num, den) in cells:
         w[i][n + j] = num * (scale // den)  # row-major, so columns ascend
-    g = _Residual(w, n, c.shape[1], rows.tolist(), cols.tolist())
+    g = _Residual(w, n, len(c[0]), rows, cols)
     g.settle()
     lowest = exact = sum(w[i][g.mate[i]] for i in range(n) if g.mate[i] >= 0)
     best = lowest / scale  # int division rounds correctly, as fsum does
@@ -331,7 +398,11 @@ def hungarian(costs: np.ndarray) -> Assignment:
     ulp(best) <= N * max(c) * 2**-52, well below eps, so
     reduced[i, j] <= 2N eps < tol, and the spare margin covers the rounding
     of the reduced costs themselves. If the check fails, nothing is ruled out.
+
+    `costs` is checked and converted with NumPy, and solved as Python lists.
     """
+    import numpy as np
+
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-d, got shape {c.shape}")
@@ -339,7 +410,12 @@ def hungarian(costs: np.ndarray) -> Assignment:
         raise ValueError("cost matrix entries must be finite")
     if c.size and (c < 0).any():
         raise ValueError("cost matrix entries must be non-negative")
-    n_pred, n_gt = c.shape
+    return _assign(c.tolist(), *c.shape)
+
+
+def _assign(c: list[list[float]], n_pred: int, n_gt: int) -> Assignment:
+    """`hungarian` of the n_pred x n_gt matrix of rows `c`, whose entries
+    are finite and non-negative."""
     if min(n_pred, n_gt) == 0:
         return Assignment(
             pairs=(),
@@ -350,36 +426,46 @@ def hungarian(costs: np.ndarray) -> Assignment:
 
     if min(n_pred, n_gt) == 1:
         # one pair is matched: the first minimum in row-major order
-        pairs = [divmod(int(c.argmin()), n_gt)]
+        flat = [x for row in c for x in row]
+        pairs = [divmod(flat.index(min(flat)), n_gt)]
     else:
         rows, cols, u, v = linear_sum_assignment(c)
         size = max(n_pred, n_gt)
-        tol = max(1e-9, 64 * size * size * np.finfo(np.float64).eps) * max(1.0, float(c.max()))
+        tol = max(1e-9, 64 * size * size * sys.float_info.epsilon) * max(1.0, max(map(max, c)))
         eps = tol / (2 * size + 1)
-        reduced = c - u[:, None] - v[None, :]
+        reduced = [list(map(sub, map(sub, row, repeat(ui)), v)) for row, ui in zip(c, u)]  # (c - u) - v
         longer, matched = (u, rows) if n_pred > n_gt else (v, cols)
+        unmatched = set(range(size)).difference(matched)
         dual = (
-            reduced.min() >= -eps
-            and np.abs(reduced[rows, cols]).max() <= eps
+            min(map(min, reduced)) >= -eps
+            and max(abs(reduced[i][j]) for i, j in zip(rows, cols)) <= eps
             # padding lines meet the longer side at reduced cost -longer
-            and (n_pred == n_gt or (longer.max() <= eps and np.abs(np.delete(longer, matched)).max() <= eps))
+            and (n_pred == n_gt or (max(longer) <= eps and max(abs(longer[k]) for k in unmatched) <= eps))
         )
-        pairs = _lexmin_pairs(c, rows, cols, reduced <= tol if dual else np.ones(c.shape, dtype=bool))
+        if dual:  # each row's columns within `tol`
+            viable = [list(compress(range(n_gt), map(tol.__ge__, row))) for row in reduced]
+        else:
+            viable = [list(range(n_gt)) for _ in range(n_pred)]
+        pairs = _lexmin_pairs(c, rows, cols, viable)
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     return Assignment(
         pairs=tuple(pairs),
         unmatched_predictions=tuple(i for i in range(n_pred) if i not in matched_rows),
         unmatched_groundtruths=tuple(j for j in range(n_gt) if j not in matched_cols),
-        total_cost=math.fsum(float(c[i, j]) for i, j in pairs),
+        total_cost=math.fsum(c[i][j] for i, j in pairs),
     )
 
 
 def assign_targets(
-    predictions: Sequence[RasterMask],
-    groundtruths: Sequence[RasterMask],
+    predictions: Sequence[Union[RasterMask, Bitset, Rle]],
+    groundtruths: Sequence[Union[RasterMask, Bitset, Rle]],
     w_iou: float = 1.0,
     w_dice: float = 0.0,
 ) -> Assignment:
-    """Match prediction masks to ground-truth masks at minimum total cost."""
-    return hungarian(build_cost_matrix(predictions, groundtruths, w_iou, w_dice))
+    """Match prediction masks to ground-truth masks at minimum total cost:
+    `hungarian(build_cost_matrix(...))`, solved on the cost rows."""
+    rows = _cost_rows([as_bitset(p) for p in predictions], [as_bitset(g) for g in groundtruths], w_iou, w_dice)
+    if not math.isfinite(w_iou + w_dice) and any(math.inf in row for row in rows):
+        raise ValueError("cost matrix entries must be finite")
+    return _assign(rows, len(predictions), len(groundtruths))

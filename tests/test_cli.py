@@ -11,12 +11,13 @@ import pytest
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
 from segdial.cli import _inst_metrics_obj, build_parser, main
 from segdial.dataset_io import (
-    load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_predictions,
-    write_records,
+    load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_jsonl,
+    write_predictions, write_records,
 )
 from segdial.geometry import union_rle
-from segdial.mask import mask_union, rle_encode
-from segdial.metrics import PredictionInstance, evaluate_ap
+from segdial.mask import mask_union, overlap, rle_encode
+from segdial.matching import assign_targets, hungarian
+from segdial.metrics import EvalValidationError, PredictionInstance, evaluate_ap
 from segdial.parsing import from_training_record, parse_sid_response, to_training_record
 from segdial.transforms import TASK_TEMPLATES, to_semantic
 
@@ -102,6 +103,25 @@ INST_REPORT = (
     "AP-medium 0.000\n"
     "AP-large  0.000"
 )
+
+
+def decoded_assignments(gt, preds, w_iou=1.0, w_dice=0.0):
+    """The rows `match` writes, from the decoded masks of `load_coco` and
+    `read_predictions`, matched by `assign_targets`."""
+    dataset, decoded = load_coco(gt), read_predictions(preds)
+    bad = sorted({p.image_id for p in decoded} - {img.image_id for img in dataset.images})
+    if bad:
+        raise EvalValidationError([f"prediction for unknown image_id {i}" for i in bad])
+    rows = []
+    for img in dataset.images:
+        ids = [a.instance_id for a in img.annotations]
+        got = assign_targets([p.mask for p in decoded if p.image_id == img.image_id],
+                             [a.mask for a in img.annotations], w_iou, w_dice)
+        rows.append({"schema_version": 1, "image_id": img.image_id, "pairs": [[i, ids[j]] for i, j in got.pairs],
+                     "unmatched_pred_indices": list(got.unmatched_predictions),
+                     "unmatched_gt_instance_ids": [ids[j] for j in got.unmatched_groundtruths],
+                     "total_cost": got.total_cost})
+    return rows
 
 
 def _run_fresh(args, refused, tmp_path):
@@ -221,7 +241,7 @@ class TestExitCodes:
 
 
     def test_match_runs_without_scipy(self, tmp_path):
-        # `match` solves its assignments with NumPy alone: a fresh interpreter
+        # `match` solves its assignments in pure Python: a fresh interpreter
         # that cannot import scipy writes the same bytes as this process.
         gt = write_gt(tmp_path)
         preds = tmp_path / "preds.jsonl"
@@ -237,6 +257,34 @@ class TestExitCodes:
         code, _, err = _run_fresh([*args, fresh], ["scipy"], tmp_path)
         assert code == 0, err
         assert fresh.read_bytes() == here.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--w-iou=nan", "--w-dice=nan", "--w-iou=inf", "--w-dice=inf", "--w-iou=-inf",
+                                      "--w-dice=-1e-300"])
+    def test_bad_cost_weights_are_refused_before_any_file_is_read(self, tmp_path, capsys, flag):
+        out = tmp_path / "assign.jsonl"
+        args = ["match", "--preds", tmp_path / "missing.jsonl", "--gt", tmp_path / "missing.json", "--out", out, flag]
+        assert main(list(map(str, args))) == 1
+        assert capsys.readouterr().err == "validation error: cost weights must be finite and non-negative\n"
+        assert not out.exists()
+
+    def test_a_negative_zero_weight_is_a_zero_weight(self, tmp_path, capsys):
+        gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)
+        outs = []
+        for n, flags in enumerate((["--w-iou=-0.0", "--w-dice=-0.0"], ["--w-iou=0", "--w-dice=0"])):
+            outs.append(tmp_path / f"assign-{n}.jsonl")
+            assert main(list(map(str, ["match", "--preds", preds, "--gt", gt, "--out", outs[-1], *flags]))) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text().splitlines()[0])["total_cost"] == 0.0
+
+    def test_an_overflowing_cost_is_refused_without_a_warning(self, tmp_path, capsys):
+        # each weight is finite, but a disjoint pair costs 1e308 + 1e308
+        gt, preds = write_gt(tmp_path), write_perfect_preds(tmp_path)
+        args = ["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl", "--w-iou", "1e308",
+                "--w-dice", "1e308"]
+        assert main(list(map(str, args))) == 1
+        assert capsys.readouterr().err == "validation error: cost matrix entries must be finite\n"
+        code, _, err = _run_fresh(args, [], tmp_path)
+        assert (code, err) == (1, "validation error: cost matrix entries must be finite\n")
 
 
 class TestMalformedGroundTruth:
@@ -549,6 +597,41 @@ class TestMalformedPredictions:
         capsys.readouterr()
         assert refused > 0.9 * len(self.mutations())
 
+    def test_matching_refuses_what_the_decoded_path_refuses(self, tmp_path, capsys):
+        # `match` matches bitsets built from the geometry: each mutation fails
+        # it with the exception, message included, that `read_predictions`
+        # and `assign_targets` of decoded masks raise, and one that both
+        # accept gives the same rows
+        gt, preds, out = tmp_path / "gt.json", tmp_path / "preds.jsonl", tmp_path / "assign.jsonl"
+        write_json(gt, TestMalformedGroundTruth.payload())
+        args = build_parser("match").parse_args(["match", "--gt", str(gt), "--preds", str(preds), "--out", str(out)])
+
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        def from_bitsets():
+            args.func(args)
+            return [json.loads(line) for line in out.read_text().splitlines()]
+
+        refused = 0
+        for path, value in [((), None), *self.mutations()]:
+            lines = self.lines()
+            if len(path) == 1:
+                lines[path[0]] = value
+            elif value is self.DELETED:
+                del lines[path[0]][path[1]]
+            elif path:
+                lines[path[0]][path[1]] = value
+            preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+            want = outcome(lambda: decoded_assignments(gt, preds))
+            assert outcome(from_bitsets) == want, (path, value)
+            refused += isinstance(want, tuple)
+        capsys.readouterr()
+        assert refused > 0.9 * len(self.mutations())
+
     def test_seeded_mutations_exit_one_without_traceback(self, tmp_path, capsys):
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
         write_json(gt, TestMalformedGroundTruth.payload())
@@ -739,10 +822,10 @@ class TestImportBoundary:
     def test_each_subcommand_loads_its_own_modules(self, tmp_path):
         # the segdial modules of every subcommand, pinned: scoring loads no
         # prompt building (`curation`), `match` no AP scoring, `evaluate` no
-        # matcher and no subcommand but `match` the pixel layer (`mask`); only
-        # hashing a parsed response loads hashlib, and no subcommand defines a
-        # dataclass, so none loads `dataclasses`, and the NumPy-free ones not
-        # the `inspect` it pulls in either
+        # matcher and no subcommand the pixel layer (`mask`); only hashing a
+        # parsed response loads hashlib, and no subcommand defines a
+        # dataclass, so none loads `dataclasses`, nor the `inspect` that
+        # NumPy pulls in
         import segdial
 
         env = dict(os.environ)
@@ -769,7 +852,7 @@ class TestImportBoundary:
             (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
              ["cli", "dataset_io"], []),
             (["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
-             ["cli", "dataset_io", "geometry", "instances", "mask", "matching"], None),
+             ["cli", "dataset_io", "geometry", "instances", "matching"], []),
             (["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", report],
              ["ap", "cli", "dataset_io", "geometry", "instances"], []),
             (["evaluate", "--gt", gt, "--preds", sem_preds, "--mode", "sem", "--out", tmp_path / "sem.json"],
@@ -785,8 +868,7 @@ class TestImportBoundary:
             assert (status, loaded) == (0, modules), args[:3]
             assert ("hashlib" in markers) == (args[0] == "parse"), args[:3]
             assert "dataclasses" not in markers, args[:3]
-            if stdlib is not None:  # the NumPy-free subcommands: exactly these
-                assert markers == stdlib, args[:3]
+            assert markers == stdlib, args[:3]  # every subcommand is NumPy-free: exactly these
 
     def test_semantic_scoring_runs_without_numpy(self, tmp_path, capsys):
         # every mask is scored as a run-length code: polygons and rle on both
@@ -886,6 +968,79 @@ class TestImportBoundary:
         report = evaluate_ap(read_predictions(preds), dataset.images, categories=set(dataset.categories))
         assert json.loads((tmp_path / "here.json").read_text()) == _inst_metrics_obj(report)
         assert 0 < report.mAP < 1 and min(report.AP_small, report.AP_medium, report.AP_large) > 0
+
+    def test_match_runs_without_numpy(self, tmp_path, capsys):
+        # every mask is matched as a bitset: polygons and rle on both sides,
+        # an image without predictions, one without annotations, k x 1 and
+        # 1 x k matrices, exact ties and a Dice term all go through a fresh
+        # run that can load neither NumPy nor the pixel layer nor `metrics`,
+        # and so does a canvas mismatch
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, coco_payload(
+            images=[
+                (1, 160, 120, [(11, 3, rle_obj(rect_mask(160, 120, 2, 2, 9, 9))),
+                               (12, 5, [rect_polygon(10, 10, 60, 50)]),
+                               (13, 3, [rect_polygon(0, 0, 150, 100), rect_polygon(140, 100, 160, 120)])]),
+                (2, 160, 120, [(21, 3, [rect_polygon(30, 30, 120, 100)])]),
+                (3, 160, 120, []),
+                (4, 160, 120, [(41, 5, rle_obj(rect_mask(160, 120, 100, 0, 160, 120))),
+                               (42, 3, [[0, 120, 30, 0, 55, 120]]), (43, 3, [rect_polygon(0, 0, 20, 20)])]),
+                (5, 160, 120, [(51, 3, [rect_polygon(5, 5, 25, 25)])]),
+            ],
+            categories=[(3, "keyboard"), (5, "lamp")],
+        ))
+        twin = rle_obj(rect_mask(160, 120, 3, 2, 9, 10))
+        lines = [
+            {"image_id": 1, "rle": twin},
+            {"image_id": 1, "polygon": [rect_polygon(12, 8, 60, 50)], "width": 160, "height": 120},
+            {"image_id": 1, "rle": twin},  # an exact tie with the first
+            {"image_id": 1, "polygon": [rect_polygon(0, 0, 150, 90)], "width": 160, "height": 120},
+            {"image_id": 2, "rle": rle_obj(rect_mask(160, 120, 28, 30, 120, 100))},
+            {"image_id": 2, "polygon": [rect_polygon(0, 0, 200, 200)], "width": 160, "height": 120},
+            {"image_id": 2, "rle": rle_obj(rect_mask(160, 120, 0, 0, 4, 4))},
+            {"image_id": 3, "polygon": [[1, 1, 9, 9]], "width": 160, "height": 120},
+            {"image_id": 3, "rle": twin},
+            {"image_id": 4, "polygon": [rect_polygon(0, 0, 40, 40)], "width": 160, "height": 120},
+        ]
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+        for n, weights in enumerate(((1.0, 0.0), (0.7, 0.5))):
+            def args(how):
+                return ["match", "--preds", preds, "--gt", gt, "--w-iou", weights[0], "--w-dice", weights[1],
+                        "--out", tmp_path / f"{how}-{n}.jsonl"]
+
+            assert main([str(a) for a in args("here")]) == 0
+            here = capsys.readouterr()
+            code, fresh, err = _run_fresh(args("fresh"), ["numpy", "segdial.mask", "segdial.metrics"], tmp_path)
+            assert code == 0, err
+            assert (fresh, err) == (here.out, here.err) == ("match: wrote assignments for 5 image(s)\n", "")
+            assert (tmp_path / f"fresh-{n}.jsonl").read_bytes() == (tmp_path / f"here-{n}.jsonl").read_bytes()
+            # the bytes of the decoded masks' assignments
+            write_jsonl(decoded_assignments(gt, preds, *weights), tmp_path / f"decoded-{n}.jsonl")
+            assert (tmp_path / f"here-{n}.jsonl").read_bytes() == (tmp_path / f"decoded-{n}.jsonl").read_bytes()
+            rows = [json.loads(line) for line in (tmp_path / f"here-{n}.jsonl").read_text().splitlines()]
+            assert [len(r["pairs"]) for r in rows] == [3, 1, 0, 1, 0]
+            assert rows[0]["pairs"][0] == [0, 11] and 2 in rows[0]["unmatched_pred_indices"]
+
+        # the decoded masks' costs, pair by pair, give the same assignment
+        dataset, decoded = load_coco(gt), read_predictions(preds)
+        img = dataset.images[0]
+        costs = [[1.0 - (i / u if u else 0.0) for i, u in (overlap(p.mask, a.mask) for a in img.annotations)]
+                 for p in decoded if p.image_id == 1]
+        got = hungarian(np.array(costs))
+        assert [[i, img.annotations[j].instance_id] for i, j in got.pairs] == rows[0]["pairs"]
+
+        # a prediction on another canvas fails the same way in both runs
+        lines.insert(5, {"image_id": 2, "rle": rle_obj(rect_mask(16, 12, 0, 0, 4, 4))})
+        preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        args = ["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "mismatch.jsonl"]
+        assert main([str(a) for a in args]) == 1
+        here = capsys.readouterr()
+        code, fresh, err = _run_fresh(args, ["numpy", "segdial.mask", "segdial.metrics"], tmp_path)
+        assert (code, fresh, err) == (1, here.out, here.err) == (1, "", "validation error: mask canvases differ: "
+                                                                       "16x12 vs 160x120\n")
+        with pytest.raises(ValueError, match="^mask canvases differ: 16x12 vs 160x120$"):
+            decoded_assignments(gt, preds)
 
     def test_scoring_skips_parsing_clients_and_transforms(self, tmp_path):
         gt, preds, sem_preds = write_gt(tmp_path), write_perfect_preds(tmp_path), write_sem_preds(tmp_path)

@@ -302,7 +302,7 @@ class TestReducedCostSkip:
         solve = matching.linear_sum_assignment
 
         def counted(costs):
-            calls.append(costs.shape)
+            calls.append((len(costs), len(costs[0])))
             return solve(costs)
 
         monkeypatch.setattr(matching, "linear_sum_assignment", counted)
@@ -377,7 +377,7 @@ class TestExactTieBreak:
         # check, and the exact potentials must cancel the negative cycles it
         # leaves before the tie-break starts.
         def diagonal(c):
-            return (np.arange(min(c.shape)),) * 2 + (np.zeros(c.shape[0]), np.zeros(c.shape[1]))
+            return (list(range(min(len(c), len(c[0])))),) * 2 + ([0.0] * len(c), [0.0] * len(c[0]))
 
         monkeypatch.setattr(matching, "linear_sum_assignment", diagonal)
         for costs in self._small_matrices(600, seed=607):
@@ -393,26 +393,26 @@ class TestExactTieBreak:
         def broken(c):
             rows, cols, u, v = solve(c)
             if breakage == "shifted v":  # |reduced| = 0.5 on the pairs
-                v = v - 0.5
+                v = [x - 0.5 for x in v]
             elif breakage in ("infeasible", "raised longer side"):
                 # trade potential within a pair: reduced < 0 down its column,
                 # or the longer side's potential above 0 on a matched line
-                d = 100.0 if breakage == "infeasible" else 1e-3 * np.sign(c.shape[1] - c.shape[0])
-                u, v = u.copy(), v.copy()
+                d = 100.0 if breakage == "infeasible" else 1e-3 * np.sign(len(c[0]) - len(c))
+                u, v = list(u), list(v)
                 u[rows[0]] -= d
                 v[cols[0]] += d
-            elif c.shape[0] > c.shape[1]:  # the longer side's unmatched lines
-                u = u - np.isin(np.arange(c.shape[0]), rows, invert=True)
+            elif len(c) > len(c[0]):  # the longer side's unmatched lines
+                u = [x - (k not in rows) for k, x in enumerate(u)]
             else:
-                v = v - np.isin(np.arange(c.shape[1]), cols, invert=True)
+                v = [x - (k not in cols) for k, x in enumerate(v)]
             return rows, cols, u, v
 
         lexmin = matching._lexmin_pairs
         checked = []
 
         def all_viable(c, rows, cols, viable):
-            checked.append(c.shape)
-            assert viable.all(), c.tolist()
+            checked.append((len(c), len(c[0])))
+            assert viable == [list(range(len(c[0])))] * len(c), c
             return lexmin(c, rows, cols, viable)
 
         monkeypatch.setattr(matching, "linear_sum_assignment", broken)
@@ -443,7 +443,7 @@ class TestExactTieBreak:
                 costs[rng.integers(0, shape[0], shape[0] // 3)] = costs[0]
             else:
                 costs = rng.random(shape)
-            rows, cols, u, v = matching.linear_sum_assignment(costs)
+            rows, cols, u, v = map(np.array, matching.linear_sum_assignment(costs.tolist()))
             reduced = costs - u[:, None] - v[None, :]
             assert reduced.min() >= -1e-9 and np.abs(reduced[rows, cols]).max() <= 1e-9
             assert rows.tolist() == sorted(set(rows.tolist()))
@@ -452,6 +452,115 @@ class TestExactTieBreak:
             optimum = math.fsum(costs[want_rows, want_cols])
             assert math.fsum(costs[rows, cols]) == pytest.approx(optimum, rel=1e-12, abs=0)
             assert hungarian(costs).total_cost == pytest.approx(optimum, rel=1e-12, abs=0)
+
+
+# The NumPy solver that `matching.linear_sum_assignment` replaced, copied
+# verbatim but for its name: the pure-Python one must give the same rows,
+# columns and potentials, bit for bit.
+def _numpy_linear_sum_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A minimum-cost assignment of min(n, m) pairs as (rows, cols), rows
+    ascending, and the dual potentials (u, v) it ends with: u per row, v per
+    column.
+
+    Shortest augmenting paths with dual potentials (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms", the method behind
+    scipy's solver). Each line of the shorter side joins through a Dijkstra
+    search over the lines of the longer one; one NumPy pass per step scans
+    the lines the search has not reached yet. In exact arithmetic the
+    reduced costs c - u[:, None] - v[None, :] are >= 0, and 0 on the pairs;
+    the longer side's potentials are <= 0, and 0 on its unmatched lines.
+    """
+    c = np.asarray(costs, dtype=np.float64)
+    transposed = c.shape[0] > c.shape[1]
+    if transposed:
+        c = c.T
+    n, m = c.shape
+    u = np.zeros(n)
+    v = np.zeros(m)
+    col_of = np.full(n, -1, dtype=np.intp)
+    row_of = np.full(m, -1, dtype=np.intp)
+    via = np.empty(m, dtype=np.intp)  # the row each column is reached from
+    for start in range(n):
+        pending = np.full(m, np.inf)  # tentative distances of the columns not reached
+        shift = v.copy()  # v, but -inf at reached columns so that they stay put
+        tree, reached, lows = [], [], []  # tree[k + 1] is the row of column reached[k]
+        low = 0.0
+        i = start
+        while True:
+            tree.append(i)
+            step = c[i] - shift
+            step += low - u[i]
+            closer = step < pending
+            np.copyto(pending, step, where=closer)
+            np.copyto(via, i, where=closer)
+            j = int(pending.argmin())
+            low = pending[j]
+            if row_of[j] >= 0:  # prefer ending the path to extending it
+                ties = np.flatnonzero(pending == low)
+                free = ties[row_of[ties] < 0]
+                j = int(free[0] if free.size else j)
+            if row_of[j] < 0:
+                break
+            reached.append(j)
+            lows.append(low)
+            pending[j] = np.inf
+            shift[j] = -np.inf
+            i = row_of[j]
+        u[start] += low
+        if reached:
+            gain = low - np.array(lows)
+            u[tree[1:]] += gain
+            v[reached] -= gain
+        while True:  # flip the path from `start` to the free column j
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    if transposed:
+        order = np.argsort(col_of)
+        return col_of[order], order, v, u
+    return np.arange(n), col_of, u, v
+
+
+class TestSolverAgainstNumPyReference:
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(1717)
+        thirds = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3]
+        tenths = [k / 10 for k in range(11)]
+        yield FALLBACK_COSTS
+        yield from FALLBACK_NEAR_TIES
+        yield from POSITIVE_EXCHANGES
+        for trial in range(900):
+            n = int(rng.integers(1, 25))
+            # square, tall and wide in turn
+            m = (n, max(1, n - int(rng.integers(0, n))), n + int(rng.integers(1, 12)))[trial % 3]
+            family = trial // 3 % 5
+            if family == 0:
+                yield rng.random((n, m))
+            elif family == 1:
+                yield rng.choice(thirds, size=(n, m))
+            elif family == 2:
+                yield rng.choice(tenths, size=(n, m))
+            elif family == 3:
+                yield np.full((n, m), float(rng.choice([0.0, 0.1, 1 / 3, 1.0])))
+            else:
+                yield rng.choice(thirds, size=(n, m)) * 1e-7
+        for shape in ((100, 60), (60, 100), (30, 45)):
+            yield _iou_like(rng, *shape, 5)
+
+    def test_rows_cols_and_potentials_are_bit_identical(self):
+        shapes = set()
+        for costs in self._matrices():
+            want = _numpy_linear_sum_assignment(costs)
+            got = matching.linear_sum_assignment(costs.tolist())
+            assert [type(x) for x in got] == [list] * 4
+            assert got[0] == want[0].tolist() and got[1] == want[1].tolist(), costs.tolist()
+            for mine, theirs in zip(got[2:], want[2:]):
+                assert np.array(mine, dtype=np.float64).tobytes() == theirs.tobytes(), costs.tolist()
+            shapes.add(np.sign(costs.shape[0] - costs.shape[1]))
+        assert shapes == {-1, 0, 1}
 
 
 class TestCostMatrix:
@@ -487,7 +596,7 @@ class TestCostMatrix:
 
     def test_costs_equal_the_pair_formula_bit_for_bit(self):
         # the per-pair costs of one IoU and one Dice per pair, in the same
-        # float operations, against the matrix built from `overlaps`
+        # float operations, against the matrix built from bitsets
         rng = random.Random(31)
         for trial in range(40):
             side = rng.choice((8, 40, 128))
