@@ -1,7 +1,7 @@
-"""Micro-benchmarks of the scoring layers: the pairwise overlap matrix and
+"""Micro-benchmarks of the scoring layers: the pairwise cost matrix and
 `evaluate_ap`, on the shapes the benchmark workloads give them; one cell
 scored on bitsets built from run-length codes (what `evaluate --mode inst`
-runs) next to the decoding and pixel overlaps it replaces; and the
+runs), and the building of those bitsets; and the
 whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
 0), counted on bitsets (what the CLI runs) next to the decode path they
 replace.
@@ -23,9 +23,7 @@ from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.dataset_io import load_coco_geometries, read_prediction_geometries
 from segdial.geometry import Bitset, bitset, bitset_union
 from segdial.instances import decode_geometries
-from segdial.mask import (
-    Polygon, RasterMask, area, bbox_of, mask_union, overlap, overlaps, rasterize, rle_decode_many, rle_encode,
-)
+from segdial.mask import Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize, rle_encode
 from segdial.matching import build_cost_matrix
 from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
 
@@ -92,15 +90,8 @@ def test_cell_bitsets_and_ap(benchmark, coded_cell):
     assert 0.0 < benchmark(evaluate_ap, preds, images).mAP <= 1.0
 
 
-def test_cell_decode_and_overlaps(benchmark, coded_cell):
-    # the decoding and pixel overlaps that the bitsets replace
-    pred_codes, gt_codes = coded_cell
-    inter, _ = benchmark(lambda: overlaps(rle_decode_many(pred_codes), rle_decode_many(gt_codes)))
-    assert inter.sum() > 0
-
-
 def test_cell_bitsets_from_codes(benchmark, coded_cell):
-    # building the bitsets, which the decode above stands beside
+    # building the bitsets the cell is scored on
     codes = [c for side in coded_cell for c in side]
     built = benchmark(lambda: [bitset(c, c.width, c.height) for c in codes])
     assert sum(b.area for b in built) == sum(sum(c.counts[1::2]) for c in codes)

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the merged masks of `transform --to sid-semseg`: the
-run-length code of each merged annotation, counted from its members'
-geometry by `geometry.union_rle` (what the CLI runs), next to the NumPy path
+run-length code of each merged annotation, from its members' bitsets by
+`bitset_rle(bitset_union(...))` (what the CLI runs), next to the NumPy path
 it replaces, `rle_encode(mask_union(decode_geometries(...)))`. The member
 sets are those of the three benchmark workloads (seed 0), which
 `bench/workloads.py` writes into a temporary directory and `parse` turns
@@ -19,7 +19,7 @@ import pytest
 
 from segdial.cli import main
 from segdial.dataset_io import load_coco_geometries, read_records
-from segdial.geometry import union_rle
+from segdial.geometry import bitset, bitset_rle, bitset_union
 from segdial.instances import decode_geometries
 from segdial.mask import mask_union, rle_encode
 from segdial.parsing import from_training_record
@@ -53,8 +53,8 @@ def member_sets(tmp_path_factory):
     return sets
 
 
-def _from_geometry(sets):
-    return [union_rle(items) for items in sets]
+def _from_bitsets(sets):
+    return [bitset_rle(bitset_union([bitset(*item) for item in items])) for items in sets]
 
 
 def _through_pixels(sets):
@@ -62,8 +62,8 @@ def _through_pixels(sets):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_union_rle(benchmark, member_sets, name):
-    codes = benchmark(_from_geometry, member_sets[name])
+def test_bitset_rle(benchmark, member_sets, name):
+    codes = benchmark(_from_bitsets, member_sets[name])
     assert codes == _through_pixels(member_sets[name])
 
 

@@ -243,14 +243,15 @@ def _cmd_transform(args) -> int:
     if needs_annotations:
         if args.annotations is None:
             raise CliUsageError(f"--to {args.to} requires --annotations")
-        from segdial.geometry import union_rle
+        from segdial.geometry import bitset, bitset_rle, bitset_union
 
-        # each merged mask is coded from its members' geometry, so no pixel is drawn
+        # each merged mask is coded from its members' bitsets, so no pixel is drawn
         dataset, geometries = dataset_io.load_coco_geometries(args.annotations)
         ann_map = {a.instance_id: a for img in dataset.images for a in img.annotations}
 
         def merged_rle(members) -> dict:
-            return dataset_io.rle_to_obj(union_rle([geometries[a.instance_id] for a in members]))
+            union = bitset_union([bitset(*geometries[a.instance_id]) for a in members])
+            return dataset_io.rle_to_obj(bitset_rle(union))
 
     serialized = dataset_io.read_records(args.in_path)
     out_records = []

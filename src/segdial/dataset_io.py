@@ -259,7 +259,7 @@ def load_coco_geometries(path: str | Path) -> tuple[CocoDataset, dict[int, tuple
     """`load_coco_footprints` of the file and, by annotation id, the
     (geometry, image width, image height) each annotation was counted from,
     from one read of the file. The polygons keep the row runs `footprint`
-    counted, so `geometry.union_rle` of them does not count them again."""
+    counted, so `geometry.bitset` of them does not count them again."""
     from segdial.geometry import Rle, _Counted, footprint
     from segdial.instances import InstanceAnnotation
 
@@ -527,15 +527,24 @@ def rle_to_obj(rle: Rle) -> dict:
 
 
 def write_predictions(preds: Sequence[PredictionInstance], path: str | Path) -> None:
-    """Write predictions in the rle flavor of the predictions JSONL format."""
-    from segdial.mask import rle_encode
+    """Write predictions in the rle flavor of the predictions JSONL format:
+    a Bitset mask is coded by `geometry.bitset_rle`, a RasterMask by
+    `mask.rle_encode`."""
+    from segdial.geometry import Bitset, bitset_rle
+
+    def code(mask) -> Rle:
+        if isinstance(mask, Bitset):
+            return bitset_rle(mask)
+        from segdial.mask import rle_encode
+
+        return rle_encode(mask)
 
     rows = (
         {
             "image_id": p.image_id,
             "category_id": p.category_id,
             "score": p.score,
-            "rle": rle_to_obj(rle_encode(p.mask)),
+            "rle": rle_to_obj(code(p.mask)),
         }
         for p in preds
     )

@@ -4,22 +4,23 @@ Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
 for pixels. `segdial.mask` turns these values into masks; `footprint` gives
-the area and box of such a mask and `union_rle` the run-length code of a
-union of such masks, from the geometry alone. `bitset` gives such a mask as
-a `Bitset`, one Python int, on which `bitset_overlap` counts the pixels two
-masks share and `bitset_union` unites masks, a machine word at a time.
+the area and box of such a mask from the geometry alone. `bitset` gives such
+a mask as a `Bitset`, one Python int, on which `bitset_overlap` counts the
+pixels two masks share and `bitset_union` unites masks, a machine word at a
+time; `bitset_rle` gives a Bitset's run-length code.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
-    "BBox", "Bitset", "Geometry", "Polygon", "Rle", "bitset", "bitset_overlap", "bitset_union", "check_canvas",
-    "check_fit", "footprint", "union_rle",
+    "BBox", "Bitset", "Geometry", "Polygon", "Rle", "bitset", "bitset_overlap", "bitset_rle", "bitset_union",
+    "check_canvas", "check_fit", "footprint",
 ]
 
 
@@ -165,55 +166,6 @@ def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optiona
     return area, BBox(min(r[1] for r in rows), rows[0][0], max(r[2] for r in rows) - 1, rows[-1][0])
 
 
-def union_rle(items: Sequence[tuple[Geometry, int, int]]) -> Rle:
-    """`mask.rle_encode(mask.mask_union(decode_geometries(items)))`, counted
-    from the geometry without drawing a pixel: the column-major code, in
-    `rle_encode`'s form, of the union of the masks of every (geometry,
-    width, height) of `items`.
-
-    Each mask must lie on the canvas of the first, as `mask_union` requires,
-    and is the one `decode_geometries` makes: an rle on its own canvas,
-    polygons on width x height. The polygons are united row by row as
-    `footprint` unites them and their runs read down the columns; each set
-    run of an rle is already an interval of the column-major order.
-    """
-    if not items:
-        raise ValueError("union_rle needs at least one geometry")
-    rows: list[tuple[int, int, int]] = []
-    runs: list[tuple[int, int]] = []  # [start, stop) in the column-major order
-    canvases = []
-    for geometry, width, height in items:
-        if isinstance(geometry, Rle):
-            runs += _set_runs(geometry)
-            width, height = geometry.width, geometry.height
-        else:
-            check_canvas(width, height)
-            if not geometry:
-                raise ValueError("geometry needs at least one polygon")
-            rows += _rows(geometry, width, height)
-        canvases.append((width, height))
-    width, height = canvases[0]
-    for w, h in canvases:
-        if (w, h) != (width, height):
-            raise ValueError(f"mask canvases differ: {width}x{height} vs {w}x{h}")
-    # each member's rows are united already; the union of those is the row
-    # union of all their polygons
-    runs += _column_runs(_merged_rows(rows), height)
-    runs.sort()
-    # a run that touches or overlaps the last one extends it
-    total, counts, end = width * height, [], -1
-    for start, stop in runs:
-        if start > end:
-            counts += (start - max(end, 0), stop - start)
-            end = stop
-        elif stop > end:
-            counts[-1] += stop - end
-            end = stop
-    if end < total:  # the clear run after the last set one, or the whole canvas
-        counts.append(total - max(end, 0))
-    return Rle(width, height, counts)
-
-
 class Bitset(NamedTuple):
     """A mask on a width x height canvas as one Python int: bit k of `bits`
     is pixel `offset + k` of the column-major order, in which pixel (x, y)
@@ -302,6 +254,22 @@ def bitset_union(masks: Sequence[Bitset]) -> Bitset:
     return Bitset(first.width, first.height, base, bits, bits.bit_count())
 
 
+def bitset_rle(b: Bitset) -> Rle:
+    """The column-major run-length code of `b`, in `mask.rle_encode`'s
+    form: `rle_encode` of the decoded mask."""
+    total = b.width * b.height
+    if not b.bits:
+        return Rle(b.width, b.height, (total,))
+    # the binary digits start and end with a set bit, so read from the
+    # right they are the set and clear runs in order, starting with a set one
+    runs = [len(run) for run in re.findall("1+|0+", format(b.bits, "b"))]
+    runs.reverse()
+    end = b.offset + b.bits.bit_length()
+    if end < total:  # the clear run after the last set one
+        runs.append(total - end)
+    return Rle(b.width, b.height, [b.offset, *runs])
+
+
 def _bit_field(positions: list[int], base: int, last: int) -> int:
     """The int with bit p - base set for each p of `positions`, which are
     distinct and lie in [base, last]."""
@@ -312,15 +280,9 @@ def _bit_field(positions: list[int], base: int, last: int) -> int:
     return int.from_bytes(field, "little")
 
 
-def _set_runs(rle: Rle) -> list[tuple[int, int]]:
-    """[start, stop) of each set run of `rle`, in the column-major order."""
-    ends = list(accumulate(rle.counts))
-    return list(zip(ends[0::2], ends[1::2]))
-
-
 class _Counted(tuple):
     """Polygons that keep their `_row_union` on the canvas it was counted on,
-    so `footprint`, `union_rle` and `bitset` count an annotation's rows
+    so `footprint` and `bitset` count an annotation's rows
     once; to every other reader, the tuple of its polygons."""
 
     def __new__(cls, polygons: Sequence[Polygon], width: int, height: int):
@@ -355,24 +317,6 @@ def _merged_rows(spans: list[tuple[int, int, int]]) -> list[tuple[int, int, int]
         else:
             out.append((y, start, stop))
     return out
-
-
-def _column_runs(rows: list[tuple[int, int, int]], height: int) -> list[tuple[int, int]]:
-    """The pixels of `_row_union`'s runs as [start, stop) intervals of the
-    column-major order, column by column and down each column."""
-    # sweeping the columns from the left, a run turns its row on at its
-    # start and off at its stop; the rows of a column then hold the runs
-    # between the boundaries where a row and the one above it differ
-    toggles = sorted([(start, y) for y, start, _ in rows] + [(stop, y) for y, _, stop in rows])
-    edges: set[int] = set()
-    bounds: list[int] = []  # the start and stop of each run, in order
-    for (x, y), (following, _) in zip(toggles, toggles[1:] + toggles[-1:]):
-        edges.symmetric_difference_update((y, y + 1))
-        if following > x and edges:  # columns x .. following - 1 look alike
-            cut = sorted(edges)
-            for base in range(x * height, following * height, height):
-                bounds += map(base.__add__, cut)
-    return list(zip(bounds[0::2], bounds[1::2]))
 
 
 def _spans(poly: Polygon, width: int, height: int) -> list[tuple[int, int, int]]:

@@ -77,8 +77,10 @@ def _cost_rows(
     """The rows of `build_cost_matrix`, as lists of floats.
 
     A canvas mismatch raises for the first mismatching pair in row-major
-    order, as `mask.overlaps` does. A pair whose column-major spans are
-    disjoint shares no pixel; the others take one shift, AND and bit count.
+    order: prediction by prediction, and for each, ground truth by ground
+    truth, as per-pair `mask.overlap` calls would. A pair whose column-major
+    spans are disjoint shares no pixel; the others take one shift, AND and
+    bit count.
     Each cost is the float expression of the decoded masks' pixel counts,
     so it is bit-identical to theirs.
     """
@@ -303,6 +305,14 @@ class _Residual:
         return dist, hop
 
 
+def _rounded(total: int, scale: int) -> float:
+    """total / scale correctly rounded, as fsum rounds; inf past the float range."""
+    try:
+        return total / scale
+    except OverflowError:
+        return math.inf
+
+
 def _last_total(lo: int, hi: int, scale: int, best: float) -> int:
     """The largest t in [lo, hi] with t / scale == best, given lo / scale == best.
 
@@ -312,7 +322,7 @@ def _last_total(lo: int, hi: int, scale: int, best: float) -> int:
     """
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if mid / scale == best:
+        if _rounded(mid, scale) == best:
             lo = mid
         else:
             hi = mid - 1
@@ -345,7 +355,9 @@ def _lexmin_pairs(
     g = _Residual(w, n, len(c[0]), rows, cols)
     g.settle()
     lowest = exact = sum(w[i][g.mate[i]] for i in range(n) if g.mate[i] >= 0)
-    best = lowest / scale  # int division rounds correctly, as fsum does
+    best = _rounded(lowest, scale)
+    if best == math.inf:
+        raise ValueError("the optimal total cost overflows the float range")
     num, den = math.ulp(best).as_integer_ratio()
     ceiling = _last_total(lowest, lowest + num * scale // den, scale, best)
     pairs = []
@@ -400,6 +412,7 @@ def hungarian(costs: np.ndarray) -> Assignment:
     of the reduced costs themselves. If the check fails, nothing is ruled out.
 
     `costs` is checked and converted with NumPy, and solved as Python lists.
+    An optimal total past the float range raises ValueError.
     """
     import numpy as np
 

@@ -14,7 +14,7 @@ from segdial.dataset_io import (
     load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_jsonl,
     write_predictions, write_records,
 )
-from segdial.geometry import union_rle
+from segdial.geometry import bitset, bitset_rle
 from segdial.mask import mask_union, overlap, rle_encode
 from segdial.matching import assign_targets, hungarian
 from segdial.metrics import EvalValidationError, PredictionInstance, evaluate_ap
@@ -286,6 +286,18 @@ class TestExitCodes:
         code, _, err = _run_fresh(args, [], tmp_path)
         assert (code, err) == (1, "validation error: cost matrix entries must be finite\n")
 
+    def test_an_overflowing_total_is_refused(self, tmp_path, capsys):
+        # each cost is finite, but both predictions miss every ground truth,
+        # so any assignment costs 1e308 + 1e308
+        gt, preds = write_gt(tmp_path), tmp_path / "preds.jsonl"
+        write_predictions([
+            PredictionInstance(image_id=1, mask=rect_mask(512, 512, 300, 300, 310, 310), score=1.0, category_id=3),
+            PredictionInstance(image_id=1, mask=rect_mask(512, 512, 400, 400, 410, 410), score=0.9, category_id=3),
+        ], preds)
+        args = ["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl", "--w-iou", "1e308"]
+        assert main(list(map(str, args))) == 1
+        assert capsys.readouterr().err == "validation error: the optimal total cost overflows the float range\n"
+
 
 class TestMalformedGroundTruth:
     """A ground-truth file of the wrong shape is a validation error (exit 1)
@@ -533,7 +545,7 @@ class TestMalformedPredictions:
         decoded = read_predictions(preds)
         assert [r[:3] for r in rows] == [(p.image_id, p.category_id, p.score) for p in decoded] == [
             (1, 3, 0.9), (2, 3, 0.8)]
-        assert [rle_encode(p.mask) for p in decoded] == [rows[0][3], union_rle([rows[1][3:]])]
+        assert [rle_encode(p.mask) for p in decoded] == [rows[0][3], bitset_rle(bitset(*rows[1][3:]))]
         refused = 0
         for path, value in self.mutations():
             lines = self.lines()

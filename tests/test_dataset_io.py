@@ -17,14 +17,15 @@ from segdial.dataset_io import (
     load_coco_footprints,
     load_coco_geometries,
     load_coco_labels,
+    read_prediction_geometries,
     read_predictions,
     read_record_lines,
     read_records,
     write_predictions,
     write_records,
 )
-from segdial.geometry import BBox, footprint, union_rle
-from segdial.mask import RasterMask, mask_union, rle_encode
+from segdial.geometry import BBox, Rle, bitset, bitset_rle, bitset_union, footprint
+from segdial.mask import RasterMask, mask_union, rle_decode, rle_encode
 from segdial.metrics import PredictionInstance
 from segdial.parsing import (
     Provenance,
@@ -133,8 +134,8 @@ class TestLoadCoco:
                 load(path)
 
     def test_each_polygon_is_traced_once(self, tmp_path, monkeypatch):
-        # `footprint` counts each annotation's row runs, and `union_rle` of
-        # the geometries reads them back: a polygon's edges are followed once,
+        # `footprint` counts each annotation's row runs, and the bitsets of
+        # the geometries read them back: a polygon's edges are followed once,
         # and the codes equal those of the decoded masks
         import segdial.geometry as geometry
 
@@ -154,7 +155,9 @@ class TestLoadCoco:
         spans = geometry._spans
         monkeypatch.setattr(geometry, "_spans", lambda poly, w, h: traced.append(poly) or spans(poly, w, h))
         dataset, geometries = load_coco_geometries(path)
-        codes = [union_rle([geometries[i] for i in ids]) for ids in ([10, 11], [12], [10, 11, 12])]
+        codes = [
+            bitset_rle(bitset_union([bitset(*geometries[i]) for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])
+        ]
         assert len(traced) == 3
         masks = {a.instance_id: a.mask for a in load_coco(path).images[0].annotations}
         assert codes == [rle_encode(mask_union([masks[i] for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])]
@@ -451,6 +454,20 @@ class TestPredictionsJsonl:
         assert [p.image_id for p in got] == [1, 5, 2, 3, 4]
         assert [got[0], *got[2:]] == preds
         assert got[1].mask == rect_mask(4, 4, 1, 1, 3, 2)
+
+    def test_bitset_and_raster_masks_round_trip(self, tmp_path):
+        # a Bitset mask is written as the code of the mask it holds, in the
+        # bytes its RasterMask gives: empty, full, wrapping and one-pixel masks
+        codes = [
+            Rle(4, 3, (2, 5, 5)), Rle(4, 3, (12,)), Rle(4, 3, (0, 12)), Rle(4, 3, (11, 1)),
+            rle_encode(rect_mask(16, 12, 2, 1, 6, 4)),
+        ]
+        kinds = {"raster": map(rle_decode, codes), "bits": (bitset(c, c.width, c.height) for c in codes)}
+        for kind, masks in kinds.items():
+            path = tmp_path / f"{kind}.jsonl"
+            write_predictions([PredictionInstance(k, m, 0.5, 1) for k, m in enumerate(masks)], path)
+            assert [row[3] for row in read_prediction_geometries(path)] == codes
+        assert (tmp_path / "raster.jsonl").read_bytes() == (tmp_path / "bits.jsonl").read_bytes()
 
     def test_write_read_round_trip_and_determinism(self, tmp_path):
         preds = [

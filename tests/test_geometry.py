@@ -1,10 +1,10 @@
-"""`geometry.footprint`, `geometry.union_rle` and the bitsets of
-`geometry.bitset` against the masks they stand in for.
+"""`geometry.footprint` and the bitsets of `geometry.bitset` against the
+masks they stand in for.
 
-`footprint` counts the area and tight box of a mask, `union_rle` codes the
-union of several masks, `bitset` holds a mask in one int, on which
-`bitset_overlap` counts the pixels two masks share and `bitset_union` unites
-masks, from their polygons or run-length codes in pure Python;
+`footprint` counts the area and tight box of a mask, `bitset` holds a mask
+in one int, on which `bitset_overlap` counts the pixels two masks share,
+`bitset_union` unites masks and `bitset_rle` codes them, from their polygons
+or run-length codes in pure Python;
 `decode_geometries` draws the masks with NumPy. The two implement
 the same coverage rule independently, so every case here compares them,
 and one of each compares with the per-pixel oracle.
@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import rect_polygon
 from segdial.geometry import (
-    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, bitset, bitset_overlap, bitset_union, footprint, union_rle,
+    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, bitset, bitset_overlap, bitset_rle, bitset_union, footprint,
 )
 from segdial.instances import decode_geometries
 from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode, to_bitset
@@ -71,6 +71,11 @@ def member_lists(draw, max_side=14):
 
 def decoded_union(items):
     return rle_encode(mask_union(decode_geometries(items)))
+
+
+def coded_union(items):
+    """The code of the union, from the members' bitsets, as `transform` writes it."""
+    return bitset_rle(bitset_union([bitset(*item) for item in items]))
 
 
 def column_major_counts(pixels):
@@ -161,10 +166,12 @@ class TestFootprint:
 
 
 class TestUnionRle:
+    """`coded_union`: the run-length code of a union, built from bitsets."""
+
     @settings(max_examples=400, deadline=None)
     @given(member_lists())
     def test_agrees_with_the_decoded_union(self, items):
-        assert union_rle(items) == decoded_union(items)
+        assert coded_union(items) == decoded_union(items)
 
     @pytest.mark.parametrize(
         "members, width, height, counts",
@@ -183,7 +190,7 @@ class TestUnionRle:
             (Rle(width, height, m) if isinstance(m, tuple) else tuple(Polygon.from_flat(p) for p in m), width, height)
             for m in members
         ]
-        assert union_rle(items) == Rle(width, height, counts) == decoded_union(items)
+        assert coded_union(items) == Rle(width, height, counts) == decoded_union(items)
 
     @settings(max_examples=100, deadline=None)
     @given(polygon_geometries(max_side=10), st.data())
@@ -194,7 +201,7 @@ class TestUnionRle:
         pixels = np.zeros((height, width), dtype=bool)
         for poly in geometry:
             pixels |= oracles.rasterize_reference(poly.vertices, width, height)
-        assert union_rle(items) == Rle(width, height, column_major_counts(pixels))
+        assert coded_union(items) == Rle(width, height, column_major_counts(pixels))
 
     def test_refuses_what_the_decoded_union_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
@@ -204,18 +211,18 @@ class TestUnionRle:
             with pytest.raises(ValueError):
                 decoded_union(items)
             with pytest.raises(ValueError):
-                union_rle(items)
+                coded_union(items)
         with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
-            union_rle(cases[-1])
+            coded_union(cases[-1])
 
 
 @st.composite
 def coded_pairs(draw, max_side=14):
     """Two run-length codes on one canvas, each of polygons (coded by
-    `union_rle`) or of pixels, empty and full ones among them."""
+    `coded_union`) or of pixels, empty and full ones among them."""
     canvas = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     member = st.one_of(polygon_geometries(canvas=canvas), rle_geometries(canvas=canvas))
-    return tuple(union_rle([draw(member)]) for _ in range(2))
+    return tuple(coded_union([draw(member)]) for _ in range(2))
 
 
 def pixel_bitset(pixels):
@@ -284,6 +291,31 @@ class TestBitset:
         assert bitset_union([bitset(*item) for item in items]) == pixel_bitset(
             mask_union(decode_geometries(items)).pixels
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(polygon_geometries(), rle_geometries()))
+    def test_code_is_the_decoded_masks_code(self, case):
+        # empty and full masks and runs that wrap into the next column among them
+        b = bitset(*case)
+        code = bitset_rle(b)
+        (mask,) = decode_geometries([case])
+        assert code == rle_encode(mask)
+        assert bitset(code, code.width, code.height) == b
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (12,),  # empty
+            (0, 12),  # full
+            (4, 4, 4),  # a run wraps into the next column
+            (0, 1, 10, 1),  # set runs at both ends of the canvas
+            (11, 1),  # the last pixel alone
+            (1, 1, 1, 1, 1, 1, 6),  # one-pixel runs and gaps
+        ],
+    )
+    def test_named_codes(self, counts):
+        rle = Rle(4, 3, counts)
+        assert bitset_rle(bitset(rle, 4, 3)) == rle
 
     def test_refuses_what_decoding_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)

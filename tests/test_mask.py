@@ -1,6 +1,6 @@
-import math
 import random
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import make_mask, random_star_polygon, rect_mask
 from segdial import mask as mask_module
+from segdial.geometry import bitset, bitset_overlap
 from segdial.mask import (
     BBox,
     Polygon,
@@ -23,11 +24,12 @@ from segdial.mask import (
     mask_iou,
     mask_union,
     overlap,
-    overlaps,
     rasterize,
     rle_decode,
     rle_encode,
+    to_bitset,
 )
+from segdial.matching import build_cost_matrix
 
 
 def shapes(max_side=12):
@@ -571,44 +573,45 @@ def mask_lists(draw):
     return [RasterMask(s) for s in shapes[:cut]], [RasterMask(s) for s in shapes[cut:]]
 
 
-def _pairwise(masks_a, masks_b):
-    """The per-pair reference: `overlap` on every pair, row by row."""
-    counts = [[overlap(a, b) for b in masks_b] for a in masks_a]
-    inter = [[c[0] for c in row] for row in counts]
-    union = [[c[1] for c in row] for row in counts]
-    return inter, union
+def _iou_costs(count, masks_a, masks_b):
+    """1 - IoU of every pair, row by row, from the (intersection, union)
+    counts of `count`: the IoU-only costs of `build_cost_matrix`."""
+    return [[1.0 - (i / u if u else 0.0) for i, u in (count(a, b) for b in masks_b)] for a in masks_a]
 
 
-# each way `overlaps` can count: its own choice, every pair by `overlap`, or
-# stacked products in bands as tall as the budget allows or one row tall
+def _row_runs(m):
+    """`m` as one pixel-tall rectangle per run of set pixels in a row."""
+    polygons = []
+    for y, row in enumerate(m.pixels.tolist()):
+        x = 0
+        for on, run in groupby(row):
+            n = len(list(run))
+            if on:
+                polygons.append(Polygon(((x, y), (x + n, y), (x + n, y + 1), (x, y + 1))))
+            x += n
+    return polygons or [Polygon(())]
+
+
+# each way to count every pair of two lists without drawing a pixel:
+# `build_cost_matrix` on the masks as given, `bitset_overlap` on every pair
+# of `to_bitset` views, or `build_cost_matrix` on bitsets counted from the
+# masks' run-length codes or built from the rectangles of their row runs
 PATHS = ("auto", "pairs", "stack", "row_bands")
 
 
-def _overlaps_by(path, masks_a, masks_b):
-    if path == "auto":
-        return overlaps(masks_a, masks_b)
+def _costs_by(path, masks_a, masks_b):
     if path == "pairs":
-        patches = {"_STACK_NS": math.inf}
-    else:
-        patches = {"_PAIR_NS": math.inf}
-    if path == "row_bands":
-        width = next((m.width for m in [*masks_a, *masks_b]), 1)
-        patches["_STACK_ELEMENTS"] = (len(masks_a) + len(masks_b)) * width
-    with mock.patch.multiple(mask_module, **patches):
-        return overlaps(masks_a, masks_b)
+        return _iou_costs(bitset_overlap, [to_bitset(m) for m in masks_a], [to_bitset(m) for m in masks_b])
+    if path == "stack":
+        masks_a, masks_b = [rle_encode(m) for m in masks_a], [rle_encode(m) for m in masks_b]
+    elif path == "row_bands":
+        masks_a = [bitset(_row_runs(m), m.width, m.height) for m in masks_a]
+        masks_b = [bitset(_row_runs(m), m.width, m.height) for m in masks_b]
+    return build_cost_matrix(masks_a, masks_b).tolist()
 
 
 class TestOverlaps:
-    """The overlap matrices against `overlap` on each pair."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(mask_lists(), st.sampled_from(PATHS))
-    def test_every_entry_equals_the_pair_overlap(self, lists, path):
-        masks_a, masks_b = lists
-        inter, union = _overlaps_by(path, masks_a, masks_b)
-        assert inter.shape == union.shape == (len(masks_a), len(masks_b))
-        assert inter.dtype == union.dtype == np.int64
-        assert (inter.tolist(), union.tolist()) == _pairwise(masks_a, masks_b)
+    """The pair costs of two mask lists against `overlap` on each pair."""
 
     @pytest.mark.parametrize("path", PATHS)
     def test_workload_shapes(self, path):
@@ -620,27 +623,7 @@ class TestOverlaps:
             ]
             masks += masks[:5]  # duplicates
             a, b = masks[:n], masks[n:]
-            inter, union = _overlaps_by(path, a, b)
-            assert (inter.tolist(), union.tolist()) == _pairwise(a, b)
-
-    def test_the_path_follows_the_boxes(self):
-        # many boxes that meet: one stacked product; few, on a wide canvas:
-        # pair by pair
-        def stacks(masks_a, masks_b):
-            with mock.patch.object(mask_module, "_stack", wraps=mask_module._stack) as spy:
-                overlaps(masks_a, masks_b)
-            return spy.call_count
-
-        dense = [rect_mask(64, 64, k, k, k + 30, k + 30) for k in range(30)]
-        assert stacks(dense[:20], dense[20:]) > 0
-        sparse = [rect_mask(640, 480, 25 * k, 10, 25 * k + 20, 30) for k in range(24)]
-        assert stacks(sparse[:17], sparse[17:]) == 0
-
-    def test_a_band_stays_within_its_budget(self):
-        budget = mask_module._STACK_ELEMENTS
-        assert budget < 2**24  # so every count of a band's product is an exact float32
-        assert mask_module._stack_pays(math.inf, 3, 5, 10**6, budget // 8)
-        assert not mask_module._stack_pays(math.inf, 3, 5, 1, budget // 8 + 1)
+            assert _costs_by(path, a, b) == _iou_costs(overlap, a, b)
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("n", [2, 9])
@@ -650,15 +633,9 @@ class TestOverlaps:
         masks_b = [rect_mask(8, 8, 1, 1, 4, 4) for _ in range(n)]
         masks_b[-1] = RasterMask.zeros(8, 7)
         with pytest.raises(ValueError) as want:
-            _pairwise(masks_a, masks_b)
+            _iou_costs(overlap, masks_a, masks_b)
         with pytest.raises(ValueError) as got:
-            _overlaps_by(path, masks_a, masks_b)
+            _costs_by(path, masks_a, masks_b)
         assert str(got.value) == str(want.value) == "mask canvases differ: 8x8 vs 8x7"
         with pytest.raises(ValueError, match="^mask canvases differ: 9x8 vs 8x8$"):
-            _overlaps_by(path, masks_a, masks_b[:-1])
-
-    def test_empty_sides(self):
-        m = rect_mask(5, 5, 0, 0, 2, 2)
-        for a, b in (([], []), ([m], []), ([], [m, m])):
-            inter, union = overlaps(a, b)
-            assert inter.shape == union.shape == (len(a), len(b))
+            _costs_by(path, masks_a, masks_b[:-1])

@@ -1,14 +1,18 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracles
 from conftest import random_mask, random_star_polygon, rect_mask
+from test_mask import mask_lists
 from segdial import matching
 from segdial.mask import Polygon, RasterMask, overlap, rasterize
 from segdial.matching import Assignment, assign_targets, build_cost_matrix, hungarian
@@ -122,6 +126,17 @@ class TestHungarian:
             hungarian(np.array([[1.0, -0.5]]))
         with pytest.raises(ValueError):
             hungarian(np.zeros(3))
+
+    def test_an_overflowing_total_is_refused(self):
+        with pytest.raises(ValueError, match="^the optimal total cost overflows the float range$"):
+            hungarian(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))
+        # a total at the top of the float range is no overflow, and the
+        # tie-break runs up to it; every other assignment here overflows or
+        # sorts later
+        top = sys.float_info.max
+        for costs in ([[1e308, top], [top, top - 1e308]], [[top / 2, top / 2, top], [top / 2, top / 2, top]]):
+            got = hungarian(np.array(costs))
+            assert (got.pairs, got.total_cost) == (((0, 0), (1, 1)), top)
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = random.Random(7)
@@ -563,6 +578,20 @@ class TestSolverAgainstNumPyReference:
         assert shapes == {-1, 0, 1}
 
 
+def _pair_costs(preds, gts, w_iou, w_dice):
+    """The per-pair reference: each cost from `mask.overlap` of its pair, in
+    the float operations of one IoU and one Dice, row by row."""
+    want = np.zeros((len(preds), len(gts)))
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            inter, union = overlap(p, g)
+            c = w_iou * (1.0 - (inter / union if union else 0.0))
+            if w_dice:
+                c += w_dice * (1.0 - (2.0 * inter / (inter + union) if union else 0.0))
+            want[i, j] = c
+    return want
+
+
 class TestCostMatrix:
     def test_iou_only_costs(self):
         a = rect_mask(8, 8, 0, 0, 4, 2)  # 8 px
@@ -606,17 +635,25 @@ class TestCostMatrix:
             gts = [rng.choice(pool) for _ in range(rng.randint(0, 20))]
             w_iou = rng.choice((0.0, 1.0, 0.7, 2.5))
             w_dice = rng.choice((0.0, 1.0, 0.3, 1 / 3))
-            want = np.zeros((len(preds), len(gts)))
-            for i, p in enumerate(preds):
-                for j, g in enumerate(gts):
-                    inter, union = overlap(p, g)
-                    c = w_iou * (1.0 - (inter / union if union else 0.0))
-                    if w_dice:
-                        c += w_dice * (1.0 - (2.0 * inter / (inter + union) if union else 0.0))
-                    want[i, j] = c
+            want = _pair_costs(preds, gts, w_iou, w_dice)
             got = build_cost_matrix(preds, gts, w_iou, w_dice)
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), trial
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_lists(), st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.7, 1 / 3)]))
+    def test_every_entry_equals_the_pair_overlap_cost(self, lists, weights):
+        # empty, one-pixel, nested, touching and line-sharing masks
+        masks_a, masks_b = lists
+        got = build_cost_matrix(masks_a, masks_b, *weights)
+        want = _pair_costs(masks_a, masks_b, *weights)
+        assert got.dtype == np.float64 and got.shape == want.shape == (len(masks_a), len(masks_b))
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_sides(self):
+        m = rect_mask(5, 5, 0, 0, 2, 2)
+        for a, b in (([], []), ([m], []), ([], [m, m])):
+            assert build_cost_matrix(a, b).shape == (len(a), len(b))
 
 
 class TestOneRowOrColumn:
@@ -653,6 +690,25 @@ class TestOneRowOrColumn:
 
 
 class TestAssignTargets:
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_canvas_mismatch_names_the_first_pair_in_row_major_order(self, n):
+        masks_a = [rect_mask(8, 8, 0, 0, 3, 3) for _ in range(n)]
+        masks_a[1] = rect_mask(9, 8, 0, 0, 3, 3)
+        masks_b = [rect_mask(8, 8, 1, 1, 4, 4) for _ in range(n)]
+        masks_b[-1] = RasterMask.zeros(8, 7)
+        with pytest.raises(ValueError, match="^mask canvases differ: 8x8 vs 8x7$"):
+            assign_targets(masks_a, masks_b)
+        with pytest.raises(ValueError, match="^mask canvases differ: 9x8 vs 8x8$"):
+            assign_targets(masks_a, masks_b[:-1])
+
+    def test_an_overflowing_total_is_refused(self):
+        # every cost is 1e308: no prediction meets a ground truth
+        preds = [rect_mask(10, 10, 0, 0, 2, 2), rect_mask(10, 10, 0, 5, 2, 7)]
+        gts = [rect_mask(10, 10, 5, 0, 7, 2), rect_mask(10, 10, 5, 5, 7, 7)]
+        with pytest.raises(ValueError, match="^the optimal total cost overflows the float range$"):
+            assign_targets(preds, gts, w_iou=1e308)
+        assert assign_targets(preds[:1], gts, w_iou=1e308).total_cost == 1e308
+
     def test_perfect_predictions_pair_with_their_twins(self):
         gts = [rect_mask(10, 10, 0, 0, 3, 3), rect_mask(10, 10, 5, 5, 9, 9), rect_mask(10, 10, 0, 7, 2, 10)]
         preds = [gts[2], gts[0], gts[1]]
