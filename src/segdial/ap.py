@@ -17,9 +17,9 @@ Python: this module loads no NumPy. `segdial.metrics` re-exports its names.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, repeat
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from segdial.geometry import Bitset, bitset_overlap
@@ -47,8 +47,9 @@ class ApProtocol(_ApProtocolFields):
     """Evaluation constants; the defaults are the ones reported everywhere.
 
     `iou_thresholds` must rise strictly within (0, 1] and hold 0.5 and 0.75,
-    the thresholds that AP50 and AP75 report. The checks run in __new__, which
-    `_make` and `_replace` skip.
+    the thresholds that AP50 and AP75 report, and `recall_points` must rise
+    strictly within [0, 1]. The checks run in __new__, which `_make` and
+    `_replace` skip.
     """
 
     __slots__ = ()
@@ -60,6 +61,9 @@ class ApProtocol(_ApProtocolFields):
             raise ValueError(f"iou_thresholds must be strictly increasing in (0, 1], got {thr}")
         if 0.5 not in thr or 0.75 not in thr:
             raise ValueError(f"iou_thresholds must hold 0.5 and 0.75 (AP50, AP75), got {thr}")
+        pts = tuple(protocol.recall_points)
+        if not pts or not all(0.0 <= p <= 1.0 for p in pts) or any(a >= b for a, b in zip(pts, pts[1:])):
+            raise ValueError(f"recall_points must be non-empty and strictly increasing in [0, 1], got {pts}")
         return protocol
 
     def bands(self):
@@ -180,7 +184,12 @@ def _average_precision(
     # the detections counted up to a true positive: every rank up to it but the ignored ones
     precisions = [n / (rank + 1 - bisect_left(ignored, rank)) for n, rank in enumerate(hits, 1)]
     envelope = [*accumulate(reversed(precisions), max)][::-1] + [0.0]
-    return sum(map(envelope.__getitem__, map(bisect_left, repeat(recalls), recall_points))) / len(recall_points)
+    # a point reads the envelope at the first recall at or above it, so entry
+    # k is read by the points above recall k - 1 up to recall k; the points
+    # rise, so repeating each entry that many times adds the reads in point order
+    reads = [bisect_right(recall_points, r) for r in recalls] + [len(recall_points)]
+    counts = map(sub, reads, [0, *reads])
+    return sum(chain.from_iterable(map(repeat, envelope, counts))) / len(recall_points)
 
 
 def evaluate_ap(

@@ -1,0 +1,58 @@
+"""`segdial transform`: re-target records to another task mode."""
+
+from __future__ import annotations
+
+from segdial import dataset_io, parsing, transforms
+from segdial.cli import _TRANSFORM_TARGETS, CliUsageError
+
+
+def run(args) -> int:
+    target = _TRANSFORM_TARGETS[args.to]
+    needs_annotations = target in ("semseg", "sid_semseg")
+    ann_map = None
+    if needs_annotations:
+        if args.annotations is None:
+            raise CliUsageError(f"--to {args.to} requires --annotations")
+        from segdial.geometry import bitset, bitset_rle, bitset_union
+
+        # each merged mask is coded from its members' bitsets, so no pixel is drawn
+        dataset, geometries = dataset_io.load_coco_geometries(args.annotations)
+        ann_map = {a.instance_id: a for img in dataset.images for a in img.annotations}
+
+        def merged_rle(members) -> dict:
+            union = bitset_union([bitset(*geometries[a.instance_id]) for a in members])
+            return dataset_io.rle_to_obj(bitset_rle(union))
+
+    serialized = dataset_io.read_records(args.in_path)
+    out_records = []
+    merged_rows = []
+    for n, srec in enumerate(serialized, 1):
+        try:
+            record = parsing.from_training_record(srec, ann_map)
+            if target == "pure_text":
+                record = transforms.to_pure_text(record)
+            elif target in ("semseg", "sid_semseg"):
+                record, merged = transforms._regroup(record, ann_map, merged_rle)
+                for turn_index, instance_id, category_id, label_name, member_ids, rle in merged:
+                    merged_rows.append(
+                        {
+                            "schema_version": dataset_io.SCHEMA_VERSION,
+                            "image_id": srec.image_id,
+                            "turn_index": turn_index,
+                            "instance_id": instance_id,
+                            "category_id": category_id,
+                            "label_name": label_name,
+                            "member_ids": list(member_ids),
+                            "rle": rle,
+                        }
+                    )
+            record = transforms.append_task_template(record, target)
+            out_records.append(parsing.to_training_record(record))
+        except ValueError as exc:
+            raise transforms.TransformError(f"record {n} (image {srec.image_id}): {exc}") from exc
+
+    dataset_io.write_records(out_records, args.out)
+    if args.merged_out is not None:
+        dataset_io.write_jsonl(merged_rows, args.merged_out)
+    print(f"transform: wrote {len(out_records)} {args.to} record(s)")
+    return 0

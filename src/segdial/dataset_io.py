@@ -258,8 +258,8 @@ def load_coco_footprints(path: str | Path) -> CocoDataset:
 def load_coco_geometries(path: str | Path) -> tuple[CocoDataset, dict[int, tuple[Geometry, int, int]]]:
     """`load_coco_footprints` of the file and, by annotation id, the
     (geometry, image width, image height) each annotation was counted from,
-    from one read of the file. The polygons keep the row runs `footprint`
-    counted, so `geometry.bitset` of them does not count them again."""
+    from one read of the file. The polygons keep the bitset `footprint`
+    counted, so `geometry.bitset` of them does not build it again."""
     from segdial.geometry import Rle, _Counted, footprint
     from segdial.instances import InstanceAnnotation
 

@@ -149,21 +149,25 @@ def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optiona
     `segdial.instances.decode_geometries` makes of (geometry, width, height),
     counted from the geometry without drawing a pixel.
 
-    Polygons follow `mask.rasterize`, crossing for crossing: pixel (x, y) is
-    set iff its center lies inside under the even-odd rule, clipped to the
-    canvas, and the parts are united row by row as `mask_union` unites them.
-    An rle follows the run arithmetic of `mask.rle_decode_many`.
+    Polygons are counted on their `bitset`: the area is its bit count, the
+    columns of the box those of its first and last set bits, and the rows
+    those that the OR of all its columns holds. An rle follows the run
+    arithmetic of `mask.rle_decode_many`.
     """
     if isinstance(geometry, Rle):
         return _rle_footprint(geometry)
-    check_canvas(width, height)
-    if not geometry:
-        raise ValueError("geometry needs at least one polygon")
-    rows = _rows(geometry, width, height)
-    if not rows:
+    b = bitset(geometry, width, height)
+    if not b.area:
         return 0, None
-    area = sum(stop - start for _, start, stop in rows)
-    return area, BBox(min(r[1] for r in rows), rows[0][0], max(r[2] for r in rows) - 1, rows[-1][0])
+    h = b.height
+    left, right = b.offset // h, (b.offset + b.bits.bit_length() - 1) // h
+    # fold the upper half of the columns onto the lower half until one
+    # column is left: it holds every row that any column holds
+    rows, columns = b.bits << (b.offset - left * h), right - left + 1
+    while columns > 1:
+        columns = (columns + 1) // 2
+        rows = (rows | rows >> (columns * h)) & ((1 << columns * h) - 1)
+    return b.area, BBox(left, (rows & -rows).bit_length() - 1, right, rows.bit_length() - 1)
 
 
 class Bitset(NamedTuple):
@@ -184,7 +188,7 @@ def bitset(geometry: Geometry, width: int, height: int) -> Bitset:
     """The mask that `segdial.instances.decode_geometries` makes of
     (geometry, width, height), as a Bitset built from the geometry without
     drawing a pixel: an rle on its own canvas, polygons on width x height,
-    united row by row as `footprint` unites them."""
+    each part filled by `_polygon_bitset` and the parts united."""
     if isinstance(geometry, Rle):
         ends = list(accumulate(geometry.counts))
         starts, stops = ends[0::2], ends[1::2]  # of the set runs, and one clear run past them
@@ -198,26 +202,10 @@ def bitset(geometry: Geometry, width: int, height: int) -> Bitset:
     check_canvas(width, height)
     if not geometry:
         raise ValueError("geometry needs at least one polygon")
-    rows = _rows(geometry, width, height)
-    if not rows:
-        return Bitset(width, height, 0, 0, 0)
-    left = min(start for _, start, _ in rows)
-    columns = max(stop for _, _, stop in rows) - left
-    # a row run (y, start, stop) turns row y on at column start and off at
-    # column stop; summing these toggles over the columns from the left, by
-    # doubling the span summed, gives every column's rows. Toggles past the
-    # last column land at or beyond bit columns * height and are cut off.
-    base, last = left * height, (left + columns + 1) * height
-    bits = _bit_field([start * height + y for y, start, _ in rows], base, last)
-    bits -= _bit_field([stop * height + y for y, _, stop in rows], base, last)
-    span = 1
-    while span < columns:
-        bits += bits << (span * height)
-        span *= 2
-    bits &= (1 << columns * height) - 1
-    first = min(y for y, start, _ in rows if start == left)  # the row of the first set pixel
-    area = sum(stop - start for _, start, stop in rows)
-    return Bitset(width, height, left * height + first, bits >> first, area)
+    kept = getattr(geometry, "kept", None)
+    if kept is not None and (kept.width, kept.height) == (width, height):
+        return kept
+    return bitset_union([_polygon_bitset(poly, width, height) for poly in geometry])
 
 
 def bitset_overlap(a: Bitset, b: Bitset) -> tuple[int, int]:
@@ -281,68 +269,71 @@ def _bit_field(positions: list[int], base: int, last: int) -> int:
 
 
 class _Counted(tuple):
-    """Polygons that keep their `_row_union` on the canvas it was counted on,
-    so `footprint` and `bitset` count an annotation's rows
-    once; to every other reader, the tuple of its polygons."""
+    """Polygons that keep their `bitset` on the canvas it was built on, so
+    `footprint` and `bitset` build an annotation's bits once; to every other
+    reader, the tuple of its polygons."""
 
     def __new__(cls, polygons: Sequence[Polygon], width: int, height: int):
         counted = super().__new__(cls, polygons)
-        counted.rows = ((width, height), _row_union(counted, width, height))
+        counted.kept = bitset(counted, width, height)
         return counted
 
 
-def _rows(polygons: Sequence[Polygon], width: int, height: int) -> list[tuple[int, int, int]]:
-    """`_row_union` of `polygons` on width x height, kept from when they
-    were `_Counted` there."""
-    kept = getattr(polygons, "rows", None)
-    if kept is not None and kept[0] == (width, height):
-        return kept[1]
-    return _row_union(polygons, width, height)
+def _polygon_bitset(poly: Polygon, width: int, height: int) -> Bitset:
+    """The pixels of a width x height canvas whose centers `poly` holds
+    under the even-odd rule, as `mask.rasterize` sets them; fewer than 3
+    vertices hold none.
 
-
-def _row_union(polygons: Sequence[Polygon], width: int, height: int) -> list[tuple[int, int, int]]:
-    """(y, start, stop) of each maximal run [start, stop) of pixels of row y
-    that any of `polygons` holds, by row and then from the left."""
-    return _merged_rows([s for poly in polygons for s in _spans(poly, width, height)])
-
-
-def _merged_rows(spans: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """The maximal runs, by row and then from the left, of the pixels that
-    the (y, start, stop) runs `spans` hold; empty runs hold none."""
-    out: list[tuple[int, int, int]] = []
-    for y, start, stop in sorted(s for s in spans if s[1] < s[2]):
-        if out and out[-1][0] == y and start <= out[-1][2]:  # touches or overlaps the last run
-            if stop > out[-1][2]:
-                out[-1] = (y, out[-1][1], stop)
-        else:
-            out.append((y, start, stop))
-    return out
-
-
-def _spans(poly: Polygon, width: int, height: int) -> list[tuple[int, int, int]]:
-    """(y, start, stop) for each run [start, stop) of pixels of row y that
-    `poly` holds, clipped to the canvas, where a run may be empty; fewer than
-    3 vertices hold no pixel."""
+    In the manner of cocoapi's `rleFrPoly`, no crossings are sorted: a
+    crossing of row y at x flips every pixel of the row from column
+    ceil(x - 0.5) on, so one toggle bit per crossing and a prefix XOR over
+    the columns give the pixels.
+    """
     verts = poly.vertices
     if len(verts) < 3:
-        return []
-    crossings: list[tuple[int, float]] = []
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        if y1 == y2:  # a horizontal edge crosses no row
-            continue
-        # the edge crosses row y iff min(y1, y2) <= y + 0.5 < max(y1, y2)
-        rows = range(max(0, math.ceil(min(y1, y2) - 0.5)), min(height, math.ceil(max(y1, y2) - 0.5)))
-        dx, dy = x2 - x1, y2 - y1
-        # the IEEE expression of `mask.rasterize`, so edge-touching centers agree exactly
-        crossings += zip(rows, [dx * (y + 0.5 - y1) / dy + x1 for y in rows])
-    crossings.sort()
-    # every row holds an even number of crossings, and a center is inside when
-    # an odd number of them lie at or left of it: between crossings 2k and 2k + 1
-    pairs = iter(crossings)
-    return [
-        (y, max(0, math.ceil(a - 0.5)), min(width, math.ceil(b - 0.5)))
-        for (y, a), (_, b) in zip(pairs, pairs)
+        return Bitset(width, height, 0, 0, 0)
+    ceil = math.ceil
+    # (x1, y1, dx, dy, rows crossed) of each edge that is not horizontal:
+    # it crosses row y iff min(y1, y2) <= y + 0.5 < max(y1, y2)
+    edges = [
+        (x1, y1, x2 - x1, y2 - y1, range(max(0, ceil(min(y1, y2) - 0.5)), min(height, ceil(max(y1, y2) - 0.5))))
+        for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1])
+        if y1 != y2
     ]
+    # the column-major position of each crossing's first flipped pixel, with
+    # the IEEE expression of `mask.rasterize`, so edge-touching centers agree exactly
+    toggles = [ceil(dx * (y + 0.5 - y1) / dy + x1 - 0.5) * height + y for x1, y1, dx, dy, rows in edges for y in rows]
+    if not toggles:
+        return Bitset(width, height, 0, 0, 0)
+    size = width * height
+    clipped = max(toggles) >= size
+    if clipped or min(toggles) < 0:
+        # a flip left of the canvas flips its first column, one right of it nothing
+        toggles = [max(t // height, 0) * height + t % height for t in toggles if t < size]
+        if not toggles:
+            return Bitset(width, height, 0, 0, 0)
+    last = max(toggles)
+    # the pixels end at the last toggle's column, or at the canvas edge
+    # when a toggle past it was dropped
+    end = width if clipped else last // height
+    base = min(toggles) // height * height
+    field = bytearray(((last - base) >> 3) + 1)
+    for t in toggles:
+        t -= base
+        field[t >> 3] ^= 1 << (t & 7)
+    bits = int.from_bytes(field, "little")
+    # the prefix XOR, by doubling the columns folded in; bits past the
+    # last column are cut off
+    columns = end - base // height
+    span = 1
+    while span < columns:
+        bits ^= bits << (span * height)
+        span *= 2
+    bits &= (1 << columns * height) - 1
+    if not bits:
+        return Bitset(width, height, 0, 0, 0)
+    first = (bits & -bits).bit_length() - 1
+    return Bitset(width, height, base + first, bits >> first, bits.bit_count())
 
 
 def _rle_footprint(rle: Rle) -> tuple[int, Optional[BBox]]:

@@ -73,6 +73,30 @@ def brute_force_assignment(costs) -> tuple[float, list[tuple[int, int]]]:
     return best_total, best_pairs
 
 
+
+def brute_force_assignment_wide(costs) -> tuple[float, list[tuple[int, int]]]:
+    """`brute_force_assignment` for totals near and past the float range.
+
+    Each assignment's total is compared as the math.fsum of its costs
+    scaled by 2**-64: scaling by a power of two is exact for costs of at
+    least 2**-958, and the scaled sum of a few costs cannot overflow.
+    Returns (total, pairs) as `brute_force_assignment` does, with total
+    inf when the minimum overflows the float range.
+    """
+    costs = [[float(v) for v in row] for row in costs]
+    n_rows = len(costs)
+    n_cols = len(costs[0]) if n_rows else 0
+    if min(n_rows, n_cols) == 0:
+        return 0.0, []
+    if n_rows <= n_cols:
+        candidates = (sorted(zip(range(n_rows), cols)) for cols in itertools.permutations(range(n_cols), n_rows))
+    else:
+        candidates = (sorted(zip(rows, range(n_cols))) for rows in itertools.permutations(range(n_rows), n_cols))
+    scale = 2.0 ** -64
+    scaled, pairs = min((math.fsum(costs[i][j] * scale for i, j in pairs), pairs) for pairs in candidates)
+    return scaled / scale, pairs  # inf past the float range
+
+
 # --- COCO-protocol average precision ----------------------------------------
 
 IOU_THRESHOLDS = tuple((50 + 5 * k) / 100.0 for k in range(10))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
-from segdial.cli import _inst_metrics_obj, build_parser, main
+from segdial.cli import build_parser, main
+from segdial.commands.evaluate import _inst_metrics_obj
 from segdial.dataset_io import (
     load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_jsonl,
     write_predictions, write_records,
@@ -817,11 +818,13 @@ class TestImportBoundary:
         records = tmp_path / "records.jsonl"
         runs = [
             (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
-             ["segdial.cli", "segdial.dataset_io", "segdial.geometry", "segdial.parsing"]),
+             ["segdial.cli", "segdial.commands", "segdial.commands.parse", "segdial.dataset_io", "segdial.geometry",
+              "segdial.parsing"]),
             (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
-             ["segdial.cli", "segdial.dataset_io", "segdial.parsing", "segdial.transforms"]),
+             ["segdial.cli", "segdial.commands", "segdial.commands.transform", "segdial.dataset_io", "segdial.parsing",
+              "segdial.transforms"]),
             (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
-             ["segdial.cli", "segdial.dataset_io"]),
+             ["segdial.cli", "segdial.commands", "segdial.commands.split", "segdial.dataset_io"]),
         ]
         for args, modules in runs:
             proc = subprocess.run(
@@ -854,22 +857,25 @@ class TestImportBoundary:
         records, report, sem_preds = tmp_path / "records.jsonl", tmp_path / "inst.json", write_sem_preds(tmp_path)
         runs = [
             (["parse", "--responses", responses, "--annotations", gt, "--task", "qa", "--out", records],
-             ["cli", "dataset_io", "geometry", "parsing"], ["hashlib"]),
+             ["cli", "commands", "commands.parse", "dataset_io", "geometry", "parsing"], ["hashlib"]),
             (["curate", "--input", gt, "--task", "qa", "--out", tmp_path / "jobs.jsonl"],
-             ["cli", "clients", "curation", "dataset_io", "geometry", "instances"], []),
+             ["cli", "clients", "commands", "commands.curate", "curation", "dataset_io", "geometry", "instances"], []),
             (["transform", "--in", records, "--to", "sid-semseg", "--annotations", gt, "--out", tmp_path / "sem.jsonl"],
-             ["cli", "dataset_io", "geometry", "instances", "parsing", "transforms"], []),
+             ["cli", "commands", "commands.transform", "dataset_io", "geometry", "instances", "parsing", "transforms"],
+             []),
             (["transform", "--in", records, "--to", "pure", "--out", tmp_path / "pure.jsonl"],
-             ["cli", "dataset_io", "parsing", "transforms"], []),
+             ["cli", "commands", "commands.transform", "dataset_io", "parsing", "transforms"], []),
             (["split", "--in", records, "--train-out", tmp_path / "train.jsonl", "--eval-out", tmp_path / "eval.jsonl"],
-             ["cli", "dataset_io"], []),
+             ["cli", "commands", "commands.split", "dataset_io"], []),
             (["match", "--preds", preds, "--gt", gt, "--out", tmp_path / "assign.jsonl"],
-             ["cli", "dataset_io", "geometry", "instances", "matching"], []),
+             ["cli", "commands", "commands.match", "dataset_io", "geometry", "instances", "matching"], []),
             (["evaluate", "--gt", gt, "--preds", preds, "--mode", "inst", "--out", report],
-             ["ap", "cli", "dataset_io", "geometry", "instances"], []),
+             ["ap", "cli", "commands", "commands.evaluate", "commands.report", "dataset_io", "geometry", "instances"],
+             []),
             (["evaluate", "--gt", gt, "--preds", sem_preds, "--mode", "sem", "--out", tmp_path / "sem.json"],
-             ["cli", "dataset_io", "geometry", "instances", "semseg"], []),
-            (["report", "--in", report], ["cli"], []),
+             ["cli", "commands", "commands.evaluate", "commands.report", "dataset_io", "geometry", "instances",
+              "semseg"], []),
+            (["report", "--in", report], ["cli", "commands", "commands.report"], []),
         ]
         for args, modules, stdlib in runs:
             proc = subprocess.run(

@@ -134,8 +134,8 @@ class TestLoadCoco:
                 load(path)
 
     def test_each_polygon_is_traced_once(self, tmp_path, monkeypatch):
-        # `footprint` counts each annotation's row runs, and the bitsets of
-        # the geometries read them back: a polygon's edges are followed once,
+        # `footprint` counts each annotation's bitset, and the bitsets of
+        # the geometries read it back: a polygon's edges are followed once,
         # and the codes equal those of the decoded masks
         import segdial.geometry as geometry
 
@@ -152,8 +152,8 @@ class TestLoadCoco:
         path = tmp_path / "gt.json"
         write_json(path, payload)
         traced = []
-        spans = geometry._spans
-        monkeypatch.setattr(geometry, "_spans", lambda poly, w, h: traced.append(poly) or spans(poly, w, h))
+        fill = geometry._polygon_bitset
+        monkeypatch.setattr(geometry, "_polygon_bitset", lambda poly, w, h: traced.append(poly) or fill(poly, w, h))
         dataset, geometries = load_coco_geometries(path)
         codes = [
             bitset_rle(bitset_union([bitset(*geometries[i]) for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])
@@ -162,7 +162,7 @@ class TestLoadCoco:
         masks = {a.instance_id: a.mask for a in load_coco(path).images[0].annotations}
         assert codes == [rle_encode(mask_union([masks[i] for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])]
         assert dataset == load_coco_footprints(path)
-        # on another canvas the kept rows do not hold: they are counted anew
+        # on another canvas the kept bitset does not hold: it is built anew
         assert footprint(geometries[10][0], 10, 9) == (39, BBox(3, 2, 9, 8)) != footprint(*geometries[10])
 
     def test_reference_and_id_errors_aggregate(self, tmp_path):

@@ -10,6 +10,8 @@ the same coverage rule independently, so every case here compares them,
 and one of each compares with the per-pixel oracle.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import rect_polygon
 from segdial.geometry import (
-    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, bitset, bitset_overlap, bitset_rle, bitset_union, footprint,
+    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, _polygon_bitset, bitset, bitset_overlap, bitset_rle,
+    bitset_union, footprint,
 )
 from segdial.instances import decode_geometries
 from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode, to_bitset
@@ -257,8 +260,10 @@ class TestBitset:
         want = decoded_bitset(*case)
         assert bitset(*case) == want
         geometry, width, height = case
-        if not isinstance(geometry, Rle):  # the row runs kept from a footprint give the same bits
-            assert bitset(_Counted(geometry, width, height), width, height) == want
+        if not isinstance(geometry, Rle):  # the bitset kept at load, and the footprint read from it
+            counted = _Counted(geometry, width, height)
+            assert counted.kept == bitset(counted, width, height) == want
+            assert footprint(counted, width, height) == decoded(geometry, width, height)
 
     @pytest.mark.parametrize(
         "member, width, height, want",
@@ -331,6 +336,70 @@ class TestBitset:
             bitset_union([a, b])
         with pytest.raises(ValueError):
             bitset_union([])
+
+
+def kernel_part(rng, kind, width, height):
+    """One polygon of `kind`, seeded by `rng`, for a width x height canvas."""
+    n = rng.randint(3, 9)
+    if kind == "half":  # whole and half pixels, so edges pass through pixel centers
+        return Polygon([(rng.randint(0, 2 * width) / 2, rng.randint(0, 2 * height) / 2) for _ in range(n)])
+    if kind == "partly off":  # some vertices past the right or bottom edge
+        return Polygon([(rng.uniform(0, 2 * width + 4), rng.uniform(0, 2 * height + 4)) for _ in range(n)])
+    if kind == "wholly off":  # right of the canvas, below it, or both
+        dx, dy = rng.choice([(width, 0), (0, height), (width, height)])
+        return Polygon([(dx + rng.uniform(0, 6), dy + rng.uniform(0, 6)) for _ in range(n)])
+    if kind == "few":  # fewer than 3 vertices hold no pixel
+        return Polygon([(rng.uniform(0, width), rng.uniform(0, height)) for _ in range(rng.randint(0, 2))])
+    if kind == "horizontal":  # a staircase of horizontal and vertical edges
+        xs = sorted(rng.sample(range(2 * width + 3), 3))
+        ys = sorted(rng.sample(range(2 * height + 3), 3))
+        x0, x1, x2 = (x / 2 for x in xs)
+        y0, y1, y2 = (y / 2 for y in ys)
+        return Polygon([(x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2)])
+    if kind == "huge":  # a vertex just below VERTEX_BOUND, so crossings lie far off the canvas
+        below = np.nextafter(VERTEX_BOUND, 0)
+        verts = [(rng.uniform(0, width), rng.uniform(0, height)) for _ in range(n - 1)]
+        verts.insert(rng.randrange(n), rng.choice([(below, rng.uniform(0, height)), (rng.uniform(0, width), below),
+                                                   (below, below)]))
+        return Polygon(verts)
+    if kind == "far corner":  # an edge from far off the canvas to column 0, whose crossings can round below 0
+        far = (rng.uniform(0.5, 1) * VERTEX_BOUND, rng.uniform(0.5, 1) * VERTEX_BOUND)
+        return Polygon([far, (0.0, rng.randint(0, height)), *((rng.uniform(0, width), rng.uniform(0, height))
+                                                              for _ in range(rng.randint(0, 2)))])
+    return Polygon([(rng.uniform(0, width + 1), rng.uniform(0, height + 1)) for _ in range(n)])
+
+
+class TestPolygonKernel:
+    """The toggle-and-scan kernel `_polygon_bitset` against the pixel-center
+    oracle, one part at a time and united, on seeded polygons of every
+    kind the kernel special-cases."""
+
+    KINDS = ("half", "partly off", "wholly off", "few", "horizontal", "huge", "far corner", "any")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parts_and_unions_agree_with_the_pixel_center_oracle(self, seed):
+        rng = random.Random(seed)
+        for case in range(60):
+            width, height = rng.randint(1, 12), rng.randint(1, 12)
+            geometry = tuple(kernel_part(rng, rng.choice(self.KINDS), width, height) for _ in range(rng.randint(1, 4)))
+            pixels = np.zeros((height, width), dtype=bool)
+            for poly in geometry:
+                part = oracles.rasterize_reference(poly.vertices, width, height)
+                assert _polygon_bitset(poly, width, height) == pixel_bitset(part), (seed, case, poly)
+                pixels |= part
+            assert bitset(geometry, width, height) == pixel_bitset(pixels), (seed, case)
+            ys, xs = np.nonzero(pixels)
+            box = BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if ys.size else None
+            with np.errstate(all="raise"):
+                assert footprint(geometry, width, height) == (int(pixels.sum()), box) == decoded(geometry, width, height)
+
+    def test_every_kind_holds_pixels_somewhere(self):
+        # the seeded cases are not all empty: each kind but the two that
+        # cannot reach the canvas sets pixels in some case
+        rng = random.Random(0)
+        for kind in self.KINDS:
+            areas = [bitset((kernel_part(rng, kind, 8, 8),), 8, 8).area for _ in range(40)]
+            assert (max(areas) > 0) == (kind not in ("wholly off", "few")), kind
 
 
 class TestRleOverlap:

@@ -128,8 +128,10 @@ class TestHungarian:
             hungarian(np.zeros(3))
 
     def test_an_overflowing_total_is_refused(self):
+        overflowing = [[1e308, 1.7e308], [1.7e308, 1e308]]
+        assert oracles.brute_force_assignment_wide(overflowing)[0] == math.inf
         with pytest.raises(ValueError, match="^the optimal total cost overflows the float range$"):
-            hungarian(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))
+            hungarian(np.array(overflowing))
         # a total at the top of the float range is no overflow, and the
         # tie-break runs up to it; every other assignment here overflows or
         # sorts later
@@ -137,6 +139,23 @@ class TestHungarian:
         for costs in ([[1e308, top], [top, top - 1e308]], [[top / 2, top / 2, top], [top / 2, top / 2, top]]):
             got = hungarian(np.array(costs))
             assert (got.pairs, got.total_cost) == (((0, 0), (1, 1)), top)
+            assert oracles.brute_force_assignment_wide(costs) == (top, [(0, 0), (1, 1)])
+
+    def test_totals_near_the_float_range_match_the_wide_oracle(self):
+        # costs of a few units of 2**1020 make many totals overflow: the
+        # optimum is refused exactly when the oracle's total is inf
+        rng = random.Random(21)
+        unit = 2.0 ** 1020
+        for trial in range(200):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            costs = [[rng.choice([0.5, 1.0, 4.0, 7.0, 15.0, 15.99]) * unit for _ in range(m)] for _ in range(n)]
+            want_total, want_pairs = oracles.brute_force_assignment_wide(costs)
+            if want_total == math.inf:
+                with pytest.raises(ValueError, match="^the optimal total cost overflows the float range$"):
+                    hungarian(np.array(costs))
+                continue
+            got = hungarian(np.array(costs))
+            assert (list(got.pairs), got.total_cost) == (want_pairs, want_total), costs
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = random.Random(7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
+from segdial.ap import _average_precision as ap_of_ranks
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.mask import RasterMask, area, bbox_of, mask_iou, rle_decode
 from segdial.metrics import (
@@ -63,6 +64,38 @@ class TestProtocol:
     def test_rejects_grids_without_increasing_thresholds_or_ap50_ap75(self, grid):
         with pytest.raises(ValueError, match="iou_thresholds"):
             ApProtocol(iou_thresholds=grid)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (),
+            (0.5, 0.25),  # reordered
+            (0.0, 0.5, 0.5, 1.0),  # repeated
+            (-0.01, 0.5),
+            (0.0, 1.01),
+            (0.0, float("nan"), 1.0),
+        ],
+    )
+    def test_rejects_recall_points_that_do_not_rise_within_0_1(self, points):
+        with pytest.raises(ValueError, match="recall_points"):
+            ApProtocol(recall_points=points)
+
+    @pytest.mark.parametrize("points", [(0.0,), (1.0,), (0.0, 0.25, 0.5, 1.0), (0.05, 0.95)])
+    def test_grouped_curves_read_each_point_as_the_bisection_does(self, points):
+        # each point reads the envelope at the first recall at or above it;
+        # summing the envelope by runs of points must give the same float
+        protocol = ApProtocol(recall_points=points)
+        for seed in range(20):
+            rng = random.Random(4000 + seed)
+            n_positive = rng.randint(1, 6)
+            hits = sorted(rng.sample(range(12), rng.randint(1, n_positive)))
+            ignored = sorted(rng.sample([r for r in range(12) if r not in hits], rng.randint(0, 3)))
+            recalls = [n / n_positive for n in range(1, len(hits) + 1)]
+            precisions = [n / (r + 1 - sum(i < r for i in ignored)) for n, r in enumerate(hits, 1)]
+            envelope = [max(precisions[k:]) for k in range(len(precisions))] + [0.0]
+            want = sum(envelope[next((k for k, r in enumerate(recalls) if r >= p), len(recalls))] for p in points)
+            got = ap_of_ranks(list(hits), list(ignored), n_positive, protocol.recall_points)
+            assert got == want / len(points), seed
 
     @pytest.mark.parametrize("grid", [(0.5, 0.75), (0.25, 0.5, 0.6, 0.75, 1.0)])
     def test_ap50_and_ap75_read_their_own_thresholds(self, grid):
