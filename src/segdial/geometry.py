@@ -259,12 +259,12 @@ def bitset_rle(b: Bitset) -> Rle:
 
 
 def _bit_field(positions: list[int], base: int, last: int) -> int:
-    """The int with bit p - base set for each p of `positions`, which are
-    distinct and lie in [base, last]."""
+    """The int with bit p - base set for each p that occurs an odd number of
+    times in `positions`, which lie in [base, last]."""
     field = bytearray(((last - base) >> 3) + 1)
     for p in positions:
         p -= base
-        field[p >> 3] |= 1 << (p & 7)
+        field[p >> 3] ^= 1 << (p & 7)
     return int.from_bytes(field, "little")
 
 
@@ -317,11 +317,7 @@ def _polygon_bitset(poly: Polygon, width: int, height: int) -> Bitset:
     # when a toggle past it was dropped
     end = width if clipped else last // height
     base = min(toggles) // height * height
-    field = bytearray(((last - base) >> 3) + 1)
-    for t in toggles:
-        t -= base
-        field[t >> 3] ^= 1 << (t & 7)
-    bits = int.from_bytes(field, "little")
+    bits = _bit_field(toggles, base, last)  # two toggles of one pixel cancel
     # the prefix XOR, by doubling the columns folded in; bits past the
     # last column are cut off
     columns = end - base // height
