@@ -1,9 +1,9 @@
-"""Micro-benchmarks of the readers: `load_coco`, `load_coco_footprints`,
+"""Micro-benchmarks of the readers: `load_coco`, `load_coco_masks`,
 `load_coco_labels` and `read_predictions` on the inputs of the three
 benchmark workloads (seed 0), which `bench/workloads.py` writes into a
-temporary directory. `load_coco_footprints`, which `curate` reads with,
-sits next to `load_coco`, so counting areas and boxes from geometry can be
-compared with the decode it replaces.
+temporary directory. `load_coco_masks`, which every subcommand but `parse`
+reads ground truth with, sits next to `load_coco`, so keeping run-length
+codes and polygon bitsets can be compared with the decode it replaces.
 
     pytest perf --benchmark-only
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from segdial.dataset_io import load_coco, load_coco_footprints, load_coco_labels, read_predictions
+from segdial.dataset_io import load_coco, load_coco_labels, load_coco_masks, read_predictions
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -37,8 +37,8 @@ def test_load_coco(benchmark, inputs, name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_load_coco_footprints(benchmark, inputs, name):
-    dataset = benchmark(load_coco_footprints, inputs[name]["gt"])
+def test_load_coco_masks(benchmark, inputs, name):
+    dataset = benchmark(load_coco_masks, inputs[name]["gt"])
     assert dataset.images
 
 

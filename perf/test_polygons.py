@@ -2,8 +2,8 @@
 `geometry.footprint` of every polygon annotation in the ground truth of the
 three benchmark workloads (seed 0), which `bench/workloads.py` writes into a
 temporary directory. The geometries are read once, outside the timed
-region, and are plain polygon tuples, so each round builds every bitset
-anew. match_dense holds no polygon, so its rounds time the run-length
+region, by the checking reader that `load_coco_masks` builds on, so each
+round builds every bitset anew. match_dense holds no polygon, so its rounds time the run-length
 annotations instead: the path the polygon kernel does not touch.
 
     pytest perf/test_polygons.py --benchmark-only
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from segdial.dataset_io import load_coco_geometries
+from segdial.dataset_io import _read_coco
 from segdial.geometry import Rle, bitset, footprint
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -28,15 +28,14 @@ NAMES = workloads.NAMES
 
 @pytest.fixture(scope="module")
 def geometries(tmp_path_factory):
-    """(geometry, width, height) of each annotation, polygons as plain tuples
-    so no bitset kept at load is reused; the run-length codes where a
-    workload holds no polygon."""
+    """(geometry, width, height) of each polygon annotation; of each
+    run-length one where a workload holds no polygon."""
     root = tmp_path_factory.mktemp("workloads")
     out = {}
     for name in NAMES:
-        _, loaded = load_coco_geometries(workloads.generate(name, 0, root / name).files["gt"])
-        polygons = [(tuple(g), w, h) for g, w, h in loaded.values() if not isinstance(g, Rle)]
-        out[name] = polygons or list(loaded.values())
+        _, meta, annotations = _read_coco(workloads.generate(name, 0, root / name).files["gt"])
+        loaded = [(g, meta[ann["image_id"]]["width"], meta[ann["image_id"]]["height"]) for ann, g in annotations]
+        out[name] = [item for item in loaded if not isinstance(item[0], Rle)] or loaded
     return out
 
 

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from segdial.curation import ImageRecord, InstanceAnnotation
-from segdial.dataset_io import load_coco_geometries, read_prediction_geometries
+from segdial.dataset_io import _read_coco, load_coco_masks, read_prediction_masks
 from segdial.geometry import Bitset, bitset, bitset_union
-from segdial.instances import decode_geometries
+from segdial.instances import as_bitset, decode_geometries
 from segdial.mask import Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize, rle_encode
 from segdial.matching import build_cost_matrix
 from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
@@ -129,17 +129,21 @@ def test_evaluate_ap(benchmark, name):
 
 @pytest.fixture(scope="module")
 def semantic_inputs(tmp_path_factory):
-    """(images, ground-truth geometries by annotation id, prediction rows) of
-    the eval_coco workload, read without decoding."""
+    """(images as `load_coco_masks` reads them, ground-truth (geometry,
+    width, height) by annotation id, predictions as `read_prediction_masks`
+    reads them) of the eval_coco workload, read without decoding."""
     files = workloads.generate("eval_coco", 0, tmp_path_factory.mktemp("eval_coco")).files
-    dataset, geometries = load_coco_geometries(files["gt"])
-    return dataset.images, geometries, read_prediction_geometries(files["sem_preds"])
+    _, meta, annotations = _read_coco(files["gt"])
+    geometries = {
+        ann["id"]: (g, meta[ann["image_id"]]["width"], meta[ann["image_id"]]["height"]) for ann, g in annotations
+    }
+    return load_coco_masks(files["gt"]).images, geometries, read_prediction_masks(files["sem_preds"])
 
 
-def _semseg_from_bitsets(images, geometries, rows):
-    preds = {i: bitset(g, w, h) for i, _, _, g, w, h in rows}
+def _semseg_from_bitsets(images, geometries, predictions):
+    preds = {p.image_id: p.mask for p in predictions}
     gts = {
-        img.image_id: bitset_union([bitset(*geometries[a.instance_id]) for a in img.annotations])
+        img.image_id: bitset_union([as_bitset(a.mask) for a in img.annotations])
         if img.annotations else Bitset(img.width, img.height, 0, 0, 0)
         for img in images
     }
@@ -147,8 +151,9 @@ def _semseg_from_bitsets(images, geometries, rows):
     return score.gIoU, score.cIoU
 
 
-def _semseg_through_pixels(images, geometries, rows):
-    preds = dict(zip([r[0] for r in rows], decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])))
+def _semseg_through_pixels(images, geometries, predictions):
+    masks = decode_geometries([(p.mask, p.mask.width, p.mask.height) for p in predictions])  # run-length codes
+    preds = {p.image_id: mask for p, mask in zip(predictions, masks)}
     per_image, inter_total, union_total = [], 0, 0
     for img in images:
         gt = (mask_union(decode_geometries([geometries[a.instance_id] for a in img.annotations]))

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the merged masks of `transform --to sid-semseg`: the
-run-length code of each merged annotation, from its members' bitsets by
-`bitset_rle(bitset_union(...))` (what the CLI runs), next to the NumPy path
-it replaces, `rle_encode(mask_union(decode_geometries(...)))`. The member
+run-length code of each merged annotation, from its members' masks as
+`load_coco_masks` reads them by `bitset_rle(bitset_union(...))` (what the
+CLI runs), next to the NumPy path it replaces,
+`rle_encode(mask_union(decode_geometries(...)))` of their geometry. The member
 sets are those of the three benchmark workloads (seed 0), which
 `bench/workloads.py` writes into a temporary directory and `parse` turns
 into records.
@@ -18,9 +19,9 @@ from pathlib import Path
 import pytest
 
 from segdial.cli import main
-from segdial.dataset_io import load_coco_geometries, read_records
-from segdial.geometry import bitset, bitset_rle, bitset_union
-from segdial.instances import decode_geometries
+from segdial.dataset_io import _read_coco, load_coco_masks, read_records
+from segdial.geometry import bitset_rle, bitset_union
+from segdial.instances import as_bitset, decode_geometries
 from segdial.mask import mask_union, rle_encode
 from segdial.parsing import from_training_record
 from segdial.transforms import _regroup
@@ -33,7 +34,8 @@ NAMES = workloads.NAMES
 
 @pytest.fixture(scope="module")
 def member_sets(tmp_path_factory):
-    """{workload: [(geometry, width, height) of each member] per merged annotation}."""
+    """{workload: [(mask, (geometry, width, height)) of each member] per
+    merged annotation}."""
     root = tmp_path_factory.mktemp("workloads")
     sets = {}
     for name in NAMES:
@@ -42,23 +44,28 @@ def member_sets(tmp_path_factory):
         argv = ["parse", "--responses", files["responses"], "--annotations", files["gt"], "--task", "qa",
                 "--out", records]
         assert main(list(map(str, argv))) == 0
-        dataset, geometries = load_coco_geometries(files["gt"])
-        anns = {a.instance_id: a for img in dataset.images for a in img.annotations}
+        _, meta, annotations = _read_coco(files["gt"])
+        geometries = {
+            ann["id"]: (g, meta[ann["image_id"]]["width"], meta[ann["image_id"]]["height"]) for ann, g in annotations
+        }
+        by_image = {
+            img.image_id: {a.instance_id: a for a in img.annotations} for img in load_coco_masks(files["gt"]).images
+        }
         sets[name] = [
             group[-1]
             for srec in read_records(records)
-            for group in _regroup(from_training_record(srec, anns), anns,
-                                  lambda members: [geometries[a.instance_id] for a in members])[1]
+            for group in _regroup(from_training_record(srec, by_image[srec.image_id]), by_image[srec.image_id],
+                                  lambda members: [(a.mask, geometries[a.instance_id]) for a in members])[1]
         ]
     return sets
 
 
 def _from_bitsets(sets):
-    return [bitset_rle(bitset_union([bitset(*item) for item in items])) for items in sets]
+    return [bitset_rle(bitset_union([as_bitset(mask) for mask, _ in items])) for items in sets]
 
 
 def _through_pixels(sets):
-    return [rle_encode(mask_union(decode_geometries(items))) for items in sets]
+    return [rle_encode(mask_union(decode_geometries([g for _, g in items]))) for items in sets]
 
 
 @pytest.mark.parametrize("name", NAMES)

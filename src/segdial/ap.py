@@ -9,10 +9,12 @@ and category. Ground truths outside the active band are ignorable: a
 detection may still match one, in which case the detection is excluded
 from the precision/recall tallies instead of counting as a false positive.
 
-Every mask is scored as a `geometry.Bitset`, so the pixels a detection
-shares with a ground truth take one shift, AND and bit count, and the
-precision/recall curves are accumulated from the true positives in pure
-Python: this module loads no NumPy. `segdial.metrics` re-exports its names.
+A mask may be a `RasterMask`, a `geometry.Bitset` or a run-length code
+(`geometry.Rle`), and each is scored as a Bitset, so the pixels a
+detection shares with a ground truth take one shift, AND and bit count,
+and the precision/recall curves are accumulated from the true positives
+in pure Python: this module loads no NumPy. `segdial.metrics` re-exports
+its names.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ class ApProtocol(_ApProtocolFields):
     """Evaluation constants; the defaults are the ones reported everywhere.
 
     `iou_thresholds` must rise strictly within (0, 1] and hold 0.5 and 0.75,
-    the thresholds that AP50 and AP75 report, and `recall_points` must rise
-    strictly within [0, 1]. The checks run in __new__, which `_make` and
-    `_replace` skip.
+    the thresholds that AP50 and AP75 report, `recall_points` must rise
+    strictly within [0, 1], `max_dets` must be an integer of at least 1,
+    and the band bounds must satisfy 0 <= small_ceiling <= large_floor, so
+    that no area is both small and large. The checks run in __new__, which
+    `_make` and `_replace` skip.
     """
 
     __slots__ = ()
@@ -64,6 +68,11 @@ class ApProtocol(_ApProtocolFields):
         pts = tuple(protocol.recall_points)
         if not pts or not all(0.0 <= p <= 1.0 for p in pts) or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"recall_points must be non-empty and strictly increasing in [0, 1], got {pts}")
+        if type(protocol.max_dets) is not int or protocol.max_dets < 1:  # a bool is no count
+            raise ValueError(f"max_dets must be an integer of at least 1, got {protocol.max_dets!r}")
+        small, large = protocol.small_ceiling, protocol.large_floor
+        if not 0 <= small <= large:
+            raise ValueError(f"band bounds must satisfy 0 <= small_ceiling <= large_floor, got {small!r}, {large!r}")
         return protocol
 
     def bands(self):
@@ -200,8 +209,9 @@ def evaluate_ap(
 ) -> ApReport:
     """Score instance predictions against ground-truth images.
 
-    The masks of predictions and annotations are `Bitset`s or `RasterMask`s;
-    each RasterMask is turned into a Bitset first. `categories` widens the
+    The masks of predictions and annotations are `Bitset`s, `Rle`s or
+    `RasterMask`s; each prediction's is turned into a Bitset first, and each
+    annotation's when its cell is scored. `categories` widens the
     set of legal prediction categories beyond those present in the ground
     truth (e.g. the dataset's full category table); categories without any
     ground truth never contribute cells. Fields whose band contains no

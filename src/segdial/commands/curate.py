@@ -12,7 +12,7 @@ from segdial.cli import CliUsageError
 def run(args) -> int:
     if args.max_retries < 0:  # before any output is written, whatever the client
         raise ValueError("max_retries must be >= 0")
-    dataset = dataset_io.load_coco_footprints(args.input)  # areas and boxes are all it reads
+    dataset = dataset_io.load_coco_masks(args.input)  # areas and boxes are all it reads
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
     result = curation.filter_dataset(dataset.images, args.min_image_side, args.min_area)

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 
 from segdial import dataset_io
 from segdial.commands.report import render_report
-from segdial.geometry import Bitset, bitset
 
 if TYPE_CHECKING:
     from segdial import ap
@@ -34,40 +33,29 @@ def _inst_metrics_obj(report: ap.ApReport) -> dict:
 
 
 def run(args) -> int:
-    # every mask is scored as a bitset built from its geometry, so no pixel is drawn
-    dataset, geometries = dataset_io.load_coco_geometries(args.gt)
+    # every mask is scored as a bitset built from its code or polygons, so no pixel is drawn
+    dataset = dataset_io.load_coco_masks(args.gt)
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    rows = dataset_io.read_prediction_geometries(args.preds)
+    preds = dataset_io.read_prediction_masks(args.preds)
     if args.mode == "inst":
         from segdial.ap import evaluate_ap
-        from segdial.instances import PredictionInstance
 
-        preds = [
-            PredictionInstance(image_id, bitset(geometry, width, height), score, category_id)
-            for image_id, category_id, score, geometry, width, height in rows
-        ]
-        images = [
-            img._replace(
-                annotations=tuple(a._replace(mask=bitset(*geometries[a.instance_id])) for a in img.annotations)
-            )
-            for img in dataset.images
-        ]
-        report = evaluate_ap(preds, images, categories=set(dataset.categories))
+        report = evaluate_ap(preds, dataset.images, categories=set(dataset.categories))
         obj = _inst_metrics_obj(report)
     else:
-        from segdial.geometry import bitset_union
-        from segdial.instances import EvalValidationError
+        from segdial.geometry import Bitset, bitset_union
+        from segdial.instances import EvalValidationError, as_bitset
         from segdial.semseg import evaluate_semseg
 
-        by_image: dict[int, Bitset] = {}
-        for n, (image_id, _, _, geometry, width, height) in enumerate(rows):
-            if image_id in by_image:
-                raise EvalValidationError([f"prediction {n}: duplicate whole-image mask for image {image_id}"])
-            by_image[image_id] = bitset(geometry, width, height)
+        by_image = {}
+        for n, p in enumerate(preds):
+            if p.image_id in by_image:
+                raise EvalValidationError([f"prediction {n}: duplicate whole-image mask for image {p.image_id}"])
+            by_image[p.image_id] = p.mask
         gts = {
             img.image_id: (
-                bitset_union([bitset(*geometries[a.instance_id]) for a in img.annotations])
+                bitset_union([as_bitset(a.mask) for a in img.annotations])
                 if img.annotations
                 else Bitset(img.width, img.height, 0, 0, 0)
             )

@@ -3,27 +3,26 @@
 from __future__ import annotations
 
 from segdial import dataset_io, instances, matching
-from segdial.geometry import bitset
 
 
 def run(args) -> int:
     matching.check_weights(args.w_iou, args.w_dice)  # before any file is read
-    # every mask is matched as a bitset built from its geometry, so no pixel is drawn
-    dataset, geometries = dataset_io.load_coco_geometries(args.gt)
-    preds = dataset_io.read_prediction_geometries(args.preds)
+    # every mask is matched as a bitset built from its code or polygons, so no pixel is drawn
+    dataset = dataset_io.load_coco_masks(args.gt)
+    preds = dataset_io.read_prediction_masks(args.preds)
     known = {img.image_id for img in dataset.images}
-    bad = sorted({p[0] for p in preds} - known)
+    bad = sorted({p.image_id for p in preds} - known)
     if bad:
         raise instances.EvalValidationError([f"prediction for unknown image_id {i}" for i in bad])
     by_image: dict[int, list] = {}
-    for image_id, _, _, geometry, width, height in preds:
-        by_image.setdefault(image_id, []).append((geometry, width, height))
+    for p in preds:
+        by_image.setdefault(p.image_id, []).append(p.mask)
 
     rows = []
     for img in dataset.images:  # one image's bitsets at a time
         assignment = matching.assign_targets(
-            [bitset(*p) for p in by_image.get(img.image_id, [])],
-            [bitset(*geometries[a.instance_id]) for a in img.annotations],
+            by_image.get(img.image_id, []),
+            [a.mask for a in img.annotations],
             w_iou=args.w_iou,
             w_dice=args.w_dice,
         )

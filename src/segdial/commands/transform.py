@@ -9,25 +9,29 @@ from segdial.cli import _TRANSFORM_TARGETS, CliUsageError
 def run(args) -> int:
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
-    ann_map = None
+    by_image = None
     if needs_annotations:
         if args.annotations is None:
             raise CliUsageError(f"--to {args.to} requires --annotations")
-        from segdial.geometry import bitset, bitset_rle, bitset_union
+        from segdial.geometry import bitset_rle, bitset_union
+        from segdial.instances import as_bitset
 
         # each merged mask is coded from its members' bitsets, so no pixel is drawn
-        dataset, geometries = dataset_io.load_coco_geometries(args.annotations)
-        ann_map = {a.instance_id: a for img in dataset.images for a in img.annotations}
+        dataset = dataset_io.load_coco_masks(args.annotations)
+        # a record refers to instances of its own image only
+        by_image = {img.image_id: {a.instance_id: a for a in img.annotations} for img in dataset.images}
 
         def merged_rle(members) -> dict:
-            union = bitset_union([bitset(*geometries[a.instance_id]) for a in members])
-            return dataset_io.rle_to_obj(bitset_rle(union))
+            return dataset_io.rle_to_obj(bitset_rle(bitset_union([as_bitset(a.mask) for a in members])))
 
     serialized = dataset_io.read_records(args.in_path)
     out_records = []
     merged_rows = []
     for n, srec in enumerate(serialized, 1):
         try:
+            ann_map = None if by_image is None else by_image.get(srec.image_id)
+            if needs_annotations and ann_map is None:
+                raise ValueError(f"image {srec.image_id} not in the annotations")
             record = parsing.from_training_record(srec, ann_map)
             if target == "pure_text":
                 record = transforms.to_pure_text(record)

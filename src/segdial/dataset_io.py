@@ -4,10 +4,11 @@ All JSONL writers emit one json.dumps(..., sort_keys=True) object per line
 with "\n" endings, so identical inputs produce byte-identical files. The
 geometry modules and the record types load inside the functions that use
 them: checking a COCO file or reading its labels loads only the NumPy-free
-`segdial.geometry`, reading its areas, boxes and geometry, or the geometry
-of predictions, adds only `segdial.instances`, reading records never loads
-NumPy, checking record lines loads no other module, and reading masks never
-loads the parser.
+`segdial.geometry`; reading its masks, or those of predictions, as
+run-length codes (`Rle`) and bitsets (`load_coco_masks`,
+`read_prediction_masks`) adds only `segdial.instances`; reading records
+never loads NumPy, checking record lines loads no other module, and
+reading masks never loads the parser.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ __all__ = [
     "DatasetError",
     "RecordError",
     "load_coco",
-    "load_coco_footprints",
-    "load_coco_geometries",
     "load_coco_labels",
-    "read_prediction_geometries",
+    "load_coco_masks",
+    "read_prediction_masks",
     "read_predictions",
     "read_record_lines",
     "read_records",
@@ -248,35 +248,26 @@ def load_coco(path: str | Path) -> CocoDataset:
     return _dataset(categories, image_meta, annotations, built)
 
 
-def load_coco_footprints(path: str | Path) -> CocoDataset:
-    """`load_coco` without the masks: the same checks, warnings, areas, boxes
-    and centers, counted from the geometry by `geometry.footprint`, and every
-    annotation's mask is None. No pixel is drawn and NumPy stays unloaded."""
-    return load_coco_geometries(path)[0]
-
-
-def load_coco_geometries(path: str | Path) -> tuple[CocoDataset, dict[int, tuple[Geometry, int, int]]]:
-    """`load_coco_footprints` of the file and, by annotation id, the
-    (geometry, image width, image height) each annotation was counted from,
-    from one read of the file. The polygons keep the bitset `footprint`
-    counted, so `geometry.bitset` of them does not build it again."""
-    from segdial.geometry import Rle, _Counted, footprint
+def load_coco_masks(path: str | Path) -> CocoDataset:
+    """`load_coco` with each mask in a form the scorers read without
+    drawing a pixel: an rle exactly as the file codes it, and polygons as
+    their `geometry.bitset`, built once. The checks, warnings, areas, boxes
+    and centers are `load_coco`'s, counted by `geometry.footprint` of an rle
+    and `geometry.bitset_footprint` of a bitset, and NumPy stays unloaded."""
+    from segdial.geometry import Rle, bitset, bitset_footprint, footprint
     from segdial.instances import InstanceAnnotation
 
     categories, image_meta, annotations = _read_coco(path)
-    geometries = {}
+    built = []
     for ann, geometry in annotations:
-        width, height = image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"]
-        if not isinstance(geometry, Rle):
-            geometry = _Counted(geometry, width, height)
-        geometries[ann["id"]] = (geometry, width, height)
-    built = [
-        InstanceAnnotation.from_footprint(
-            ann["id"], ann["category_id"], categories[ann["category_id"]], *footprint(*geometries[ann["id"]])
-        )
-        for ann, _ in annotations
-    ]
-    return _dataset(categories, image_meta, annotations, built), geometries
+        if isinstance(geometry, Rle):
+            mask, (area, box) = geometry, footprint(geometry, geometry.width, geometry.height)
+        else:
+            mask = bitset(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
+            area, box = bitset_footprint(mask)
+        name = categories[ann["category_id"]]
+        built.append(InstanceAnnotation.from_footprint(ann["id"], ann["category_id"], name, area, box, mask))
+    return _dataset(categories, image_meta, annotations, built)
 
 
 def _dataset(
@@ -493,13 +484,20 @@ def _prediction_fields(obj, where: str) -> tuple:
     return image_id, category_id, score, geometry, width, height
 
 
-def read_prediction_geometries(path: str | Path) -> list[tuple]:
-    """(image id, category id, score, geometry, width, height) of each
-    prediction line, in file order, after every check `read_predictions`
-    makes; the score is a float, and the canvas is None for an rle, which
-    carries its own. Nothing is decoded and NumPy stays unloaded. The error
-    raised is that of the first bad line, with its position."""
-    return [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
+def read_prediction_masks(path: str | Path) -> list[PredictionInstance]:
+    """`read_predictions` with each mask in a form the scorers read without
+    drawing a pixel: an rle exactly as the line codes it, and polygons as
+    their `geometry.bitset`. The lines are those `read_predictions` accepts,
+    and a bad one raises its error, position included; NumPy stays
+    unloaded."""
+    from segdial.geometry import Rle, bitset
+    from segdial.instances import PredictionInstance
+
+    rows = [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
+    return [
+        PredictionInstance(image_id, g if isinstance(g, Rle) else bitset(g, w, h), score, category_id)
+        for image_id, category_id, score, g, w, h in rows
+    ]
 
 
 def read_predictions(path: str | Path) -> list[PredictionInstance]:
@@ -508,12 +506,12 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
     [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
     category_id is optional (instance evaluation requires it, whole-image
-    evaluation ignores it). The lines are read and checked by
-    `read_prediction_geometries`, then every rle is decoded in one pass.
+    evaluation ignores it). Every line is checked first, then every rle is
+    decoded in one pass.
     """
     from segdial.instances import PredictionInstance, decode_geometries
 
-    rows = read_prediction_geometries(path)
+    rows = [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
     masks = decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])
     return [
         PredictionInstance(image_id, mask, score, category_id)

@@ -4,7 +4,8 @@ Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
 for pixels. `segdial.mask` turns these values into masks; `footprint` gives
-the area and box of such a mask from the geometry alone. `bitset` gives such
+the area and box of such a mask from the geometry alone, and
+`bitset_footprint` from its Bitset. `bitset` gives such
 a mask as a `Bitset`, one Python int, on which `bitset_overlap` counts the
 pixels two masks share and `bitset_union` unites masks, a machine word at a
 time; `bitset_rle` gives a Bitset's run-length code.
@@ -19,8 +20,8 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
-    "BBox", "Bitset", "Geometry", "Polygon", "Rle", "bitset", "bitset_overlap", "bitset_rle", "bitset_union",
-    "check_canvas", "check_fit", "footprint",
+    "BBox", "Bitset", "Geometry", "Polygon", "Rle", "bitset", "bitset_footprint", "bitset_overlap", "bitset_rle",
+    "bitset_union", "check_canvas", "check_fit", "footprint",
 ]
 
 
@@ -147,16 +148,20 @@ def check_fit(geometry: Geometry, width: int, height: int) -> None:
 def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optional[BBox]]:
     """(area, tight inclusive box or None when empty) of the mask that
     `segdial.instances.decode_geometries` makes of (geometry, width, height),
-    counted from the geometry without drawing a pixel.
-
-    Polygons are counted on their `bitset`: the area is its bit count, the
-    columns of the box those of its first and last set bits, and the rows
-    those that the OR of all its columns holds. An rle follows the run
-    arithmetic of `mask.rle_decode_many`.
+    counted from the geometry without drawing a pixel: polygons by
+    `bitset_footprint` of their `bitset`, and an rle by the run arithmetic
+    of `mask.rle_decode_many`.
     """
     if isinstance(geometry, Rle):
         return _rle_footprint(geometry)
-    b = bitset(geometry, width, height)
+    return bitset_footprint(bitset(geometry, width, height))
+
+
+def bitset_footprint(b: Bitset) -> tuple[int, Optional[BBox]]:
+    """(area, tight inclusive box or None when empty) of the mask `b` holds:
+    the area is its bit count, the columns of the box those of its first
+    and last set bits, and the rows those that the OR of all its columns
+    holds."""
     if not b.area:
         return 0, None
     h = b.height
@@ -202,9 +207,6 @@ def bitset(geometry: Geometry, width: int, height: int) -> Bitset:
     check_canvas(width, height)
     if not geometry:
         raise ValueError("geometry needs at least one polygon")
-    kept = getattr(geometry, "kept", None)
-    if kept is not None and (kept.width, kept.height) == (width, height):
-        return kept
     return bitset_union([_polygon_bitset(poly, width, height) for poly in geometry])
 
 
@@ -266,17 +268,6 @@ def _bit_field(positions: list[int], base: int, last: int) -> int:
         p -= base
         field[p >> 3] ^= 1 << (p & 7)
     return int.from_bytes(field, "little")
-
-
-class _Counted(tuple):
-    """Polygons that keep their `bitset` on the canvas it was built on, so
-    `footprint` and `bitset` build an annotation's bits once; to every other
-    reader, the tuple of its polygons."""
-
-    def __new__(cls, polygons: Sequence[Polygon], width: int, height: int):
-        counted = super().__new__(cls, polygons)
-        counted.kept = bitset(counted, width, height)
-        return counted
 
 
 def _polygon_bitset(poly: Polygon, width: int, height: int) -> Bitset:

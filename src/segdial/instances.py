@@ -1,6 +1,9 @@
 """Images, instances and predictions as the scorers read them, the one
 path from geometry to masks, and the one from any mask to a bitset.
 
+A mask is a `RasterMask`, a `geometry.Bitset` or a run-length code
+(`geometry.Rle`); the scorers turn each into a Bitset by `as_bitset`.
+
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
 `segdial.metrics`, which re-export them under their public names. The
@@ -71,14 +74,14 @@ def as_bitset(mask: Union[Bitset, Rle, RasterMask]) -> Bitset:
 
 class InstanceAnnotation(NamedTuple):
     """One object instance; mask, bbox, area, and center are derived from
-    geometry. The mask is None where only the area and box were read
-    (`segdial.dataset_io.load_coco_footprints`), and a Bitset where AP is
-    scored from the geometry (`evaluate --mode inst`)."""
+    geometry. `segdial.dataset_io.load_coco_masks` keeps an rle's mask as
+    its Rle and polygons' as their Bitset; the mask is None where only the
+    area and box were given."""
 
     instance_id: int
     category_id: int
     label_name: str
-    mask: Optional[Union[RasterMask, Bitset]]
+    mask: Optional[Union[RasterMask, Bitset, Rle]]
     bbox: Optional[BBox]
     area: int
     center_point: Optional[tuple[int, int]]
@@ -120,7 +123,7 @@ class InstanceAnnotation(NamedTuple):
         label_name: str,
         area: int,
         bbox: Optional[BBox],
-        mask: Optional[RasterMask] = None,
+        mask: Optional[Union[RasterMask, Bitset, Rle]] = None,
     ) -> "InstanceAnnotation":
         """An instance of `area` pixels in the tight box `bbox` (None when
         empty); the center is the box's."""
@@ -170,14 +173,14 @@ class ImageRecord(_ImageRecordFields):
 
 class _PredictionInstanceFields(NamedTuple):
     image_id: int
-    mask: Union[RasterMask, Bitset]
+    mask: Union[RasterMask, Bitset, Rle]
     score: float = 1.0
     category_id: Optional[int] = None
 
 
 class PredictionInstance(_PredictionInstanceFields):
-    """One predicted instance mask, a RasterMask or a Bitset, with an
-    optional confidence."""
+    """One predicted instance mask, a RasterMask, a Bitset or an Rle, with
+    an optional confidence."""
 
     __slots__ = ()
 

@@ -37,14 +37,13 @@ def evaluate_semseg(
     gts: Mapping[int, Union[Bitset, Rle, RasterMask]],
 ) -> SemSegScore:
     """Score one whole-image binary mask per image, given as a bitset, a
-    run-length code or a mask; each is turned into a bitset first.
+    run-length code or a mask; each pair is turned into bitsets as its
+    image is scored, so one image's pair is built at a time.
 
     Every ground-truth image counts: an image without a prediction scores
     IoU 0 and is reported in warnings. Predictions for unknown images are
     rejected.
     """
-    preds = {image_id: as_bitset(m) for image_id, m in preds.items()}
-    gts = {image_id: as_bitset(m) for image_id, m in gts.items()}
     if not gts:
         raise EvalValidationError(["no ground-truth images to evaluate"])
     unknown = [f"prediction for unknown image_id {i}" for i in preds if i not in gts]
@@ -55,6 +54,7 @@ def evaluate_semseg(
     inter_total = 0
     union_total = 0
     for image_id, gt in gts.items():
+        gt = as_bitset(gt)
         pred = preds.get(image_id)
         if pred is None:
             warnings.append(f"image {image_id}: no prediction, scored as IoU 0")
@@ -68,7 +68,7 @@ def evaluate_semseg(
                     f"ground truth is {gt.width}x{gt.height}"
                 ]
             )
-        inter, union = bitset_overlap(pred, gt)
+        inter, union = bitset_overlap(as_bitset(pred), gt)
         per_image.append(inter / union if union else 0.0)
         inter_total += inter
         union_total += union

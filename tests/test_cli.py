@@ -12,10 +12,10 @@ from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
 from segdial.cli import build_parser, main
 from segdial.commands.evaluate import _inst_metrics_obj
 from segdial.dataset_io import (
-    load_coco, read_prediction_geometries, read_predictions, read_records, rle_to_obj, write_jsonl,
+    load_coco, read_prediction_masks, read_predictions, read_records, rle_to_obj, write_jsonl,
     write_predictions, write_records,
 )
-from segdial.geometry import bitset, bitset_rle
+from segdial.geometry import bitset_rle
 from segdial.mask import mask_union, overlap, rle_encode
 from segdial.matching import assign_targets, hungarian
 from segdial.metrics import EvalValidationError, PredictionInstance, evaluate_ap
@@ -536,17 +536,17 @@ class TestMalformedPredictions:
             assert capsys.readouterr().err == message
 
     def test_the_geometry_reader_refuses_what_read_predictions_refuses(self, tmp_path):
-        # `read_prediction_geometries` is the reader that `evaluate --mode sem`
-        # scores from without decoding: each mutation fails it with the
+        # `read_prediction_masks` is the reader that `match` and `evaluate`
+        # score from without decoding: each mutation fails it with the
         # exception `read_predictions` raises, message and line included, and
         # one that only the scorers refuse (an unknown image) fails neither
         preds = tmp_path / "preds.jsonl"
         preds.write_text("".join(json.dumps(line) + "\n" for line in self.lines()), encoding="utf-8")
-        rows = read_prediction_geometries(preds)
+        rows = read_prediction_masks(preds)
         decoded = read_predictions(preds)
-        assert [r[:3] for r in rows] == [(p.image_id, p.category_id, p.score) for p in decoded] == [
-            (1, 3, 0.9), (2, 3, 0.8)]
-        assert [rle_encode(p.mask) for p in decoded] == [rows[0][3], bitset_rle(bitset(*rows[1][3:]))]
+        assert [(p.image_id, p.category_id, p.score) for p in rows] == [
+            (p.image_id, p.category_id, p.score) for p in decoded] == [(1, 3, 0.9), (2, 3, 0.8)]
+        assert [rle_encode(p.mask) for p in decoded] == [rows[0].mask, bitset_rle(rows[1].mask)]
         refused = 0
         for path, value in self.mutations():
             lines = self.lines()
@@ -558,7 +558,7 @@ class TestMalformedPredictions:
                 lines[path[0]][path[1]] = value
             preds.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
             outcomes = []
-            for read in (read_predictions, read_prediction_geometries):
+            for read in (read_predictions, read_prediction_masks):
                 try:
                     outcomes.append(len(read(preds)))
                 except ValueError as exc:
@@ -1485,6 +1485,29 @@ class TestTransform:
         )
         assert code == 1
         assert "record 1 (image 1)" in capsys.readouterr().err
+
+    def test_a_record_resolves_only_against_its_own_image(self, tmp_path, capsys):
+        # instance 9 is image 2's lamp: a record of image 1 cannot name it,
+        # and a record of an image the file lacks names nothing
+        gt = write_gt(tmp_path)
+        lamp = "<person>: Where is the lamp?\n<robot>: lamp <9; lamp>"
+        keyboard = "<person>: Where is the keyboard?\n<robot>: keyboard <34494; keyboard>"
+        labels = {9: "lamp", 34494: "keyboard"}
+        cases = [
+            ([(lamp, 2), (lamp, 1)], "record 2 (image 1): turn 1: unknown instance id 9"),
+            ([(keyboard, 1), (keyboard, 7)], "record 2 (image 7): image 7 not in the annotations"),
+        ]
+        for n, (texts, message) in enumerate(cases):
+            records, out = tmp_path / f"records{n}.jsonl", tmp_path / f"out{n}.jsonl"
+            rows = [to_training_record(parse_sid_response(t, labels, image_id=i).record) for t, i in texts]
+            write_records(rows, records)
+            argv = ["transform", "--in", str(records), "--to", "sid-semseg", "--annotations", str(gt), "--out", str(out)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+            assert not out.exists()
+            write_records(rows[:1], records)
+            assert main(argv) == 0
+            assert read_records(out)[0].turns[1].seg_ids == rows[0].turns[1].seg_ids
 
 
 class TestMatch:

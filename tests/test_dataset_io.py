@@ -14,18 +14,18 @@ from segdial.dataset_io import (
     DatasetError,
     RecordError,
     load_coco,
-    load_coco_footprints,
-    load_coco_geometries,
     load_coco_labels,
-    read_prediction_geometries,
+    load_coco_masks,
+    read_prediction_masks,
     read_predictions,
     read_record_lines,
     read_records,
     write_predictions,
     write_records,
 )
-from segdial.geometry import BBox, Rle, bitset, bitset_rle, bitset_union, footprint
-from segdial.mask import RasterMask, mask_union, rle_decode, rle_encode
+from segdial.geometry import Bitset, Rle, bitset, bitset_footprint, bitset_rle, bitset_union
+from segdial.instances import as_bitset
+from segdial.mask import RasterMask, area, bbox_of, mask_union, rle_decode, rle_encode, to_bitset
 from segdial.metrics import PredictionInstance
 from segdial.parsing import (
     Provenance,
@@ -98,7 +98,7 @@ class TestLoadCoco:
         assert any("stored bbox but the mask is empty" in w for w in ds.warnings)
         assert ds.images[0].annotations[0].area == 0
 
-    def test_footprints_are_load_coco_without_masks(self, tmp_path):
+    def test_masks_are_load_coco_without_pixels(self, tmp_path):
         payload = coco_payload(
             images=[
                 (1, 16, 12, [
@@ -118,25 +118,30 @@ class TestLoadCoco:
                 ann["area"] = area
         path = tmp_path / "gt.json"
         write_json(path, payload)
-        full, light = load_coco(path), load_coco_footprints(path)
+        full, light = load_coco(path), load_coco_masks(path)
         assert light.warnings == full.warnings and len(full.warnings) == 3
         assert light.categories == full.categories
         assert [a.area for a in light.images[0].annotations] == [51, 21, 0, 4]
         for kept, read in zip(full.images, light.images):
             assert read == kept._replace(annotations=read.annotations)
-            assert [a._replace(mask=None) for a in kept.annotations] == list(read.annotations)
-            assert all(a.mask is None for a in read.annotations)
+            assert [a._replace(mask=None) for a in kept.annotations] == [a._replace(mask=None) for a in read.annotations]
+            # the same pixels: an rle stays the file's code, and polygons become their bitset
+            assert [as_bitset(a.mask) for a in read.annotations] == [to_bitset(a.mask) for a in kept.annotations]
+        masks = [a.mask for a in light.images[0].annotations]
+        assert [type(m) for m in masks] == [Bitset, Rle, Rle, Bitset]
+        assert masks[1:3] == [Rle(16, 12, payload["annotations"][n]["segmentation"]["counts"]) for n in (1, 2)]
 
         payload["annotations"][0]["bbox"] = [3, "x", 6, 6]
         write_json(path, payload)
-        for load in (load_coco, load_coco_footprints):
+        for load in (load_coco, load_coco_masks):
             with pytest.raises(DatasetError, match=r"annotation 10: stored bbox \[3, 'x', 6, 6\] is not four numbers"):
                 load(path)
 
     def test_each_polygon_is_traced_once(self, tmp_path, monkeypatch):
-        # `footprint` counts each annotation's bitset, and the bitsets of
-        # the geometries read it back: a polygon's edges are followed once,
-        # and the codes equal those of the decoded masks
+        # the loader counts each polygon annotation's footprint from the
+        # bitset it keeps as the mask, and the unions read it back: a
+        # polygon's edges are followed once, and the codes equal those of
+        # the decoded masks
         import segdial.geometry as geometry
 
         payload = coco_payload(
@@ -154,16 +159,41 @@ class TestLoadCoco:
         traced = []
         fill = geometry._polygon_bitset
         monkeypatch.setattr(geometry, "_polygon_bitset", lambda poly, w, h: traced.append(poly) or fill(poly, w, h))
-        dataset, geometries = load_coco_geometries(path)
+        loaded = {a.instance_id: a for a in load_coco_masks(path).images[0].annotations}
         codes = [
-            bitset_rle(bitset_union([bitset(*geometries[i]) for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])
+            bitset_rle(bitset_union([as_bitset(loaded[i].mask) for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])
         ]
         assert len(traced) == 3
         masks = {a.instance_id: a.mask for a in load_coco(path).images[0].annotations}
         assert codes == [rle_encode(mask_union([masks[i] for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])]
-        assert dataset == load_coco_footprints(path)
-        # on another canvas the kept bitset does not hold: it is built anew
-        assert footprint(geometries[10][0], 10, 9) == (39, BBox(3, 2, 9, 8)) != footprint(*geometries[10])
+        # the area and box are those of the kept bitset, and of the decoded mask
+        for i in (10, 12):
+            assert (loaded[i].area, loaded[i].bbox) == bitset_footprint(loaded[i].mask) == (
+                area(masks[i]), bbox_of(masks[i]))
+
+    def test_rle_bits_stay_lazy(self, tmp_path, monkeypatch):
+        # an rle is kept as the file codes it: loading ground truth or
+        # predictions that hold only rle builds no bitset, and scoring one
+        # builds its bits from its runs
+        import segdial.geometry as geometry
+
+        codes = [rle_obj(m) for m in (rect_mask(16, 12, 0, 5, 3, 12), RasterMask.zeros(16, 12), rect_mask(16, 12, 2, 1, 9, 4))]
+        payload = coco_payload(
+            images=[(1, 16, 12, [(10, 1, codes[0]), (11, 2, codes[1])]), (2, 16, 12, [(20, 1, codes[2])])],
+            categories=[(1, "cat"), (2, "dog")],
+        )
+        gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
+        write_json(gt, payload)
+        preds.write_text("".join(json.dumps({"image_id": 1, "rle": c}) + "\n" for c in codes), encoding="utf-8")
+        calls = []
+        fill = geometry._bit_field
+        monkeypatch.setattr(geometry, "_bit_field", lambda *a: calls.append(a) or fill(*a))
+        dataset, predicted = load_coco_masks(gt), read_prediction_masks(preds)
+        assert calls == []
+        masks = [a.mask for img in dataset.images for a in img.annotations] + [p.mask for p in predicted]
+        assert masks == [Rle(16, 12, c["counts"]) for c in codes + codes]
+        assert [a.area for img in dataset.images for a in img.annotations] == [21, 0, 21]
+        assert as_bitset(masks[0]).area == 21 and calls
 
     def test_reference_and_id_errors_aggregate(self, tmp_path):
         payload = coco_payload(
@@ -466,7 +496,7 @@ class TestPredictionsJsonl:
         for kind, masks in kinds.items():
             path = tmp_path / f"{kind}.jsonl"
             write_predictions([PredictionInstance(k, m, 0.5, 1) for k, m in enumerate(masks)], path)
-            assert [row[3] for row in read_prediction_geometries(path)] == codes
+            assert [p.mask for p in read_prediction_masks(path)] == codes
         assert (tmp_path / "raster.jsonl").read_bytes() == (tmp_path / "bits.jsonl").read_bytes()
 
     def test_write_read_round_trip_and_determinism(self, tmp_path):

@@ -21,8 +21,8 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import rect_polygon
 from segdial.geometry import (
-    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _Counted, _polygon_bitset, bitset, bitset_overlap, bitset_rle,
-    bitset_union, footprint,
+    VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _polygon_bitset, bitset, bitset_footprint, bitset_overlap,
+    bitset_rle, bitset_union, footprint,
 )
 from segdial.instances import decode_geometries
 from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode, to_bitset
@@ -259,11 +259,8 @@ class TestBitset:
         # the canvas edge and parts of fewer than 3 vertices among them
         want = decoded_bitset(*case)
         assert bitset(*case) == want
-        geometry, width, height = case
-        if not isinstance(geometry, Rle):  # the bitset kept at load, and the footprint read from it
-            counted = _Counted(geometry, width, height)
-            assert counted.kept == bitset(counted, width, height) == want
-            assert footprint(counted, width, height) == decoded(geometry, width, height)
+        # the footprint `load_coco_masks` reads from the bitset it keeps
+        assert bitset_footprint(want) == footprint(*case) == decoded(*case)
 
     @pytest.mark.parametrize(
         "member, width, height, want",

@@ -80,6 +80,27 @@ class TestProtocol:
         with pytest.raises(ValueError, match="recall_points"):
             ApProtocol(recall_points=points)
 
+    @pytest.mark.parametrize("max_dets", [0, -1, 2.5, 100.0, True, "100"])
+    def test_rejects_max_dets_that_is_not_a_positive_integer(self, max_dets):
+        with pytest.raises(ValueError, match="max_dets must be an integer of at least 1"):
+            ApProtocol(max_dets=max_dets)
+
+    @pytest.mark.parametrize(
+        "small_ceiling, large_floor",
+        [(10000, 100), (-1, 100), (1025, 1024), (float("nan"), 9216), (1024, float("nan"))],
+    )
+    def test_rejects_band_bounds_out_of_order(self, small_ceiling, large_floor):
+        with pytest.raises(ValueError, match="band bounds"):
+            ApProtocol(small_ceiling=small_ceiling, large_floor=large_floor)
+
+    def test_accepts_one_detection_and_touching_band_bounds(self):
+        protocol = ApProtocol(max_dets=1, small_ceiling=0, large_floor=0)
+        bands = dict(protocol.bands())
+        assert [n for n in ("small", "medium", "large") if bands[n](0)] == ["medium"]
+        small = three_band_image()[1][0]
+        report = evaluate_ap([pred(1, small)], [image_with_masks(1, [small], [1])], protocol=protocol)
+        assert report.mAP == report.AP_large == 1.0
+
     @pytest.mark.parametrize("points", [(0.0,), (1.0,), (0.0, 0.25, 0.5, 1.0), (0.05, 0.95)])
     def test_grouped_curves_read_each_point_as_the_bisection_does(self, points):
         # each point reads the envelope at the first recall at or above it;
