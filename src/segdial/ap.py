@@ -139,6 +139,12 @@ def _validate_predictions(
         raise EvalValidationError(offenders)
 
 
+def _det(index: int, pred: PredictionInstance) -> _Det:
+    """The detection of prediction `index`, its mask as a Bitset."""
+    mask = as_bitset(pred.mask)
+    return _Det(index=index, score=pred.score, area=mask.area, mask=mask)
+
+
 def _candidates(det: Bitset, truths: Sequence[Bitset], floor: float) -> list[tuple[float, int]]:
     """The (IoU, ground-truth index) pairs of `det` with IoU >= `floor`,
     IoU descending, then index ascending."""
@@ -210,15 +216,15 @@ def evaluate_ap(
     """Score instance predictions against ground-truth images.
 
     The masks of predictions and annotations are `Bitset`s, `Rle`s or
-    `RasterMask`s; each prediction's is turned into a Bitset first, and each
-    annotation's when its cell is scored. `categories` widens the
+    `RasterMask`s; each is turned into a Bitset when its cell is scored, so
+    only one cell's bitsets are held at a time. `categories` widens the
     set of legal prediction categories beyond those present in the ground
     truth (e.g. the dataset's full category table); categories without any
     ground truth never contribute cells. Fields whose band contains no
     ground truth anywhere report 0.0.
     """
     protocol = protocol or ApProtocol()
-    preds = [p._replace(mask=as_bitset(p.mask)) for p in preds]
+    preds = list(preds)
     images: dict[int, ImageRecord] = {}
     for img in gt_images:
         if img.image_id in images:
@@ -229,12 +235,15 @@ def evaluate_ap(
     known |= gt_categories
     _validate_predictions(preds, images, known)
 
-    dets: dict[tuple[int, int], list[_Det]] = {}
+    def score_order(n: int) -> tuple[float, int]:
+        return -preds[n].score, n
+
+    # the indices of each cell's predictions, the kept ones in score order
+    dets: dict[tuple[int, int], list[int]] = {}
     for n, p in enumerate(preds):
-        entry = _Det(index=n, score=p.score, area=p.mask.area, mask=p.mask)
-        dets.setdefault((p.image_id, p.category_id), []).append(entry)
+        dets.setdefault((p.image_id, p.category_id), []).append(n)
     for cell in dets.values():
-        cell.sort(key=lambda d: (-d.score, d.index))
+        cell.sort(key=score_order)
         del cell[protocol.max_dets :]
     truths: dict[tuple[int, int], list] = {}
     for img in images.values():
@@ -243,13 +252,11 @@ def evaluate_ap(
 
     cats = sorted(gt_categories)
     # each scored detection's rank in its category's score order
-    by_category: dict[int, list[_Det]] = {cat: [] for cat in cats}
+    by_category: dict[int, list[int]] = {cat: [] for cat in cats}
     for (_, cat), cell in dets.items():
         if cat in by_category:
             by_category[cat] += cell
-    rank = {
-        d.index: r for ds in by_category.values() for r, d in enumerate(sorted(ds, key=lambda d: (-d.score, d.index)))
-    }
+    rank = {n: r for ns in by_category.values() for r, n in enumerate(sorted(ns, key=score_order))}
     bands = protocol.bands()
     thresholds = protocol.iou_thresholds
     # per (band, category): for each threshold, the ranks of the true
@@ -262,7 +269,7 @@ def evaluate_ap(
     cells = sorted((c for c in {*truths, *dets} if c[1] in gt_categories), key=lambda c: (c[1], order[c[0]]))
     for image_id, cat in cells:
         gts = truths.get((image_id, cat), ())
-        ds = dets.get((image_id, cat), ())
+        ds = [_det(n, preds[n]) for n in dets.get((image_id, cat), ())]
         ranks = [rank[d.index] for d in ds]
         truth_masks = [as_bitset(g.mask) for g in gts]
         cands = [_candidates(d.mask, truth_masks, thresholds[0]) for d in ds]

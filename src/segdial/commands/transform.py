@@ -36,6 +36,12 @@ def run(args) -> int:
             if target == "pure_text":
                 record = transforms.to_pure_text(record)
             elif target in ("semseg", "sid_semseg"):
+                # checked before regrouping, so the error names the record's own mode
+                regrouped = transforms._SEMANTIC_MODE.get(record.task_mode, target)
+                if regrouped != target:
+                    raise ValueError(
+                        f"record task_mode {record.task_mode!r} regroups to {regrouped!r}, not {target!r}"
+                    )
                 record, merged = transforms._regroup(record, ann_map, merged_rle)
                 for turn_index, instance_id, category_id, label_name, member_ids, rle in merged:
                     merged_rows.append(

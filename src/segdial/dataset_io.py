@@ -229,10 +229,10 @@ def load_coco(path: str | Path) -> CocoDataset:
     """Load and revalidate a COCO-style instance file.
 
     The file is checked as `load_coco_labels` checks it, then every
-    annotation is decoded (all rle in one pass) and area/bbox/center are
-    recomputed from the mask; a stored area off by more than AREA_TOLERANCE
-    of the computed one, or a stored bbox edge off by more than
-    BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
+    annotation is decoded to a `RasterMask` with NumPy and area/bbox/center
+    are recomputed from the mask; a stored area off by more than
+    AREA_TOLERANCE of the computed one, or a stored bbox edge off by more
+    than BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
     """
     from segdial.instances import InstanceAnnotation, decode_geometries
 
@@ -506,8 +506,8 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
     [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
     category_id is optional (instance evaluation requires it, whole-image
-    evaluation ignores it). Every line is checked first, then every rle is
-    decoded in one pass.
+    evaluation ignores it). Every line is checked before any mask is
+    decoded.
     """
     from segdial.instances import PredictionInstance, decode_geometries
 

@@ -149,8 +149,7 @@ def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optiona
     """(area, tight inclusive box or None when empty) of the mask that
     `segdial.instances.decode_geometries` makes of (geometry, width, height),
     counted from the geometry without drawing a pixel: polygons by
-    `bitset_footprint` of their `bitset`, and an rle by the run arithmetic
-    of `mask.rle_decode_many`.
+    `bitset_footprint` of their `bitset`, and an rle from its runs.
     """
     if isinstance(geometry, Rle):
         return _rle_footprint(geometry)

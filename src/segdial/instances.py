@@ -49,13 +49,11 @@ class EvalValidationError(ValueError):
 
 def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[RasterMask]:
     """The mask of each (geometry, width, height): an rle decoded on its own
-    canvas, or polygons rasterized onto width x height and united. Every rle
-    among them is decoded in one `rle_decode_many` pass."""
-    from segdial.mask import mask_union, rasterize, rle_decode_many
+    canvas, or polygons rasterized onto width x height and united."""
+    from segdial.mask import mask_union, rasterize, rle_decode
 
-    rles = iter(rle_decode_many([g for g, _, _ in items if isinstance(g, Rle)]))
     return [
-        next(rles) if isinstance(g, Rle) else mask_union([rasterize(p, w, h) for p in g])
+        rle_decode(g) if isinstance(g, Rle) else mask_union([rasterize(p, w, h) for p in g])
         for g, w, h in items
     ]
 

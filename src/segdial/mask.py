@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "overlap",
     "rasterize",
     "rle_decode",
-    "rle_decode_many",
     "rle_encode",
     "to_bitset",
 ]
@@ -211,85 +209,23 @@ def to_bitset(mask: RasterMask) -> Bitset:
     return Bitset(mask.width, h, mask._left * h + first, bits >> first, mask._area)
 
 
-# booleans one expansion of `rle_decode_many` may allocate (4 MiB); a code
-# whose box columns alone hold more is expanded by itself
-_DECODE_PIXELS = 2**22
-
-
 def rle_decode(rle: Rle) -> RasterMask:
-    """Expand a run-length code back into a mask."""
-    return rle_decode_many([rle])[0]
-
-
-def rle_decode_many(rles: Sequence[Rle]) -> list[RasterMask]:
-    """Expand run-length codes, on any mix of canvases, into masks.
-
-    One set of NumPy passes over the counts of every code finds each code's
-    box and area. Then the columns of the boxes are expanded at full height,
-    for as many codes at a time as fit in _DECODE_PIXELS, and each crop is
-    cut from its code's columns.
-    """
-    n = len(rles)
-    lens = np.fromiter((len(r.counts) for r in rles), dtype=np.int64, count=n)
-    counts = np.fromiter(chain.from_iterable(r.counts for r in rles), dtype=np.int64, count=int(lens.sum()))
-    keep = np.ones(counts.size, dtype=bool)
-    keep[(np.cumsum(lens) - 1)[lens % 2 == 1]] = False  # a trailing clear run sets nothing
-    runs = counts[keep]  # per code: clear, set, ..., clear, set
-    sets = lens // 2
-    (full,) = np.nonzero(sets)  # the codes with a set pixel
-    masks = [RasterMask.zeros(r.width, r.height) if not k else None for r, k in zip(rles, sets.tolist())]
-    if not full.size:
-        return masks
-    sets = sets[full]
-    heights = np.fromiter((r.height for r in rles), dtype=np.int64, count=n)[full]
-    first = np.cumsum(2 * sets) - 2 * sets  # each code's first count in `runs`
-    ends = np.cumsum(runs)
-    ends -= np.repeat(ends[first] - runs[first], 2 * sets)  # now offsets on each code's canvas
-    starts, stops = ends[0::2], ends[1::2]  # of the set runs
-    per_run = np.repeat(heights, sets)
-    col0, col1 = starts // per_run, (stops - 1) // per_run
-    # a set run within one column covers its own rows; one that crosses a
-    # column boundary covers the last row of a column and the first of the next
-    within = col0 == col1
-    row0 = np.where(within, starts - col0 * per_run, 0)
-    row1 = np.where(within, stops - 1 - col1 * per_run, per_run - 1)
-    set_first = np.cumsum(sets) - sets
-    set_last = set_first + sets - 1
-    left, right = col0[set_first], col1[set_last] + 1
-    top = np.minimum.reduceat(row0, set_first)
-    bottom = np.maximum.reduceat(row1, set_first) + 1
-    areas = np.add.reduceat(runs[1::2], set_first)
-    lead = starts[set_first] - left * heights  # the clear run before the first set one, from column `left`
-    pad = right * heights - stops[set_last]  # clear pixels after the last set run, to the end of its column
-    pixels = (right - left) * heights
-    done = np.cumsum(pixels)
-
-    rows = zip(
-        full.tolist(), heights.tolist(), left.tolist(), (right - left).tolist(),
-        top.tolist(), bottom.tolist(), areas.tolist(),
-    )
-    a = 0
-    while a < full.size:
-        b = max(a + 1, int(np.searchsorted(done, done[a] - pixels[a] + _DECODE_PIXELS, side="right")))
-        # codes a..b-1 as one alternating clear/set sequence: each code's
-        # padding merges into the next code's lead, both clear
-        lo = int(first[a])
-        lengths = np.append(runs[lo : int(first[b]) if b < full.size else runs.size], pad[b - 1])
-        heads = first[a:b] - lo
-        lengths[heads] = lead[a:b]
-        lengths[heads[1:]] += pad[a : b - 1]
-        values = np.zeros(lengths.size, dtype=bool)
-        values[1::2] = True
-        flat = np.repeat(values, lengths)
-        offset = 0
-        for _ in range(b - a):
-            i, h, l, w, t, bt, count = next(rows)
-            columns = flat[offset : offset + w * h].reshape(w, h)
-            offset += w * h
-            masks[i] = RasterMask._from_crop(rles[i].width, h, t, l, columns[:, t:bt].T.copy(), count)
-        del flat, columns  # before the next chunk is expanded
-        a = b
-    return masks
+    """Expand a run-length code back into a mask, in the manner of cocoapi's
+    `rleDecode`: only the columns of its box are expanded, at full height,
+    and the tight crop is cut from them."""
+    h, counts = rle.height, rle.counts
+    n = len(counts) - len(counts) % 2  # a trailing clear run sets nothing
+    if not n:
+        return RasterMask.zeros(rle.width, h)
+    left = counts[0] // h
+    stop = sum(counts[:n])  # the end of the last set run
+    right = -(-stop // h)
+    # the runs from column `left` on, then clear pixels to the end of column `right - 1`
+    runs = np.array([counts[0] - left * h, *counts[1:n], right * h - stop], dtype=np.int64)
+    values = np.zeros(n + 1, dtype=bool)
+    values[1::2] = True
+    columns = np.repeat(values, runs).reshape(right - left, h)
+    return RasterMask._from_crop(rle.width, h, *_crop(0, left, columns.T))
 
 
 def _check_same_canvas(a: RasterMask, b: RasterMask) -> None:

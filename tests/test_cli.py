@@ -1509,6 +1509,19 @@ class TestTransform:
             assert main(argv) == 0
             assert read_records(out)[0].turns[1].seg_ids == rows[0].turns[1].seg_ids
 
+    def test_a_semantic_target_is_checked_against_the_records_own_mode(self, tmp_path, capsys):
+        # a sid_instseg record regroups to sid_semseg, so --to semseg names its own mode
+        gt = write_gt(tmp_path)
+        records, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
+        lamp = parse_sid_response("<person>: Where is the lamp?\n<robot>: lamp <9; lamp>", {9: "lamp"}, image_id=2)
+        write_records([to_training_record(lamp.record)], records)
+        argv = ["transform", "--in", str(records), "--to", "semseg", "--annotations", str(gt), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "validation error: record 1 (image 2): record task_mode 'sid_instseg' regroups to 'sid_semseg', not 'semseg'\n"
+        )
+        assert not out.exists()
+
 
 class TestMatch:
     def test_perfect_predictions_match_every_truth(self, tmp_path):

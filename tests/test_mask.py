@@ -2,7 +2,6 @@ import random
 import tracemalloc
 from itertools import groupby
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import make_mask, random_star_polygon, rect_mask
-from segdial import mask as mask_module
 from segdial.geometry import bitset, bitset_overlap
+from segdial.instances import decode_geometries
 from segdial.mask import (
     BBox,
     Polygon,
@@ -181,7 +180,7 @@ def _random_code(rng, width, height):
 
 
 class TestDecodeMany:
-    """`rle_decode_many` against `_expand`, written without NumPy runs."""
+    """`rle_decode` against `_expand`, written without NumPy runs."""
 
     CANVASES = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (5, 4), (13, 17), (64, 3)]
 
@@ -195,11 +194,9 @@ class TestDecodeMany:
         return codes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("chunk", [1, 50, 2**22])
-    def test_matches_an_independent_expansion(self, seed, chunk):
+    def test_matches_an_independent_expansion(self, seed):
         codes = self.codes(seed)
-        with mock.patch.object(mask_module, "_DECODE_PIXELS", chunk):
-            got = mask_module.rle_decode_many(codes)
+        got = decode_geometries([(rle, rle.width, rle.height) for rle in codes])
         assert len(got) == len(codes)
         for rle, m in zip(codes, got):
             want = _expand(rle)
@@ -211,7 +208,7 @@ class TestDecodeMany:
     def test_one_code_and_none(self):
         for rle in self.codes(3)[:40]:
             assert rle_decode(rle) == RasterMask(_expand(rle))
-        assert mask_module.rle_decode_many([]) == []
+        assert decode_geometries([]) == []
 
 
 class TestIou:
@@ -532,13 +529,13 @@ class TestMemory:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            masks = mask_module.rle_decode_many([rle] * 32)
+            masks = [rle_decode(rle) for _ in range(32)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert all(m == masks[0] for m in masks) and area(masks[0]) == 2
         assert bbox_of(masks[0]) == BBox(0, 0, side - 1, 0)
-        assert peak < 1.5 * mask_module._DECODE_PIXELS, peak  # one chunk, not the 32 MiB of all boxes
+        assert peak < 1.5 * side * side, peak  # one code's box columns, not the 32 MiB of all of them
 
 
 class TestPixelFormatOwnership:

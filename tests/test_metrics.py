@@ -11,7 +11,7 @@ import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
 from segdial.ap import _average_precision as ap_of_ranks
 from segdial.curation import ImageRecord, InstanceAnnotation
-from segdial.mask import RasterMask, area, bbox_of, mask_iou, rle_decode
+from segdial.mask import RasterMask, Rle, area, bbox_of, mask_iou, rle_decode, rle_encode
 from segdial.metrics import (
     ApBlock,
     ApProtocol,
@@ -242,6 +242,26 @@ class TestEvaluateApFixtures:
         # category 9 has no ground truth so it owns no cells at all
         assert set(report.per_category) == {1}
         assert report.AP_small == 1.0
+
+    def test_a_prediction_gets_bits_only_when_its_cell_is_scored(self, monkeypatch):
+        # predictions stay run-length codes until their cell is scored, so a
+        # category without ground truth never gets bits
+        import segdial.ap as ap
+
+        first, _ = three_band_image(1)
+        second, (small, medium, large) = three_band_image(2)
+        preds = [pred(1, rle_encode(small)), pred(2, rle_encode(medium)), pred(2, rle_encode(large), category_id=9)]
+        converted = []
+        to_bits = ap.as_bitset
+        monkeypatch.setattr(ap, "as_bitset", lambda m: converted.append(m) or to_bits(m))
+        report = evaluate_ap(preds, [first, second], categories={1, 9})
+        assert [m for m in converted if isinstance(m, Rle)] == [preds[0].mask, preds[1].mask]
+        assert len(converted) == 2 + 6  # and each ground truth once
+        # image 2's prediction is built after image 1's cell has been scored, not at entry
+        assert converted.index(preds[1].mask) > min(i for i, m in enumerate(converted) if not isinstance(m, Rle))
+        monkeypatch.undo()
+        as_masks = [p._replace(mask=m) for p, m in zip(preds, (small, medium, large))]
+        assert report == evaluate_ap(as_masks, [first, second], categories={1, 9})
 
     def test_score_range_enforced(self):
         m = rect_mask(8, 8, 0, 0, 2, 2)
