@@ -194,9 +194,14 @@ class TestDecodeMany:
         return codes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_an_independent_expansion(self, seed):
+    @pytest.mark.parametrize("chunk", [1, 50, 2**22])
+    def test_matches_an_independent_expansion(self, seed, chunk):
+        # codes go in calls of `chunk` each: one at a time, a few canvases
+        # mixed, all in one call; no grouping may change a mask
         codes = self.codes(seed)
-        got = decode_geometries([(rle, rle.width, rle.height) for rle in codes])
+        got = []
+        for i in range(0, len(codes), chunk):
+            got += decode_geometries([(rle, rle.width, rle.height) for rle in codes[i : i + chunk]])
         assert len(got) == len(codes)
         for rle, m in zip(codes, got):
             want = _expand(rle)
