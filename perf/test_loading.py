@@ -1,9 +1,11 @@
 """Micro-benchmarks of the readers: `load_coco`, `load_coco_masks`,
-`load_coco_labels` and `read_predictions` on the inputs of the three
-benchmark workloads (seed 0), which `bench/workloads.py` writes into a
-temporary directory. `load_coco_masks`, which every subcommand but `parse`
-reads ground truth with, sits next to `load_coco`, so keeping run-length
-codes and polygon bitsets can be compared with the decode it replaces.
+`load_coco_labels`, `read_predictions` and `read_prediction_masks` on the
+inputs of the three benchmark workloads (seed 0), which `bench/workloads.py`
+writes into a temporary directory. `load_coco_masks`, which every
+subcommand but `parse` reads ground truth with, and `read_prediction_masks`,
+which `match` and `evaluate` read predictions with, sit next to `load_coco`
+and `read_predictions`, so keeping run-length codes and polygon bitsets can
+be compared with the decode they replace.
 
     pytest perf --benchmark-only
 
@@ -16,7 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from segdial.dataset_io import load_coco, load_coco_labels, load_coco_masks, read_predictions
+from segdial.dataset_io import (
+    load_coco,
+    load_coco_labels,
+    load_coco_masks,
+    read_prediction_masks,
+    read_predictions,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -56,3 +64,8 @@ def test_read_predictions(benchmark, inputs, name):
 @pytest.mark.parametrize("name", NAMES)
 def test_read_sem_predictions(benchmark, inputs, name):
     assert benchmark(read_predictions, inputs[name]["sem_preds"])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_read_prediction_masks(benchmark, inputs, name):
+    assert benchmark(read_prediction_masks, inputs[name]["preds"])

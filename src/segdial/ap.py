@@ -24,7 +24,7 @@ from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
-from segdial.geometry import Bitset, bitset_overlap
+from segdial.geometry import Bitset
 from segdial.instances import EvalValidationError, ImageRecord, PredictionInstance, as_bitset
 
 if TYPE_CHECKING:
@@ -142,38 +142,74 @@ def _validate_predictions(
 def _det(index: int, pred: PredictionInstance) -> _Det:
     """The detection of prediction `index`, its mask as a Bitset."""
     mask = as_bitset(pred.mask)
-    return _Det(index=index, score=pred.score, area=mask.area, mask=mask)
+    return _Det(index, pred.score, mask.area, mask)
 
 
-def _candidates(det: Bitset, truths: Sequence[Bitset], floor: float) -> list[tuple[float, int]]:
+def _candidates(det: Bitset, truths: Sequence[tuple[int, int, int, int]], floor: float) -> list[tuple[float, int]]:
     """The (IoU, ground-truth index) pairs of `det` with IoU >= `floor`,
-    IoU descending, then index ascending."""
+    IoU descending, then index ascending; `truths` holds (first pixel, one
+    past the last, bits, area) of each ground truth on the canvas of `det`.
+
+    Two bounds rule a pair out before its pixels are counted. One whose
+    column-major spans are disjoint shares no pixel, as in
+    `matching._cost_rows`. And IoU is at most min / max of the two areas;
+    rounding keeps order, so the float IoU is at most that quotient
+    rounded, and a quotient below `floor` rules the pair out. The test
+    takes the same correctly rounded division as the IoU: comparing the
+    exact ratio with `floor` would drop areas 7 and 25 at 0.28, since
+    7 / 25 rounds to the float 0.28 but lies below it.
+    """
+    start, bits, area = det.offset, det.bits, det.area
+    end = start + bits.bit_length()
     cands = []
-    for g, truth in enumerate(truths):
-        inter, union = bitset_overlap(det, truth)
-        iou = inter / union if union else 0.0  # 0 for two empty masks, as mask_iou
+    for g, (g_start, g_end, g_bits, g_area) in enumerate(truths):
+        # spans that meet belong to two masks that are not empty
+        if g_start >= end or start >= g_end or (area / g_area if area < g_area else g_area / area) < floor:
+            continue
+        if g_start >= start:  # the mask that starts first is shifted onto the other
+            inter = ((bits >> (g_start - start)) & g_bits).bit_count()
+        else:
+            inter = ((g_bits >> (start - g_start)) & bits).bit_count()
+        iou = inter / (area + g_area - inter)
         if iou >= floor:
             cands.append((iou, g))
     cands.sort(key=itemgetter(0), reverse=True)  # stable: equal IoUs keep index order
     return cands
 
 
-def _greedy_match(cands: list[list[tuple[float, int]]], threshold: float) -> list[int]:
-    """The ground truth each detection takes at `threshold`, or -1.
+def _greedy_match(
+    cands: list[list[tuple[float, int]]], thresholds: Sequence[float], out: Sequence[bool]
+) -> list[dict[int, int]]:
+    """For each threshold, {detection: ground truth} of the detections that
+    take one.
 
-    Detections go in score order; each takes the first ground truth of its
-    candidate order that is still free and reaches the threshold.
+    At each threshold the detections go in score order; each takes the
+    first ground truth of its candidate order that is still free and
+    reaches the threshold, where the ground truths that `out` marks, those
+    outside the band, go last. The candidates of a detection fall in IoU
+    order, so a scan ends at the first one below the threshold, and a
+    detection whose best candidate is below a threshold takes nothing at
+    that threshold or any higher one.
     """
-    taken: set[int] = set()
-    matched = []
-    for cand in cands:
-        for v, g in cand:
-            if v >= threshold and g not in taken:
-                taken.add(g)
-                matched.append(g)
+    taken: list[set[int]] = [set() for _ in thresholds]
+    matched: list[dict[int, int]] = [{} for _ in thresholds]
+    for d, cand in enumerate(cands):
+        for k, t in enumerate(thresholds):
+            if not cand or cand[0][0] < t:
                 break
-        else:
-            matched.append(-1)
+            found = -1
+            for v, g in cand:
+                if v < t:
+                    break
+                if g not in taken[k]:
+                    if not out[g]:
+                        found = g
+                        break
+                    if found < 0:  # the first free one outside the band, unless one inside follows
+                        found = g
+            if found >= 0:
+                taken[k].add(found)
+                matched[k][d] = found
     return matched
 
 
@@ -269,30 +305,28 @@ def evaluate_ap(
     cells = sorted((c for c in {*truths, *dets} if c[1] in gt_categories), key=lambda c: (c[1], order[c[0]]))
     for image_id, cat in cells:
         gts = truths.get((image_id, cat), ())
-        ds = [_det(n, preds[n]) for n in dets.get((image_id, cat), ())]
-        ranks = [rank[d.index] for d in ds]
-        truth_masks = [as_bitset(g.mask) for g in gts]
-        cands = [_candidates(d.mask, truth_masks, thresholds[0]) for d in ds]
-        plain = [_greedy_match(cands, t) for t in thresholds]  # every ground truth in band
-        for band_name, in_band in bands:
-            gt_out = [not in_band(g.area) for g in gts]
-            det_out = [not in_band(d.area) for d in ds]
+        # per band, whether each ground truth lies outside it
+        gt_outs = [[not in_band(g.area) for g in gts] for _, in_band in bands]
+        for (band_name, _), gt_out in zip(bands, gt_outs):
             positives[band_name, cat] += gt_out.count(False)
-            # ground truths outside the band go last in each candidate order
-            band_cands = [sorted(c, key=lambda vg: gt_out[vg[1]]) for c in cands]
-            if band_cands != cands:
-                per_thr = [_greedy_match(band_cands, t) for t in thresholds]
-            else:
-                per_thr = plain
+        ds = [_det(n, preds[n]) for n in dets.get((image_id, cat), ())]
+        if not ds:
+            continue
+        ranks = [rank[d.index] for d in ds]
+        spans = [(m.offset, m.offset + m.bits.bit_length(), m.bits, m.area) for m in (as_bitset(g.mask) for g in gts)]
+        cands = [_candidates(d.mask, spans, thresholds[0]) for d in ds]
+        # the matches when every ground truth, or none, lies in the band
+        plain = _greedy_match(cands, thresholds, [False] * len(gts))
+        for (band_name, in_band), gt_out in zip(bands, gt_outs):
+            per_thr = _greedy_match(cands, thresholds, gt_out) if any(gt_out) and not all(gt_out) else plain
+            outside = [n for n, d in enumerate(ds) if not in_band(d.area)]
             for (hits, ignored), matched in zip(events[band_name, cat], per_thr):
-                for r, g, out in zip(ranks, matched, det_out):
-                    if g < 0:
-                        if out:  # an unmatched detection outside the band
-                            ignored.append(r)
-                    elif gt_out[g]:
-                        ignored.append(r)
-                    else:
-                        hits.append(r)
+                # a match is a hit inside the band and ignored outside it,
+                # and so is a detection outside the band that takes nothing
+                for n, g in matched.items():
+                    (ignored if gt_out[g] else hits).append(ranks[n])
+                if outside:
+                    ignored += [ranks[n] for n in outside if n not in matched]
 
     # per (band, category): the AP at each threshold, or None without ground truth
     curves = {

@@ -61,9 +61,10 @@ def _resolve_runtime(args) -> tuple[int, int]:
             except ValueError:
                 raise CliUsageError(f"{ENV_PREFIX}{key.upper()} must be an integer, got {env!r}")
         if key in cfg:
-            if not isinstance(cfg[key], int):
+            value = cfg[key]
+            if not isinstance(value, int) or isinstance(value, bool):  # JSON true decodes to an int
                 raise CliUsageError(f"config key {key!r} must be an integer")
-            return cfg[key]
+            return value
         return default
 
     seed = pick(args.seed, "seed", 0)

@@ -24,10 +24,14 @@ def render_report(obj: dict) -> str:
     for name in names:
         if name not in met:
             raise CliUsageError(f"report metrics lack {name!r}")
-        try:
-            lines.append(f"{name:<10}{float(met[name]):.3f}")
-        except (TypeError, ValueError, OverflowError):
-            raise CliUsageError(f"report metric {name!r} must be a number, got {met[name]!r}") from None
+        value = met[name]
+        if type(value) in (int, float):  # a JSON number: float() would read a string or a boolean too
+            try:
+                lines.append(f"{name:<10}{float(value):.3f}")
+                continue
+            except OverflowError:  # an integer past the float range
+                pass
+        raise CliUsageError(f"report metric {name!r} must be a number, got {value!r}")
     return "\n".join(lines)
 
 

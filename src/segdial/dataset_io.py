@@ -18,6 +18,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     from segdial.geometry import Geometry, Rle
     from segdial.instances import ImageRecord, InstanceAnnotation, PredictionInstance
     from segdial.parsing import SerializedRecord
@@ -69,39 +71,40 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_integers(values, what: str) -> None:
-    """Raise ValueError unless every decoded JSON value of `values` is an
-    integer or a float without a fractional part: `Rle` would take a string,
-    a boolean or 1.7 for the integer it converts to."""
-    if not set(map(type, values)) <= {int}:
-        for v in values:
-            if not (_is_int(v) or (isinstance(v, float) and v.is_integer())):
-                raise ValueError(f"{what} must be integers, got {v!r}")
+def _integers(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints, or ValueError unless every decoded JSON
+    value of `values` is an integer or a float without a fractional part:
+    `Rle` would take a string, a boolean or 1.7 for the integer it converts
+    to."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    for v in values:
+        if not (_is_int(v) or (isinstance(v, float) and v.is_integer())):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return tuple(map(int, values))
 
 
-def _coerce_geometry(seg) -> Geometry:
+def _coerce_geometry(seg, geometry: ModuleType) -> Geometry:
     """COCO segmentation field: list of flat polygons, or {size, counts} rle.
     Any other value raises ValueError saying what is wrong with it. So does a
     number given as anything but a JSON number, a boolean among them, and an
     rle size or count with a fractional part, which `Polygon` and `Rle`
-    would convert."""
-    from segdial.geometry import Polygon, Rle
-
+    would convert. `geometry` is the module `segdial.geometry`, which the
+    reader of a file imports once."""
     try:
         if isinstance(seg, dict):
             size = seg.get("size")
             counts = seg.get("counts")
             if isinstance(size, (list, tuple)) and len(size) == 2 and isinstance(counts, (list, tuple)):
-                _check_integers(size, "rle size entries")
-                _check_integers(counts, "rle counts")
-                return Rle(width=int(size[1]), height=int(size[0]), counts=tuple(counts))
+                height, width = _integers(size, "rle size entries")
+                return geometry.Rle._from_ints(width, height, _integers(counts, "rle counts"))
             raise ValueError("malformed rle segmentation")
         if isinstance(seg, list) and seg and all(isinstance(p, (list, tuple)) for p in seg):
             for p in seg:
                 if not set(map(type, p)) <= {int, float}:
                     bad = next(v for v in p if type(v) not in (int, float))
                     raise ValueError(f"polygon vertices must be numbers, got {bad!r}")
-            return tuple(Polygon.from_flat(p) for p in seg)
+            return tuple(map(geometry.Polygon.from_flat, seg))
     except (TypeError, OverflowError) as exc:
         raise ValueError(str(exc)) from exc
     raise ValueError("segmentation must be polygons or rle")
@@ -135,7 +138,7 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
     DatasetError with every such error; an image without a pixel raises
     ValueError.
     """
-    from segdial.geometry import check_fit
+    from segdial import geometry
 
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -198,13 +201,14 @@ def _read_coco(path: str | Path) -> tuple[dict[int, str], dict[int, dict], list[
         if not _is_int(cid) or cid not in categories:
             errors.append(f"annotation {aid}: unknown category_id {cid}")
             continue
+        img = image_meta[iid]
         try:
-            geometry = _coerce_geometry(ann.get("segmentation"))
-            check_fit(geometry, image_meta[iid]["width"], image_meta[iid]["height"])
+            g = _coerce_geometry(ann.get("segmentation"), geometry)
+            geometry.check_fit(g, img["width"], img["height"])
         except ValueError as exc:
             errors.append(f"annotation {aid}: {exc}")
             continue
-        annotations.append((ann, geometry))
+        annotations.append((ann, g))
 
     if errors:
         raise DatasetError(errors)
@@ -260,13 +264,14 @@ def load_coco_masks(path: str | Path) -> CocoDataset:
     categories, image_meta, annotations = _read_coco(path)
     built = []
     for ann, geometry in annotations:
-        if isinstance(geometry, Rle):
+        if type(geometry) is Rle:
             mask, (area, box) = geometry, footprint(geometry, geometry.width, geometry.height)
         else:
-            mask = bitset(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
+            img = image_meta[ann["image_id"]]
+            mask = bitset(geometry, img["width"], img["height"])
             area, box = bitset_footprint(mask)
-        name = categories[ann["category_id"]]
-        built.append(InstanceAnnotation.from_footprint(ann["id"], ann["category_id"], name, area, box, mask))
+        cid = ann["category_id"]
+        built.append(InstanceAnnotation.from_footprint(ann["id"], cid, categories[cid], area, box, mask))
     return _dataset(categories, image_meta, annotations, built)
 
 
@@ -284,40 +289,38 @@ def _dataset(
     warnings: list[str] = []
     per_image: dict[int, list[InstanceAnnotation]] = {iid: [] for iid in image_meta}
     for (ann, _), inst in zip(annotations, built):
-        aid = inst.instance_id
+        aid, area, box = inst.instance_id, inst.area, inst.bbox
         stored_area = ann.get("area")
         if isinstance(stored_area, (int, float)):
-            if abs(stored_area - inst.area) > AREA_TOLERANCE * max(inst.area, 1):
-                warnings.append(f"annotation {aid}: stored area {stored_area} vs computed {inst.area}")
+            if abs(stored_area - area) > AREA_TOLERANCE * max(area, 1):
+                warnings.append(f"annotation {aid}: stored area {stored_area} vs computed {area}")
         stored_bbox = ann.get("bbox")
         if isinstance(stored_bbox, (list, tuple)) and len(stored_bbox) == 4:
-            if inst.bbox is None:
+            if box is None:
                 warnings.append(f"annotation {aid}: stored bbox but the mask is empty")
             else:
                 try:
-                    x, y, w, h = (float(v) for v in stored_bbox)
+                    x, y, w, h = map(float, stored_bbox)
                 except (TypeError, ValueError, OverflowError):
                     raise DatasetError([f"annotation {aid}: stored bbox {stored_bbox} is not four numbers"]) from None
-                left, top, right, bottom = inst.bbox
-                computed = (float(left), float(top), float(right + 1), float(bottom + 1))
-                stored = (x, y, x + w, y + h)
-                if any(abs(a - b) > BBOX_TOLERANCE for a, b in zip(stored, computed)):
+                left, top, right, bottom = box
+                # each pixel index converts to a float exactly
+                if (
+                    abs(x - left) > BBOX_TOLERANCE
+                    or abs(y - top) > BBOX_TOLERANCE
+                    or abs(x + w - (right + 1)) > BBOX_TOLERANCE
+                    or abs(y + h - (bottom + 1)) > BBOX_TOLERANCE
+                ):
                     warnings.append(
                         f"annotation {aid}: stored bbox {stored_bbox} vs computed {[left, top, right, bottom]}"
                     )
         per_image[ann["image_id"]].append(inst)
 
     images = tuple(
-        ImageRecord(
-            image_id=iid,
-            width=meta["width"],
-            height=meta["height"],
-            file_name=meta["file_name"],
-            annotations=tuple(per_image[iid]),
-        )
+        ImageRecord(iid, meta["width"], meta["height"], meta["file_name"], tuple(per_image[iid]))
         for iid, meta in image_meta.items()
     )
-    return CocoDataset(images=images, categories=categories, warnings=tuple(warnings))
+    return CocoDataset(images, categories, tuple(warnings))
 
 
 # --- records JSONL ------------------------------------------------------------
@@ -442,46 +445,51 @@ def read_record_lines(path: str | Path) -> list[str]:
 # --- predictions JSONL ----------------------------------------------------------
 
 
-def _prediction_fields(obj, where: str) -> tuple:
+def _prediction_rows(path: str | Path) -> list[tuple]:
     """(image id, category id, score as a float, geometry, width, height) of
-    one prediction object, or RecordError at `where`; the canvas is None for
-    an rle, which carries its own."""
-    from segdial.geometry import Rle, check_canvas
+    each prediction line of `path`, or RecordError at the first bad line;
+    the canvas is None for an rle, which carries its own."""
+    from segdial import geometry
     from segdial.instances import check_score
 
-    if not isinstance(obj, dict):
-        raise RecordError(f"{where}: prediction must be a JSON object")
-    image_id = obj.get("image_id")
-    if not _is_int(image_id):
-        raise RecordError(f"{where}: image_id must be an integer")
-    category_id = obj.get("category_id")
-    if category_id is not None and not _is_int(category_id):
-        raise RecordError(f"{where}: category_id must be an integer when present")
-    score = obj.get("score", 1.0)
-    if not (_is_int(score) or isinstance(score, float)):
-        raise RecordError(f"{where}: score must be a number")
-    if "rle" in obj:
-        width = height = None  # an rle carries its own canvas
-        seg = obj["rle"]
-    elif "polygon" in obj:
-        width, height = obj.get("width"), obj.get("height")
-        if not _is_int(width) or not _is_int(height):
-            raise RecordError(f"{where}: polygon predictions need width and height")
-        seg = obj["polygon"]
-    else:
-        raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
-    try:
-        geometry = _coerce_geometry(seg)
-        if width is None and not isinstance(geometry, Rle):
-            raise ValueError("expected an rle")
-        if width is not None:
-            if isinstance(geometry, Rle):
+    Rle, check_canvas = geometry.Rle, geometry.check_canvas
+    rows = []
+    for where, _, obj in _read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise RecordError(f"{where}: prediction must be a JSON object")
+        image_id = obj.get("image_id")
+        if not _is_int(image_id):
+            raise RecordError(f"{where}: image_id must be an integer")
+        category_id = obj.get("category_id")
+        if category_id is not None and not _is_int(category_id):
+            raise RecordError(f"{where}: category_id must be an integer when present")
+        score = obj.get("score", 1.0)
+        if not (_is_int(score) or isinstance(score, float)):
+            raise RecordError(f"{where}: score must be a number")
+        if "rle" in obj:
+            width = height = None  # an rle carries its own canvas
+            seg = obj["rle"]
+        elif "polygon" in obj:
+            width, height = obj.get("width"), obj.get("height")
+            if not _is_int(width) or not _is_int(height):
+                raise RecordError(f"{where}: polygon predictions need width and height")
+            seg = obj["polygon"]
+        else:
+            raise RecordError(f"{where}: prediction needs an 'rle' or 'polygon' mask")
+        try:
+            g = _coerce_geometry(seg, geometry)
+            if width is None:
+                if type(g) is not Rle:
+                    raise ValueError("expected an rle")
+            elif type(g) is Rle:
                 raise ValueError("expected polygons")
-            check_canvas(width, height)
-        score = check_score(float(score))
-    except (ValueError, OverflowError) as exc:
-        raise RecordError(f"{where}: {exc}") from exc
-    return image_id, category_id, score, geometry, width, height
+            else:
+                check_canvas(width, height)
+            score = check_score(float(score))
+        except (ValueError, OverflowError) as exc:
+            raise RecordError(f"{where}: {exc}") from exc
+        rows.append((image_id, category_id, score, g, width, height))
+    return rows
 
 
 def read_prediction_masks(path: str | Path) -> list[PredictionInstance]:
@@ -493,10 +501,9 @@ def read_prediction_masks(path: str | Path) -> list[PredictionInstance]:
     from segdial.geometry import Rle, bitset
     from segdial.instances import PredictionInstance
 
-    rows = [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
     return [
-        PredictionInstance(image_id, g if isinstance(g, Rle) else bitset(g, w, h), score, category_id)
-        for image_id, category_id, score, g, w, h in rows
+        PredictionInstance(image_id, g if type(g) is Rle else bitset(g, w, h), score, category_id)
+        for image_id, category_id, score, g, w, h in _prediction_rows(path)
     ]
 
 
@@ -511,7 +518,7 @@ def read_predictions(path: str | Path) -> list[PredictionInstance]:
     """
     from segdial.instances import PredictionInstance, decode_geometries
 
-    rows = [_prediction_fields(obj, where) for where, _, obj in _read_jsonl(path)]
+    rows = _prediction_rows(path)
     masks = decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])
     return [
         PredictionInstance(image_id, mask, score, category_id)

@@ -105,16 +105,24 @@ class Rle(_RleFields):
     __slots__ = ()
 
     def __new__(cls, width, height, counts):
-        if width < 1 or height < 1:
-            raise ValueError("rle canvas must span at least one pixel")
         counts = tuple(counts)
         if not set(map(type, counts)) <= {int}:  # bools, floats, NumPy ints, strings
             counts = tuple(map(int, counts))
+        return cls._from_ints(width, height, counts)
+
+    @classmethod
+    def _from_ints(cls, width: int, height: int, counts: tuple[int, ...]) -> "Rle":
+        """The Rle of a tuple of Python ints: every check of the constructor
+        but the conversion, for a reader that has refused every other count
+        type already."""
+        if width < 1 or height < 1:
+            raise ValueError("rle canvas must span at least one pixel")
         if not counts:
             raise ValueError("rle counts must be non-empty")
-        if min(counts) < 0:
+        shortest = min(counts[1:], default=1)  # the first count alone may be 0
+        if counts[0] < 0 or shortest < 0:
             raise ValueError("rle counts must be non-negative")
-        if not all(counts[1:]):
+        if not shortest:
             raise ValueError("rle has a zero-length run after the first")
         total = sum(counts)
         if total != width * height:
@@ -331,11 +339,12 @@ def _rle_footprint(rle: Rle) -> tuple[int, Optional[BBox]]:
         return 0, None
     ends = list(accumulate(counts))  # ends[2k] starts set run k, ends[2k + 1] ends it
     n = 2 * len(sets)
-    firsts = [start % h for start in ends[0:n:2]]  # the row of each run's first pixel
-    lasts = [(stop - 1) % h for stop in ends[1:n:2]]  # and of its last
-    # a run as long as a column, or one that wraps into the next, covers the column height
-    if max(sets) >= h or any(map(operator.gt, firsts, lasts)):
+    firsts = list(map(h.__rmod__, ends[0:n:2]))  # the row of each run's first pixel
+    # a run that wraps into the next column ends past the last row, and
+    # covers the column height; the others end at the row before `past`
+    past = max(map(operator.add, firsts, sets))
+    if past > h:
         top, bottom = 0, h - 1
     else:
-        top, bottom = min(firsts), max(lasts)
+        top, bottom = min(firsts), past - 1
     return sum(sets), BBox(counts[0] // h, top, (ends[n - 1] - 1) // h, bottom)

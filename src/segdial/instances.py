@@ -125,15 +125,7 @@ class InstanceAnnotation(NamedTuple):
     ) -> "InstanceAnnotation":
         """An instance of `area` pixels in the tight box `bbox` (None when
         empty); the center is the box's."""
-        return cls(
-            instance_id=instance_id,
-            category_id=category_id,
-            label_name=label_name,
-            mask=mask,
-            bbox=bbox,
-            area=area,
-            center_point=bbox.center if bbox is not None else None,
-        )
+        return cls(instance_id, category_id, label_name, mask, bbox, area, bbox.center if bbox is not None else None)
 
 
 # ImageRecord and PredictionInstance check in __new__, which `_make` and
@@ -182,10 +174,9 @@ class PredictionInstance(_PredictionInstanceFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        pred = super().__new__(cls, *args, **kwargs)
-        check_score(pred.score)
-        return pred
+    def __new__(cls, image_id, mask, score=1.0, category_id=None):
+        check_score(score)
+        return tuple.__new__(cls, (image_id, mask, score, category_id))
 
 
 def check_score(score: float) -> float:

@@ -1163,6 +1163,12 @@ class TestRuntimeResolution:
         assert main(argv + ["--config", str(cfg)]) == 1
         cfg.write_text("[1, 2]", encoding="utf-8")
         assert main(argv + ["--config", str(cfg)]) == 1
+        capsys.readouterr()
+        # JSON true decodes to a Python bool, an int subclass equal to 1
+        for text, key in (('{"seed": true}', "seed"), ('{"jobs": true}', "jobs"), ('{"seed": false}', "seed")):
+            cfg.write_text(text, encoding="utf-8")
+            assert main(argv + ["--config", str(cfg)]) == 1, text
+            assert f"config key {key!r} must be an integer" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         gt = write_gt(tmp_path)
@@ -1631,6 +1637,9 @@ class TestEvaluateAndReport:
             ({"mode": "sem", "metrics": {"gIoU": [0.5], "cIoU": 0.5}}, "report metric 'gIoU' must be a number"),
             ({"mode": "sem", "metrics": {"gIoU": 0.5, "cIoU": "x"}}, "report metric 'cIoU' must be a number"),
             ({"mode": "sem", "metrics": {"gIoU": 0.5, "cIoU": 10 ** 400}}, "report metric 'cIoU' must be a number"),
+            # float() would read both, as 0.25 and 1.0
+            ({"mode": "sem", "metrics": {"gIoU": "0.25", "cIoU": 0.5}}, "report metric 'gIoU' must be a number, got '0.25'"),
+            ({"mode": "sem", "metrics": {"gIoU": 0.5, "cIoU": True}}, "report metric 'cIoU' must be a number, got True"),
         ],
     )
     def test_report_rejects_malformed_metrics(self, tmp_path, capsys, report, message):

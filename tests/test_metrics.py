@@ -566,6 +566,39 @@ class TestEvaluateApAgainstTheOnePairReference:
         for protocol in (ApProtocol(), ApProtocol(max_dets=20, small_ceiling=40, large_floor=120)):
             assert evaluate_ap(preds, images, protocol) == reference_evaluate_ap(preds, images, protocol)
 
+    @pytest.mark.parametrize(
+        "gt_box, det_box, thresholds",
+        [
+            pytest.param((25, 1), (7, 1), (0.28, 0.5, 0.75), id="areas-7-and-25-at-0.28"),
+            pytest.param((25, 2), (7, 1), (0.14, 0.5, 0.75), id="areas-7-and-50-at-0.14"),
+            pytest.param((2, 1), (1, 1), ApProtocol().iou_thresholds, id="areas-1-and-2-at-0.5"),
+        ],
+    )
+    def test_an_iou_at_the_first_threshold_is_a_match(self, gt_box, det_box, thresholds):
+        # the detection lies inside its ground truth, so its IoU is the
+        # quotient of the areas, which rounds to the first threshold: a
+        # bound on the areas must keep the pair, though the exact ratios
+        # 7/25 and 7/50 lie below the floats 0.28 and 0.14
+        gt, det = rect_mask(32, 4, 0, 0, *gt_box), rect_mask(32, 4, 0, 0, *det_box)
+        assert area(det) / area(gt) == thresholds[0]
+        protocol = ApProtocol(iou_thresholds=thresholds)
+        images = [image_with_masks(1, [gt], [1])]
+        want = reference_evaluate_ap([pred(1, det)], images, protocol)
+        assert want.mAP == 1.0 / len(thresholds)  # a match at the first threshold alone
+        for mask in (det, rle_encode(det)):
+            assert evaluate_ap([pred(1, mask)], images, protocol) == want
+
+    def test_empty_masks(self):
+        # an empty mask shares no pixel with any mask: its IoU with an empty
+        # ground truth is 0 too, so only the two non-empty masks match
+        empty, square = make_mask(8, 8), rect_mask(8, 8, 0, 0, 4, 4)
+        images = [image_with_masks(1, [empty, square], [1, 1])]
+        scores = (0.9, 0.5, 0.3)
+        want = reference_evaluate_ap([pred(1, m, s) for m, s in zip((empty, square, empty), scores)], images)
+        assert want.AP50 == ap_of_ranks([1], [], 2, ApProtocol().recall_points)
+        for masks in ((empty, square, empty), (rle_encode(empty), rle_encode(square), rle_encode(empty))):
+            assert evaluate_ap([pred(1, m, s) for m, s in zip(masks, scores)], images) == want
+
 
 class TestEvaluateSemseg:
     def test_identical_masks_score_one(self):
