@@ -3,8 +3,9 @@
 scored on bitsets built from run-length codes (what `evaluate --mode inst`
 runs), and the building of those bitsets; and the
 whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
-0), counted on bitsets (what the CLI runs) next to the decode path they
-replace.
+0), counted on bitsets (what the CLI runs) next to the same scores through
+the `segdial.mask` names (`rle_decode`, `rasterize`, `mask_union`,
+`overlap`).
 
     pytest perf --benchmark-only
 
@@ -21,9 +22,11 @@ import pytest
 
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.dataset_io import _read_coco, load_coco_masks, read_prediction_masks
-from segdial.geometry import Bitset, bitset, bitset_union
-from segdial.instances import as_bitset, decode_geometries
-from segdial.mask import Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize, rle_encode
+from segdial.geometry import Bitset, Rle, bitset, bitset_union
+from segdial.instances import as_bitset
+from segdial.mask import (
+    Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize, rle_decode, rle_encode,
+)
 from segdial.matching import build_cost_matrix
 from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
 
@@ -151,12 +154,18 @@ def _semseg_from_bitsets(images, geometries, predictions):
     return score.gIoU, score.cIoU
 
 
+def _mask_of(geometry, width, height):
+    """The `RasterMask` of one geometry: an rle decoded, or polygons rasterized and united."""
+    if isinstance(geometry, Rle):
+        return rle_decode(geometry)
+    return mask_union([rasterize(poly, width, height) for poly in geometry])
+
+
 def _semseg_through_pixels(images, geometries, predictions):
-    masks = decode_geometries([(p.mask, p.mask.width, p.mask.height) for p in predictions])  # run-length codes
-    preds = {p.image_id: mask for p, mask in zip(predictions, masks)}
+    preds = {p.image_id: rle_decode(p.mask) for p in predictions}  # run-length codes
     per_image, inter_total, union_total = [], 0, 0
     for img in images:
-        gt = (mask_union(decode_geometries([geometries[a.instance_id] for a in img.annotations]))
+        gt = (mask_union([_mask_of(*geometries[a.instance_id]) for a in img.annotations])
               if img.annotations else RasterMask.zeros(img.width, img.height))
         inter, union = overlap(preds[img.image_id], gt)
         per_image.append(inter / union if union else 0.0)

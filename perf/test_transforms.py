@@ -1,8 +1,8 @@
 """Micro-benchmarks of the merged masks of `transform --to sid-semseg`: the
 run-length code of each merged annotation, from its members' masks as
 `load_coco_masks` reads them by `bitset_rle(bitset_union(...))` (what the
-CLI runs), next to the NumPy path it replaces,
-`rle_encode(mask_union(decode_geometries(...)))` of their geometry. The member
+CLI runs), next to the same codes through the `segdial.mask` names,
+`rle_encode(mask_union(...))` of their geometry's masks. The member
 sets are those of the three benchmark workloads (seed 0), which
 `bench/workloads.py` writes into a temporary directory and `parse` turns
 into records.
@@ -20,9 +20,9 @@ import pytest
 
 from segdial.cli import main
 from segdial.dataset_io import _read_coco, load_coco_masks, read_records
-from segdial.geometry import bitset_rle, bitset_union
-from segdial.instances import as_bitset, decode_geometries
-from segdial.mask import mask_union, rle_encode
+from segdial.geometry import Rle, bitset_rle, bitset_union
+from segdial.instances import as_bitset
+from segdial.mask import mask_union, rasterize, rle_decode, rle_encode
 from segdial.parsing import from_training_record
 from segdial.transforms import _regroup
 
@@ -64,8 +64,15 @@ def _from_bitsets(sets):
     return [bitset_rle(bitset_union([as_bitset(mask) for mask, _ in items])) for items in sets]
 
 
+def _mask_of(geometry, width, height):
+    """The `RasterMask` of one geometry: an rle decoded, or polygons rasterized and united."""
+    if isinstance(geometry, Rle):
+        return rle_decode(geometry)
+    return mask_union([rasterize(poly, width, height) for poly in geometry])
+
+
 def _through_pixels(sets):
-    return [rle_encode(mask_union(decode_geometries([g for _, g in items]))) for items in sets]
+    return [rle_encode(mask_union([_mask_of(*g) for _, g in items])) for items in sets]
 
 
 @pytest.mark.parametrize("name", NAMES)

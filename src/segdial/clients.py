@@ -26,7 +26,13 @@ log = logging.getLogger(__name__)
 
 
 class ModelClientError(RuntimeError):
-    pass
+    """A failed completion; `retry` is False where asking again cannot
+    help: a missing fixture, an HTTP 4xx other than 408 and 429, or a reply
+    that is not JSON or lacks `text`."""
+
+    def __init__(self, message: str, retry: bool = True):
+        super().__init__(message)
+        self.retry = retry
 
 
 class ModelClient(Protocol):
@@ -44,7 +50,7 @@ class FixtureModelClient:
     def complete(self, job: PromptJob) -> str:
         path = self.directory / f"{job.image_id}.txt"
         if not path.is_file():
-            raise ModelClientError(f"no fixture response at {path}")
+            raise ModelClientError(f"no fixture response at {path}", retry=False)
         return path.read_text(encoding="utf-8")
 
 
@@ -90,14 +96,17 @@ class HttpModelClient:
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
             resp.raise_for_status()
-            data = resp.json()
         except requests.RequestException as exc:
-            raise ModelClientError(f"request for image {job.image_id} failed: {exc}") from exc
-        except ValueError as exc:
-            raise ModelClientError(f"non-JSON response for image {job.image_id}") from exc
+            status = getattr(exc.response, "status_code", None)
+            retry = not (isinstance(status, int) and 400 <= status < 500) or status in (408, 429)
+            raise ModelClientError(f"request for image {job.image_id} failed: {exc}", retry=retry) from exc
+        try:
+            data = resp.json()
+        except ValueError as exc:  # requests' own JSON error is a ValueError too
+            raise ModelClientError(f"non-JSON response for image {job.image_id}", retry=False) from exc
         text = data.get("text") if isinstance(data, dict) else None
         if not isinstance(text, str):
-            raise ModelClientError(f"response for image {job.image_id} lacks a 'text' field")
+            raise ModelClientError(f"response for image {job.image_id} lacks a 'text' field", retry=False)
         return text
 
 
@@ -121,7 +130,9 @@ def _run_one(job: PromptJob, client: ModelClient, max_retries: int) -> JobResult
                 max_retries + 1,
                 exc,
             )
-    return JobResult(job=job, response=None, error=last_error, attempts=max_retries + 1)
+            if isinstance(exc, ModelClientError) and not exc.retry:
+                break
+    return JobResult(job=job, response=None, error=last_error, attempts=attempt)
 
 
 def run_jobs(
@@ -130,7 +141,9 @@ def run_jobs(
     max_retries: int = 2,
     parallelism: int = 1,
 ) -> list[JobResult]:
-    """Run every job, retrying failures; results come back in input order."""
+    """Run every job, retrying each failure up to `max_retries` times unless
+    it is a `ModelClientError` that a retry cannot fix; results come back
+    in input order."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if max_retries < 0:

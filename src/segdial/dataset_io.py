@@ -230,34 +230,33 @@ def load_coco_labels(path: str | Path) -> dict[int, dict[int, str]]:
 
 
 def load_coco(path: str | Path) -> CocoDataset:
-    """Load and revalidate a COCO-style instance file.
+    """Load and revalidate a COCO-style instance file: `load_coco_masks`
+    with each mask a `RasterMask`, the view of its bitset."""
+    from segdial.instances import ImageRecord, as_bitset
+    from segdial.mask import RasterMask
 
-    The file is checked as `load_coco_labels` checks it, then every
-    annotation is decoded to a `RasterMask` with NumPy and area/bbox/center
-    are recomputed from the mask; a stored area off by more than
-    AREA_TOLERANCE of the computed one, or a stored bbox edge off by more
-    than BBOX_TOLERANCE pixels, becomes a warning (recomputed values win).
-    """
-    from segdial.instances import InstanceAnnotation, decode_geometries
-
-    categories, image_meta, annotations = _read_coco(path)
-    masks = decode_geometries(
-        [(geometry, image_meta[ann["image_id"]]["width"], image_meta[ann["image_id"]]["height"])
-         for ann, geometry in annotations]
+    dataset = load_coco_masks(path)
+    images = tuple(
+        ImageRecord(
+            img.image_id, img.width, img.height, img.file_name,
+            tuple(a._replace(mask=RasterMask.from_bitset(as_bitset(a.mask))) for a in img.annotations),
+        )
+        for img in dataset.images
     )
-    built = [
-        InstanceAnnotation.from_mask(ann["id"], ann["category_id"], categories[ann["category_id"]], mask)
-        for (ann, _), mask in zip(annotations, masks)
-    ]
-    return _dataset(categories, image_meta, annotations, built)
+    return dataset._replace(images=images)
 
 
 def load_coco_masks(path: str | Path) -> CocoDataset:
-    """`load_coco` with each mask in a form the scorers read without
-    drawing a pixel: an rle exactly as the file codes it, and polygons as
-    their `geometry.bitset`, built once. The checks, warnings, areas, boxes
-    and centers are `load_coco`'s, counted by `geometry.footprint` of an rle
-    and `geometry.bitset_footprint` of a bitset, and NumPy stays unloaded."""
+    """Load and revalidate a COCO-style instance file, with each mask in a
+    form the scorers read without drawing a pixel: an rle exactly as the
+    file codes it, and polygons as their `geometry.bitset`, built once.
+
+    The file is checked as `load_coco_labels` checks it, then area, bbox
+    and center are counted by `geometry.footprint` of an rle and
+    `geometry.bitset_footprint` of a bitset; a stored area off by more than
+    AREA_TOLERANCE of the computed one, or a stored bbox edge off by more
+    than BBOX_TOLERANCE pixels, becomes a warning (computed values win).
+    NumPy stays unloaded."""
     from segdial.geometry import Rle, bitset, bitset_footprint, footprint
     from segdial.instances import InstanceAnnotation
 
@@ -493,10 +492,15 @@ def _prediction_rows(path: str | Path) -> list[tuple]:
 
 
 def read_prediction_masks(path: str | Path) -> list[PredictionInstance]:
-    """`read_predictions` with each mask in a form the scorers read without
+    """Read predicted masks, each in a form the scorers read without
     drawing a pixel: an rle exactly as the line codes it, and polygons as
-    their `geometry.bitset`. The lines are those `read_predictions` accepts,
-    and a bad one raises its error, position included; NumPy stays
+    their `geometry.bitset`. A missing score defaults to 1.0.
+
+    Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
+    [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
+    category_id is optional (instance evaluation requires it, whole-image
+    evaluation ignores it). Every line is checked before any bitset is
+    built, and a bad one raises its error, position included; NumPy stays
     unloaded."""
     from segdial.geometry import Rle, bitset
     from segdial.instances import PredictionInstance
@@ -508,21 +512,14 @@ def read_prediction_masks(path: str | Path) -> list[PredictionInstance]:
 
 
 def read_predictions(path: str | Path) -> list[PredictionInstance]:
-    """Read predicted masks; a missing score defaults to 1.0.
+    """`read_prediction_masks` with each mask a `RasterMask`, the view of
+    its bitset."""
+    from segdial.instances import PredictionInstance, as_bitset
+    from segdial.mask import RasterMask
 
-    Each line needs image_id plus either {"rle": {"size": [h, w], "counts":
-    [...]}} or {"polygon": [[x0, y0, ...], ...], "width": W, "height": H};
-    category_id is optional (instance evaluation requires it, whole-image
-    evaluation ignores it). Every line is checked before any mask is
-    decoded.
-    """
-    from segdial.instances import PredictionInstance, decode_geometries
-
-    rows = _prediction_rows(path)
-    masks = decode_geometries([(g, w, h) for _, _, _, g, w, h in rows])
     return [
-        PredictionInstance(image_id, mask, score, category_id)
-        for (image_id, category_id, score, _, _, _), mask in zip(rows, masks)
+        PredictionInstance(p.image_id, RasterMask.from_bitset(as_bitset(p.mask)), p.score, p.category_id)
+        for p in read_prediction_masks(path)
     ]
 
 
@@ -533,23 +530,16 @@ def rle_to_obj(rle: Rle) -> dict:
 
 def write_predictions(preds: Sequence[PredictionInstance], path: str | Path) -> None:
     """Write predictions in the rle flavor of the predictions JSONL format:
-    a Bitset mask is coded by `geometry.bitset_rle`, a RasterMask by
-    `mask.rle_encode`."""
-    from segdial.geometry import Bitset, bitset_rle
-
-    def code(mask) -> Rle:
-        if isinstance(mask, Bitset):
-            return bitset_rle(mask)
-        from segdial.mask import rle_encode
-
-        return rle_encode(mask)
+    each mask is coded by `geometry.bitset_rle` of its bitset."""
+    from segdial.geometry import bitset_rle
+    from segdial.instances import as_bitset
 
     rows = (
         {
             "image_id": p.image_id,
             "category_id": p.category_id,
             "score": p.score,
-            "rle": rle_to_obj(code(p.mask)),
+            "rle": rle_to_obj(bitset_rle(as_bitset(p.mask))),
         }
         for p in preds
     )

@@ -3,12 +3,12 @@
 Every check a polygon or run-length code must pass lives here, and this
 module loads no NumPy, so a reader that needs only labels and ids can reject
 exactly the geometry that `segdial.mask` would refuse to draw without paying
-for pixels. `segdial.mask` turns these values into masks; `footprint` gives
-the area and box of such a mask from the geometry alone, and
-`bitset_footprint` from its Bitset. `bitset` gives such
-a mask as a `Bitset`, one Python int, on which `bitset_overlap` counts the
-pixels two masks share and `bitset_union` unites masks, a machine word at a
-time; `bitset_rle` gives a Bitset's run-length code.
+for pixels. `bitset` gives the mask of a geometry as a `Bitset`, one Python
+int, on which `bitset_overlap` counts the pixels two masks share and
+`bitset_union` unites masks, a machine word at a time; `bitset_rle` gives a
+Bitset's run-length code. `footprint` gives the area and box of such a mask
+from the geometry, and `bitset_footprint` from its Bitset. This is the one
+pixel path: `segdial.mask` is a NumPy view of these Bitsets.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class BBox(_BBoxFields):
 
 
 # Every vertex coordinate lies below this bound, so the row crossing
-# dx * (y + 0.5 - y1) / dy + x1 that `mask.rasterize` and `footprint` compute
+# dx * (y + 0.5 - y1) / dy + x1 that `_polygon_bitset` computes
 # stays finite: |dx| < 2**500 and |y + 0.5 - y1| <= |dy| < 2**500, so the
 # product stays below 2**1000 and the quotient below 2**500.
 VERTEX_BOUND = 2.0 ** 500
@@ -154,10 +154,9 @@ def check_fit(geometry: Geometry, width: int, height: int) -> None:
 
 
 def footprint(geometry: Geometry, width: int, height: int) -> tuple[int, Optional[BBox]]:
-    """(area, tight inclusive box or None when empty) of the mask that
-    `segdial.instances.decode_geometries` makes of (geometry, width, height),
-    counted from the geometry without drawing a pixel: polygons by
-    `bitset_footprint` of their `bitset`, and an rle from its runs.
+    """(area, tight inclusive box or None when empty) of the mask of
+    (geometry, width, height), counted without drawing a pixel: polygons
+    by `bitset_footprint` of their `bitset`, and an rle from its runs.
     """
     if isinstance(geometry, Rle):
         return _rle_footprint(geometry)
@@ -197,10 +196,9 @@ class Bitset(NamedTuple):
 
 
 def bitset(geometry: Geometry, width: int, height: int) -> Bitset:
-    """The mask that `segdial.instances.decode_geometries` makes of
-    (geometry, width, height), as a Bitset built from the geometry without
-    drawing a pixel: an rle on its own canvas, polygons on width x height,
-    each part filled by `_polygon_bitset` and the parts united."""
+    """The mask of (geometry, width, height) as a Bitset, built without
+    drawing a pixel: an rle on its own canvas, and polygons on width x
+    height, each part filled by `_polygon_bitset` and the parts united."""
     if isinstance(geometry, Rle):
         ends = list(accumulate(geometry.counts))
         starts, stops = ends[0::2], ends[1::2]  # of the set runs, and one clear run past them
@@ -219,8 +217,8 @@ def bitset(geometry: Geometry, width: int, height: int) -> Bitset:
 
 def bitset_overlap(a: Bitset, b: Bitset) -> tuple[int, int]:
     """(intersection, union) pixel counts of two masks on one canvas, from
-    one shift, AND and bit count, in the manner of cocoapi's `rleIou`:
-    `mask.overlap` of the decoded masks, without drawing a pixel."""
+    one shift, AND and bit count, in the manner of cocoapi's `rleIou`,
+    without drawing a pixel."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(f"mask canvases differ: {a.width}x{a.height} vs {b.width}x{b.height}")
     # the mask that starts first is shifted onto the other
@@ -233,8 +231,7 @@ def bitset_overlap(a: Bitset, b: Bitset) -> tuple[int, int]:
 
 
 def bitset_union(masks: Sequence[Bitset]) -> Bitset:
-    """The pixelwise OR of a non-empty list of masks on one canvas, as
-    `mask.mask_union` unites the decoded masks."""
+    """The pixelwise OR of a non-empty list of masks on one canvas."""
     if not masks:
         raise ValueError("bitset_union needs at least one mask")
     first = masks[0]
@@ -252,8 +249,8 @@ def bitset_union(masks: Sequence[Bitset]) -> Bitset:
 
 
 def bitset_rle(b: Bitset) -> Rle:
-    """The column-major run-length code of `b`, in `mask.rle_encode`'s
-    form: `rle_encode` of the decoded mask."""
+    """The column-major run-length code of `b`: the first run counts
+    clear pixels, 0 when the first pixel is set, and no empty run ends it."""
     total = b.width * b.height
     if not b.bits:
         return Rle(b.width, b.height, (total,))
@@ -279,8 +276,8 @@ def _bit_field(positions: list[int], base: int, last: int) -> int:
 
 def _polygon_bitset(poly: Polygon, width: int, height: int) -> Bitset:
     """The pixels of a width x height canvas whose centers `poly` holds
-    under the even-odd rule, as `mask.rasterize` sets them; fewer than 3
-    vertices hold none.
+    under the even-odd rule; geometry outside the canvas is clipped, and
+    fewer than 3 vertices hold none.
 
     In the manner of cocoapi's `rleFrPoly`, no crossings are sorted: a
     crossing of row y at x flips every pixel of the row from column
@@ -299,7 +296,8 @@ def _polygon_bitset(poly: Polygon, width: int, height: int) -> Bitset:
         if y1 != y2
     ]
     # the column-major position of each crossing's first flipped pixel, with
-    # the IEEE expression of `mask.rasterize`, so edge-touching centers agree exactly
+    # the IEEE expression of the per-center crossing test, so a center on an
+    # edge falls on the side that test puts it
     toggles = [ceil(dx * (y + 0.5 - y1) / dy + x1 - 0.5) * height + y for x1, y1, dx, dy, rows in edges for y in rows]
     if not toggles:
         return Bitset(width, height, 0, 0, 0)

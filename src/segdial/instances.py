@@ -1,22 +1,25 @@
-"""Images, instances and predictions as the scorers read them, the one
-path from geometry to masks, and the one from any mask to a bitset.
+"""Images, instances and predictions as the scorers read them, and the
+one path from any mask to a bitset.
 
 A mask is a `RasterMask`, a `geometry.Bitset` or a run-length code
-(`geometry.Rle`); the scorers turn each into a Bitset by `as_bitset`.
+(`geometry.Rle`); the scorers turn each into a Bitset by `as_bitset`. A
+`RasterMask` is only a view of its Bitset, so geometry becomes a mask
+through `geometry.bitset` alone.
 
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
 `segdial.metrics`, which re-export them under their public names. The
-pixel layer, `segdial.mask`, loads on the first decode, so building prompts
-from areas and boxes alone (`curate`), merging instances by their geometry
-(`transform`) or scoring bitsets (`evaluate`) loads no NumPy.
+pixel layer, `segdial.mask`, loads only where a `RasterMask` is built
+(`InstanceAnnotation.from_geometry`), so building prompts from areas and
+boxes alone (`curate`), merging instances by their geometry (`transform`)
+or scoring bitsets (`evaluate`) loads no NumPy.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from segdial.geometry import BBox, Bitset, Geometry, Rle, bitset, check_fit
+from segdial.geometry import BBox, Bitset, Geometry, Rle, bitset, bitset_footprint, check_fit
 
 if TYPE_CHECKING:
     from segdial.mask import RasterMask
@@ -29,7 +32,6 @@ __all__ = [
     "PredictionInstance",
     "as_bitset",
     "check_score",
-    "decode_geometries",
 ]
 
 
@@ -47,20 +49,9 @@ class EvalValidationError(ValueError):
         super().__init__(f"{len(self.offenders)} invalid prediction(s): {preview}{more}")
 
 
-def decode_geometries(items: Sequence[tuple[Geometry, int, int]]) -> list[RasterMask]:
-    """The mask of each (geometry, width, height): an rle decoded on its own
-    canvas, or polygons rasterized onto width x height and united."""
-    from segdial.mask import mask_union, rasterize, rle_decode
-
-    return [
-        rle_decode(g) if isinstance(g, Rle) else mask_union([rasterize(p, w, h) for p in g])
-        for g, w, h in items
-    ]
-
-
 def as_bitset(mask: Union[Bitset, Rle, RasterMask]) -> Bitset:
     """`mask` as a Bitset: a run-length code is counted from its runs, and a
-    RasterMask is packed by `segdial.mask.to_bitset`."""
+    RasterMask gives the Bitset it holds (`segdial.mask.to_bitset`)."""
     if isinstance(mask, Bitset):
         return mask
     if isinstance(mask, Rle):
@@ -102,16 +93,10 @@ class InstanceAnnotation(NamedTuple):
             check_fit(geometry, width, height)
         except ValueError as exc:
             raise CurationError(f"annotation {instance_id}: {exc}") from None
-        (mask,) = decode_geometries([(geometry, width, height)])
-        return cls.from_mask(instance_id, category_id, label_name, mask)
+        from segdial.mask import RasterMask
 
-    @classmethod
-    def from_mask(
-        cls, instance_id: int, category_id: int, label_name: str, mask: RasterMask
-    ) -> "InstanceAnnotation":
-        from segdial.mask import area, bbox_of
-
-        return cls.from_footprint(instance_id, category_id, label_name, area(mask), bbox_of(mask), mask)
+        b = bitset(geometry, width, height)
+        return cls.from_footprint(instance_id, category_id, label_name, *bitset_footprint(b), RasterMask.from_bitset(b))
 
     @classmethod
     def from_footprint(

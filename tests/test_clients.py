@@ -1,5 +1,6 @@
 import base64
 import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -186,3 +187,41 @@ class TestRunJobs:
         for max_retries in (-1, -2):
             with pytest.raises(ValueError, match="max_retries"):
                 run_jobs([job_for(1)], EchoClient(), max_retries=max_retries)
+
+
+def http_error(status):
+    """The error `raise_for_status` raises for an HTTP `status`."""
+    return requests.HTTPError(f"{status} error", response=SimpleNamespace(status_code=status))
+
+
+class TestRetryOnlyWhatARetryCanFix:
+    def test_a_missing_fixture_is_tried_once(self, tmp_path):
+        results = run_jobs([job_for(1)], FixtureModelClient(tmp_path), max_retries=2)
+        assert results[0].attempts == 1
+        assert "no fixture response" in results[0].error
+
+    @pytest.mark.parametrize("response", [
+        FakeResponse(status_error=http_error(404)),
+        FakeResponse(status_error=http_error(400)),
+        FakeResponse(json_error=True),
+        FakeResponse({"output": "x"}),
+    ])
+    def test_a_failure_a_retry_cannot_fix_is_tried_once(self, response):
+        session = FakeSession(response)
+        results = run_jobs([job_for(3)], HttpModelClient("http://a", session=session), max_retries=2)
+        assert results[0].response is None and results[0].error
+        assert results[0].attempts == len(session.calls) == 1
+
+    @pytest.mark.parametrize("session", [
+        FakeSession(FakeResponse(status_error=http_error(503))),
+        FakeSession(FakeResponse(status_error=http_error(500))),
+        FakeSession(FakeResponse(status_error=http_error(429))),
+        FakeSession(FakeResponse(status_error=http_error(408))),
+        FakeSession(FakeResponse(status_error=requests.HTTPError("no response"))),
+        FakeSession(raises=requests.ConnectionError("refused")),
+        FakeSession(raises=requests.Timeout("slow")),
+    ])
+    def test_a_transient_failure_is_retried(self, session):
+        results = run_jobs([job_for(3)], HttpModelClient("http://a", session=session), max_retries=2)
+        assert results[0].response is None and "request for image 3 failed" in results[0].error
+        assert results[0].attempts == len(session.calls) == 3

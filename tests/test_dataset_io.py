@@ -23,9 +23,9 @@ from segdial.dataset_io import (
     write_predictions,
     write_records,
 )
-from segdial.geometry import Bitset, Rle, bitset, bitset_footprint, bitset_rle, bitset_union
+from segdial.geometry import Bitset, Polygon, Rle, bitset, bitset_footprint, bitset_rle, bitset_union
 from segdial.instances import as_bitset
-from segdial.mask import RasterMask, area, bbox_of, mask_union, rle_decode, rle_encode, to_bitset
+from segdial.mask import RasterMask, rle_decode, rle_encode, to_bitset
 from segdial.metrics import PredictionInstance
 from segdial.parsing import (
     Provenance,
@@ -34,6 +34,19 @@ from segdial.parsing import (
     parse_sid_response,
     to_training_record,
 )
+from test_geometry import column_major_counts, pixel_bitset, pixel_footprint, reference_pixels
+
+
+def reference_masks(payload):
+    """{annotation id: the pixels of its segmentation} of a COCO payload,
+    by `test_geometry.reference_pixels`."""
+    canvas = {img["id"]: (img["width"], img["height"]) for img in payload["images"]}
+    masks = {}
+    for ann in payload["annotations"]:
+        seg, (width, height) = ann["segmentation"], canvas[ann["image_id"]]
+        geometry = Rle(width, height, seg["counts"]) if isinstance(seg, dict) else tuple(map(Polygon.from_flat, seg))
+        masks[ann["id"]] = reference_pixels(geometry, width, height)
+    return masks
 
 
 class TestLoadCoco:
@@ -125,8 +138,9 @@ class TestLoadCoco:
         for kept, read in zip(full.images, light.images):
             assert read == kept._replace(annotations=read.annotations)
             assert [a._replace(mask=None) for a in kept.annotations] == [a._replace(mask=None) for a in read.annotations]
-            # the same pixels: an rle stays the file's code, and polygons become their bitset
-            assert [as_bitset(a.mask) for a in read.annotations] == [to_bitset(a.mask) for a in kept.annotations]
+            # the oracle's pixels: an rle stays the file's code, and polygons become their bitset
+            want = [pixel_bitset(reference_masks(payload)[a.instance_id]) for a in read.annotations]
+            assert [as_bitset(a.mask) for a in read.annotations] == want == [to_bitset(a.mask) for a in kept.annotations]
         masks = [a.mask for a in light.images[0].annotations]
         assert [type(m) for m in masks] == [Bitset, Rle, Rle, Bitset]
         assert masks[1:3] == [Rle(16, 12, payload["annotations"][n]["segmentation"]["counts"]) for n in (1, 2)]
@@ -141,7 +155,7 @@ class TestLoadCoco:
         # the loader counts each polygon annotation's footprint from the
         # bitset it keeps as the mask, and the unions read it back: a
         # polygon's edges are followed once, and the codes equal those of
-        # the decoded masks
+        # the pixel-center oracle
         import segdial.geometry as geometry
 
         payload = coco_payload(
@@ -164,12 +178,14 @@ class TestLoadCoco:
             bitset_rle(bitset_union([as_bitset(loaded[i].mask) for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])
         ]
         assert len(traced) == 3
-        masks = {a.instance_id: a.mask for a in load_coco(path).images[0].annotations}
-        assert codes == [rle_encode(mask_union([masks[i] for i in ids])) for ids in ([10, 11], [12], [10, 11, 12])]
-        # the area and box are those of the kept bitset, and of the decoded mask
+        pixels = reference_masks(payload)
+        assert codes == [
+            Rle(16, 12, column_major_counts(np.logical_or.reduce([pixels[i] for i in ids])))
+            for ids in ([10, 11], [12], [10, 11, 12])
+        ]
+        # the area and box are those of the kept bitset, and of the oracle's pixels
         for i in (10, 12):
-            assert (loaded[i].area, loaded[i].bbox) == bitset_footprint(loaded[i].mask) == (
-                area(masks[i]), bbox_of(masks[i]))
+            assert (loaded[i].area, loaded[i].bbox) == bitset_footprint(loaded[i].mask) == pixel_footprint(pixels[i])
 
     def test_rle_bits_stay_lazy(self, tmp_path, monkeypatch):
         # an rle is kept as the file codes it: loading ground truth or
@@ -416,7 +432,8 @@ class TestPredictionsJsonl:
         preds = read_predictions(path)
         assert preds[0].category_id is None
         assert preds[0].score == 0.5
-        expected = rect_mask(8, 4, 0, 0, 2, 2).pixels | rect_mask(8, 4, 4, 0, 6, 2).pixels
+        expected = np.zeros((4, 8), dtype=bool)
+        expected[0:2, 0:2] = expected[0:2, 4:6] = True
         assert np.array_equal(preds[0].mask.pixels, expected)
 
     @pytest.mark.parametrize("obj,message", [

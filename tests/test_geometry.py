@@ -4,10 +4,10 @@ masks they stand in for.
 `footprint` counts the area and tight box of a mask, `bitset` holds a mask
 in one int, on which `bitset_overlap` counts the pixels two masks share,
 `bitset_union` unites masks and `bitset_rle` codes them, from their polygons
-or run-length codes in pure Python;
-`decode_geometries` draws the masks with NumPy. The two implement
-the same coverage rule independently, so every case here compares them,
-and one of each compares with the per-pixel oracle.
+or run-length codes in pure Python. `reference_pixels` draws the masks by
+independent paths: polygons by the per-pixel oracle
+`oracles.rasterize_reference`, and run-length codes by `test_mask._expand`,
+one run at a time. Every case here compares the two.
 """
 
 import random
@@ -24,13 +24,31 @@ from segdial.geometry import (
     VERTEX_BOUND, BBox, Bitset, Polygon, Rle, _polygon_bitset, bitset, bitset_footprint, bitset_overlap,
     bitset_rle, bitset_union, footprint,
 )
-from segdial.instances import decode_geometries
-from segdial.mask import RasterMask, area, bbox_of, mask_union, overlap, rle_decode, rle_encode, to_bitset
+from segdial.mask import RasterMask, mask_union, overlap, rle_decode, to_bitset
+from test_mask import _expand
+
+
+def reference_pixels(geometry, width, height):
+    """The (height, width) pixels of a geometry by the independent paths:
+    an rle expanded run by run on its own canvas, and polygons filled
+    center by center and united."""
+    if isinstance(geometry, Rle):
+        return _expand(geometry)
+    pixels = np.zeros((height, width), dtype=bool)
+    for poly in geometry:
+        pixels |= oracles.rasterize_reference(poly.vertices, width, height)
+    return pixels
+
+
+def pixel_footprint(pixels):
+    """(area, tight inclusive box or None when empty) of an array."""
+    ys, xs = np.nonzero(pixels)
+    box = BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if ys.size else None
+    return int(pixels.sum()), box
 
 
 def decoded(geometry, width, height):
-    (mask,) = decode_geometries([(geometry, width, height)])
-    return area(mask), bbox_of(mask)
+    return pixel_footprint(reference_pixels(geometry, width, height))
 
 
 def coordinate(limit):
@@ -61,7 +79,7 @@ def rle_geometries(draw, max_side=14, canvas=None):
         pixels = draw(hnp.arrays(bool, shape, elements=st.sampled_from([False, False, False, True])))
     else:
         pixels = np.full(shape, fill == "full")
-    return rle_encode(RasterMask(pixels)), shape[1], shape[0]
+    return Rle(shape[1], shape[0], column_major_counts(pixels)), shape[1], shape[0]
 
 
 @st.composite
@@ -73,7 +91,9 @@ def member_lists(draw, max_side=14):
 
 
 def decoded_union(items):
-    return rle_encode(mask_union(decode_geometries(items)))
+    """The code of the union of the members' `reference_pixels`."""
+    _, width, height = items[0]
+    return Rle(width, height, column_major_counts(np.logical_or.reduce([reference_pixels(*item) for item in items])))
 
 
 def coded_union(items):
@@ -143,16 +163,16 @@ class TestFootprint:
         pixels = np.zeros((height, width), dtype=bool)
         for poly in geometry:
             pixels |= oracles.rasterize_reference(poly.vertices, width, height)
-        ys, xs = np.nonzero(pixels)
-        want = BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if ys.size else None
-        assert footprint(geometry, width, height) == (int(pixels.sum()), want)
+        assert footprint(geometry, width, height) == pixel_footprint(pixels)
 
     def test_refuses_what_decoding_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
-        for geometry, width, height in [(triangle, 0, 4), (triangle, 4, -1), ((), 4, 4)]:
-            with pytest.raises(ValueError):
-                decoded(geometry, width, height)
-            with pytest.raises(ValueError):
+        for geometry, width, height, message in [
+            (triangle, 0, 4, "canvas must span at least one pixel"),
+            (triangle, 4, -1, "canvas must span at least one pixel"),
+            ((), 4, 4, "geometry needs at least one polygon"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 footprint(geometry, width, height)
 
     def test_no_vertex_overflows_a_crossing(self):
@@ -208,15 +228,18 @@ class TestUnionRle:
 
     def test_refuses_what_the_decoded_union_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
-        cases = [[], [(triangle, 0, 4)], [((), 4, 4)], [(Rle(4, 3, (12,)), 4, 3), (triangle, 3, 4)],
-                 [(triangle, 4, 3), (Rle(3, 4, (12,)), 4, 3)]]
-        for items in cases:
-            with pytest.raises(ValueError):
-                decoded_union(items)
-            with pytest.raises(ValueError):
+        cases = [
+            ([], "bitset_union needs at least one mask"),
+            ([(triangle, 0, 4)], "canvas must span at least one pixel"),
+            ([((), 4, 4)], "geometry needs at least one polygon"),
+            ([(Rle(4, 3, (12,)), 4, 3), (triangle, 3, 4)], "mask canvases differ: 4x3 vs 3x4"),
+            ([(triangle, 4, 3), (Rle(3, 4, (12,)), 4, 3)], "mask canvases differ: 4x3 vs 3x4"),
+        ]
+        for items, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 coded_union(items)
-        with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
-            coded_union(cases[-1])
+        with pytest.raises(ValueError, match="^mask_union needs at least one mask$"):
+            mask_union([])
 
 
 @st.composite
@@ -244,10 +267,11 @@ def pixel_bitset(pixels):
 
 
 def decoded_bitset(geometry, width, height):
-    """The Bitset of the decoded mask, pixel by pixel; `mask.to_bitset` of it must agree."""
-    (mask,) = decode_geometries([(geometry, width, height)])
-    bits = pixel_bitset(mask.pixels)
-    assert to_bitset(mask) == bits
+    """The Bitset of the `reference_pixels`, pixel by pixel; `mask.to_bitset`
+    of the `RasterMask` of those pixels must agree."""
+    pixels = reference_pixels(geometry, width, height)
+    bits = pixel_bitset(pixels)
+    assert to_bitset(RasterMask(pixels)) == bits
     return bits
 
 
@@ -290,9 +314,8 @@ class TestBitset:
     @settings(max_examples=200, deadline=None)
     @given(member_lists())
     def test_union_agrees_with_the_decoded_union(self, items):
-        assert bitset_union([bitset(*item) for item in items]) == pixel_bitset(
-            mask_union(decode_geometries(items)).pixels
-        )
+        pixels = np.logical_or.reduce([reference_pixels(*item) for item in items])
+        assert bitset_union([bitset(*item) for item in items]) == pixel_bitset(pixels)
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(polygon_geometries(), rle_geometries()))
@@ -300,8 +323,7 @@ class TestBitset:
         # empty and full masks and runs that wrap into the next column among them
         b = bitset(*case)
         code = bitset_rle(b)
-        (mask,) = decode_geometries([case])
-        assert code == rle_encode(mask)
+        assert code == Rle(case[1], case[2], column_major_counts(reference_pixels(*case)))
         assert bitset(code, code.width, code.height) == b
 
     @pytest.mark.parametrize(
@@ -321,10 +343,12 @@ class TestBitset:
 
     def test_refuses_what_decoding_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
-        for geometry, width, height in [(triangle, 0, 4), (triangle, 4, 0), ((), 4, 4)]:
-            with pytest.raises(ValueError):
-                decode_geometries([(geometry, width, height)])
-            with pytest.raises(ValueError):
+        for geometry, width, height, message in [
+            (triangle, 0, 4, "canvas must span at least one pixel"),
+            (triangle, 4, 0, "canvas must span at least one pixel"),
+            ((), 4, 4, "geometry needs at least one polygon"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 bitset(geometry, width, height)
         a, b = Bitset(4, 3, 0, 0, 0), Bitset(3, 4, 0, 0, 0)
         with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
@@ -385,10 +409,8 @@ class TestPolygonKernel:
                 assert _polygon_bitset(poly, width, height) == pixel_bitset(part), (seed, case, poly)
                 pixels |= part
             assert bitset(geometry, width, height) == pixel_bitset(pixels), (seed, case)
-            ys, xs = np.nonzero(pixels)
-            box = BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if ys.size else None
             with np.errstate(all="raise"):
-                assert footprint(geometry, width, height) == (int(pixels.sum()), box) == decoded(geometry, width, height)
+                assert footprint(geometry, width, height) == pixel_footprint(pixels)
 
     def test_every_kind_holds_pixels_somewhere(self):
         # the seeded cases are not all empty: each kind but the two that
@@ -405,10 +427,10 @@ class TestRleOverlap:
     @settings(max_examples=400, deadline=None)
     @given(coded_pairs())
     def test_agrees_with_decoded_masks_and_a_pixel_count(self, pair):
-        a, b = map(rle_decode, pair)
-        counted = (int((a.pixels & b.pixels).sum()), int((a.pixels | b.pixels).sum()))
+        a, b = map(_expand, pair)
+        counted = (int((a & b).sum()), int((a | b).sum()))
         bits = [bitset(code, code.width, code.height) for code in pair]
-        assert bitset_overlap(*bits) == overlap(a, b) == counted
+        assert bitset_overlap(*bits) == overlap(*map(rle_decode, pair)) == counted
         assert bitset_overlap(*bits[::-1]) == counted
 
     @pytest.mark.parametrize(

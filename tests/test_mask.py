@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import groupby
@@ -11,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import make_mask, random_star_polygon, rect_mask
+from segdial.dataset_io import read_predictions, rle_to_obj
 from segdial.geometry import bitset, bitset_overlap
-from segdial.instances import decode_geometries
 from segdial.mask import (
     BBox,
     Polygon,
@@ -180,7 +181,8 @@ def _random_code(rng, width, height):
 
 
 class TestDecodeMany:
-    """`rle_decode` against `_expand`, written without NumPy runs."""
+    """`rle_decode`, and `read_predictions` of many codes, against
+    `_expand`, written without NumPy runs."""
 
     CANVASES = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (5, 4), (13, 17), (64, 3)]
 
@@ -195,13 +197,17 @@ class TestDecodeMany:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("chunk", [1, 50, 2**22])
-    def test_matches_an_independent_expansion(self, seed, chunk):
-        # codes go in calls of `chunk` each: one at a time, a few canvases
-        # mixed, all in one call; no grouping may change a mask
+    def test_matches_an_independent_expansion(self, seed, chunk, tmp_path):
+        # codes go to `read_predictions` in files of `chunk` lines each: one
+        # at a time, a few canvases mixed, all in one file; no grouping may
+        # change a mask
         codes = self.codes(seed)
+        path = tmp_path / "preds.jsonl"
         got = []
         for i in range(0, len(codes), chunk):
-            got += decode_geometries([(rle, rle.width, rle.height) for rle in codes[i : i + chunk]])
+            lines = [json.dumps({"image_id": 1, "rle": rle_to_obj(rle)}) + "\n" for rle in codes[i : i + chunk]]
+            path.write_text("".join(lines), encoding="utf-8")
+            got += [p.mask for p in read_predictions(path)]
         assert len(got) == len(codes)
         for rle, m in zip(codes, got):
             want = _expand(rle)
@@ -210,10 +216,12 @@ class TestDecodeMany:
             assert m == RasterMask(want)  # the same tight crop
             assert area(m) == int(np.count_nonzero(want))
 
-    def test_one_code_and_none(self):
+    def test_one_code_and_none(self, tmp_path):
         for rle in self.codes(3)[:40]:
             assert rle_decode(rle) == RasterMask(_expand(rle))
-        assert decode_geometries([]) == []
+        path = tmp_path / "preds.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert read_predictions(path) == []
 
 
 class TestIou:
@@ -436,7 +444,7 @@ def _polygons_past_the_edge(max_side=24):
 
 
 class TestCroppedStorage:
-    """The cropped masks against full-canvas numpy on the same pixels."""
+    """The stored masks against full-canvas numpy on the same pixels."""
 
     @settings(max_examples=300, deadline=None)
     @given(canvas_pairs())
@@ -505,6 +513,106 @@ class TestCroppedStorage:
             RasterMask.zeros(0, 7)
 
 
+def _seeded_polygons(rng, width, height):
+    """Polygons for a width x height canvas: the full canvas, one clipped
+    to it, fewer than 3 vertices, one wholly off the canvas, and seeded
+    ones with vertices on whole and half pixels (edges through pixel
+    centers) or anywhere, partly past the right and bottom edges."""
+    yield Polygon(((0, 0), (width, 0), (width, height), (0, height)))
+    yield Polygon(((0, 0), (3 * width, 0), (0, 3 * height)))
+    yield Polygon(((1, 1), (2, 2)))
+    yield Polygon([(width + rng.uniform(0, 5), rng.uniform(0, 2 * height)) for _ in range(4)])
+    for _ in range(6):
+        n = rng.randint(3, 8)
+        yield Polygon([(rng.randint(0, 3 * width) / 2, rng.randint(0, 3 * height) / 2) for _ in range(n)])
+        yield Polygon([(rng.uniform(0, 1.5 * width), rng.uniform(0, 1.5 * height)) for _ in range(n)])
+
+
+def _pixel_box(arr):
+    ys, xs = np.nonzero(arr)
+    return BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if ys.size else None
+
+
+class TestMeaningKept:
+    """Every public name of `segdial.mask` against the independent paths:
+    `oracles.rasterize_reference` for polygons, `_expand` for run-length
+    codes, `_rle_reference` for the code of an array, and NumPy set
+    operations on full canvases; on seeded empty, full, clipped, 1xN and
+    Nx1 canvases."""
+
+    CANVASES = [(1, 1), (1, 7), (7, 1), (1, 30), (30, 1), (6, 5), (11, 13)]
+
+    def arrays(self, seed):
+        """(width, height, arrays) per canvas: empty, full, one pixel,
+        seeded densities and the pixel-center fill of each polygon of
+        `_seeded_polygons`, paired with the polygon or None."""
+        rng = random.Random(seed)
+        for width, height in self.CANVASES:
+            arrays = [(None, np.zeros((height, width), dtype=bool)), (None, np.ones((height, width), dtype=bool))]
+            one = np.zeros((height, width), dtype=bool)
+            one[rng.randrange(height), rng.randrange(width)] = True
+            arrays.append((None, one))
+            for density in (0.1, 0.5, 0.9):
+                arrays.append((None, np.array([[rng.random() < density for _ in range(width)] for _ in range(height)])))
+            for poly in _seeded_polygons(rng, width, height):
+                arrays.append((poly, oracles.rasterize_reference(poly.vertices, width, height)))
+            yield width, height, arrays
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_mask_and_its_code(self, seed):
+        for width, height, arrays in self.arrays(seed):
+            for poly, want in arrays:
+                code = Rle(width, height, _rle_reference(want))
+                assert np.array_equal(_expand(code), want)  # the two oracles agree
+                masks = [RasterMask(want), rle_decode(code)]
+                if poly is not None:
+                    masks.append(rasterize(poly, width, height))
+                for m in masks:
+                    assert (m.width, m.height) == (width, height)
+                    assert np.array_equal(m.pixels, want), (width, height, poly)
+                    assert m == masks[0]
+                    assert area(m) == int(np.count_nonzero(want))
+                    assert bbox_of(m) == _pixel_box(want)
+                    assert rle_encode(m) == code
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairs(self, seed):
+        rng = random.Random(seed)
+        for width, height, arrays in self.arrays(seed):
+            pixels = [arr for _, arr in arrays]
+            for _ in range(40):
+                a_arr, b_arr, c_arr = (rng.choice(pixels) for _ in range(3))
+                a, b, c = RasterMask(a_arr), RasterMask(b_arr), RasterMask(c_arr)
+                inter, union = int(np.count_nonzero(a_arr & b_arr)), int(np.count_nonzero(a_arr | b_arr))
+                assert overlap(a, b) == (inter, union)
+                assert mask_iou(a, b) == (inter / union if union else 0.0)
+                joined = mask_union([a, b, c])
+                assert np.array_equal(joined.pixels, a_arr | b_arr | c_arr)
+                assert area(joined) == int(np.count_nonzero(a_arr | b_arr | c_arr))
+                assert bbox_of(joined) == _pixel_box(a_arr | b_arr | c_arr)
+                assert mask_union([a]) == a
+
+    def test_errors_keep_their_messages(self):
+        a, b = RasterMask.zeros(4, 3), RasterMask(np.ones((4, 3), dtype=bool))  # 4x3 and 3x4
+        for call in (
+            lambda: overlap(a, b), lambda: mask_iou(a, b), lambda: mask_union([a, b]), lambda: mask_union([a, a, b]),
+        ):
+            with pytest.raises(ValueError, match=r"^mask canvases differ: 4x3 vs 3x4$"):
+                call()
+        with pytest.raises(ValueError, match="^mask_union needs at least one mask$"):
+            mask_union([])
+        triangle = Polygon(((0, 0), (2, 0), (2, 2)))
+        for width, height in ((0, 4), (4, 0), (-1, -1)):
+            with pytest.raises(ValueError, match="^canvas must span at least one pixel$"):
+                rasterize(triangle, width, height)
+        with pytest.raises(ValueError, match=r"^mask must be 2-d, got shape \(2, 2, 2\)$"):
+            RasterMask(np.zeros((2, 2, 2), dtype=bool))
+        with pytest.raises(ValueError, match=r"^mask must span at least one pixel, got shape \(0, 4\)$"):
+            RasterMask(np.zeros((0, 4), dtype=bool))
+        with pytest.raises(ValueError, match=r"^mask must span at least one pixel, got shape \(7, 0\)$"):
+            RasterMask.zeros(0, 7)
+
+
 class TestMemory:
     def test_small_objects_on_a_huge_canvas_stay_small(self):
         side = 4096  # a full canvas is 16 MiB of bools
@@ -528,7 +636,8 @@ class TestMemory:
 
     def test_decoding_many_codes_expands_a_bounded_chunk(self):
         # each code sets the top pixel of the first and last column of a
-        # 1024x1024 canvas: its crop is one row, but its box columns hold 1 MiB
+        # 1024x1024 canvas: a mask is held as its Bitset, which spans the
+        # pixels of every column between them, 1 Mbit
         side = 1024
         rle = Rle(side, side, (0, 1, (side - 1) * side - 1, 1, side - 1))
         tracemalloc.start()
@@ -540,7 +649,9 @@ class TestMemory:
             tracemalloc.stop()
         assert all(m == masks[0] for m in masks) and area(masks[0]) == 2
         assert bbox_of(masks[0]) == BBox(0, 0, side - 1, 0)
-        assert peak < 1.5 * side * side, peak  # one code's box columns, not the 32 MiB of all of them
+        # a bit per pixel of each code's box columns, and a few codes' worth
+        # in flight, not the 32 MiB of a byte per pixel
+        assert peak < (32 + 8) * side * side // 8, peak
 
 
 class TestPixelFormatOwnership:
@@ -581,6 +692,14 @@ def _iou_costs(count, masks_a, masks_b):
     return [[1.0 - (i / u if u else 0.0) for i, u in (count(a, b) for b in masks_b)] for a in masks_a]
 
 
+def _pixel_costs(masks_a, masks_b):
+    """`_iou_costs` counted by NumPy on the full canvases of the masks."""
+    return _iou_costs(
+        lambda a, b: (int(np.count_nonzero(a & b)), int(np.count_nonzero(a | b))),
+        [m.pixels for m in masks_a], [m.pixels for m in masks_b],
+    )
+
+
 def _row_runs(m):
     """`m` as one pixel-tall rectangle per run of set pixels in a row."""
     polygons = []
@@ -613,7 +732,7 @@ def _costs_by(path, masks_a, masks_b):
 
 
 class TestOverlaps:
-    """The pair costs of two mask lists against `overlap` on each pair."""
+    """The pair costs of two mask lists against NumPy counts of each pair's pixels."""
 
     @pytest.mark.parametrize("path", PATHS)
     def test_workload_shapes(self, path):
@@ -625,7 +744,7 @@ class TestOverlaps:
             ]
             masks += masks[:5]  # duplicates
             a, b = masks[:n], masks[n:]
-            assert _costs_by(path, a, b) == _iou_costs(overlap, a, b)
+            assert _costs_by(path, a, b) == _pixel_costs(a, b)
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("n", [2, 9])
