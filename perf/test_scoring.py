@@ -5,7 +5,9 @@ runs), and the building of those bitsets; and the
 whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
 0), counted on bitsets (what the CLI runs) next to the same scores through
 the `segdial.mask` names (`rle_decode`, `rasterize`, `mask_union`,
-`overlap`).
+`overlap`). Those names run the same geometry kernels through the
+`RasterMask` view, so the pair measures the view's overhead, not a second
+implementation.
 
     pytest perf --benchmark-only
 
@@ -22,7 +24,7 @@ import pytest
 
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.dataset_io import _read_coco, load_coco_masks, read_prediction_masks
-from segdial.geometry import Bitset, Rle, bitset, bitset_union
+from segdial.geometry import Bitset, bitset, bitset_union
 from segdial.instances import as_bitset
 from segdial.mask import (
     Polygon, RasterMask, area, bbox_of, mask_union, overlap, rasterize, rle_decode, rle_encode,
@@ -32,6 +34,7 @@ from segdial.metrics import PredictionInstance, evaluate_ap, evaluate_semseg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
+from pixel_masks import mask_of  # noqa: E402
 
 
 def _star(rng, width, height, r):
@@ -154,18 +157,11 @@ def _semseg_from_bitsets(images, geometries, predictions):
     return score.gIoU, score.cIoU
 
 
-def _mask_of(geometry, width, height):
-    """The `RasterMask` of one geometry: an rle decoded, or polygons rasterized and united."""
-    if isinstance(geometry, Rle):
-        return rle_decode(geometry)
-    return mask_union([rasterize(poly, width, height) for poly in geometry])
-
-
 def _semseg_through_pixels(images, geometries, predictions):
     preds = {p.image_id: rle_decode(p.mask) for p in predictions}  # run-length codes
     per_image, inter_total, union_total = [], 0, 0
     for img in images:
-        gt = (mask_union([_mask_of(*geometries[a.instance_id]) for a in img.annotations])
+        gt = (mask_union([mask_of(*geometries[a.instance_id]) for a in img.annotations])
               if img.annotations else RasterMask.zeros(img.width, img.height))
         inter, union = overlap(preds[img.image_id], gt)
         per_image.append(inter / union if union else 0.0)

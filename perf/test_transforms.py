@@ -2,7 +2,9 @@
 run-length code of each merged annotation, from its members' masks as
 `load_coco_masks` reads them by `bitset_rle(bitset_union(...))` (what the
 CLI runs), next to the same codes through the `segdial.mask` names,
-`rle_encode(mask_union(...))` of their geometry's masks. The member
+`rle_encode(mask_union(...))` of their geometry's masks; those names run
+the same geometry kernels through the `RasterMask` view, so the pair
+measures the view's overhead, not a second implementation. The member
 sets are those of the three benchmark workloads (seed 0), which
 `bench/workloads.py` writes into a temporary directory and `parse` turns
 into records.
@@ -20,14 +22,15 @@ import pytest
 
 from segdial.cli import main
 from segdial.dataset_io import _read_coco, load_coco_masks, read_records
-from segdial.geometry import Rle, bitset_rle, bitset_union
+from segdial.geometry import bitset_rle, bitset_union
 from segdial.instances import as_bitset
-from segdial.mask import mask_union, rasterize, rle_decode, rle_encode
+from segdial.mask import mask_union, rle_encode
 from segdial.parsing import from_training_record
 from segdial.transforms import _regroup
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
+from pixel_masks import mask_of  # noqa: E402
 
 NAMES = workloads.NAMES
 
@@ -64,15 +67,8 @@ def _from_bitsets(sets):
     return [bitset_rle(bitset_union([as_bitset(mask) for mask, _ in items])) for items in sets]
 
 
-def _mask_of(geometry, width, height):
-    """The `RasterMask` of one geometry: an rle decoded, or polygons rasterized and united."""
-    if isinstance(geometry, Rle):
-        return rle_decode(geometry)
-    return mask_union([rasterize(poly, width, height) for poly in geometry])
-
-
 def _through_pixels(sets):
-    return [rle_encode(mask_union([_mask_of(*g) for _, g in items])) for items in sets]
+    return [rle_encode(mask_union([mask_of(*g) for _, g in items])) for items in sets]
 
 
 @pytest.mark.parametrize("name", NAMES)

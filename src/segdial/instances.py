@@ -3,8 +3,8 @@ one path from any mask to a bitset.
 
 A mask is a `RasterMask`, a `geometry.Bitset` or a run-length code
 (`geometry.Rle`); the scorers turn each into a Bitset by `as_bitset`. A
-`RasterMask` is only a view of its Bitset, so geometry becomes a mask
-through `geometry.bitset` alone.
+`RasterMask` is only a view of a Bitset cut to its box, so geometry
+becomes a mask through `geometry.bitset` alone.
 
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
@@ -51,7 +51,8 @@ class EvalValidationError(ValueError):
 
 def as_bitset(mask: Union[Bitset, Rle, RasterMask]) -> Bitset:
     """`mask` as a Bitset: a run-length code is counted from its runs, and a
-    RasterMask gives the Bitset it holds (`segdial.mask.to_bitset`)."""
+    RasterMask gives the Bitset it views, rebuilt from its crop
+    (`segdial.mask.to_bitset`)."""
     if isinstance(mask, Bitset):
         return mask
     if isinstance(mask, Rle):

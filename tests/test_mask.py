@@ -636,8 +636,7 @@ class TestMemory:
 
     def test_decoding_many_codes_expands_a_bounded_chunk(self):
         # each code sets the top pixel of the first and last column of a
-        # 1024x1024 canvas: a mask is held as its Bitset, which spans the
-        # pixels of every column between them, 1 Mbit
+        # 1024x1024 canvas: its crop is one row, but its box columns hold 1 MiB
         side = 1024
         rle = Rle(side, side, (0, 1, (side - 1) * side - 1, 1, side - 1))
         tracemalloc.start()
@@ -649,9 +648,7 @@ class TestMemory:
             tracemalloc.stop()
         assert all(m == masks[0] for m in masks) and area(masks[0]) == 2
         assert bbox_of(masks[0]) == BBox(0, 0, side - 1, 0)
-        # a bit per pixel of each code's box columns, and a few codes' worth
-        # in flight, not the 32 MiB of a byte per pixel
-        assert peak < (32 + 8) * side * side // 8, peak
+        assert peak < 1.5 * side * side, peak  # one code's box columns, not the 32 MiB of all of them
 
 
 class TestPixelFormatOwnership:
