@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation failure (bad flags, malformed or
-inconsistent inputs), 2 I/O failure. --seed and --jobs resolve as
-flag > SEGDIAL_SEED/SEGDIAL_JOBS environment variable > --config JSON file
-> built-in default.
+inconsistent inputs), 2 I/O failure. Only curate takes --jobs and only
+split takes --seed; each resolves as flag > environment variable
+(SEGDIAL_JOBS, SEGDIAL_SEED) > its key ("jobs", "seed") in the --config
+JSON file > default. No other subcommand takes --jobs, --seed or --config.
 """
 
 from __future__ import annotations
@@ -33,47 +34,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: error: {message}")
 
 
-def _common_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="shuffle seed of split (default 0)")
-    common.add_argument(
-        "--jobs", type=int, default=None, help=f"client threads of curate (default 1, at most {MAX_JOBS})"
-    )
-    common.add_argument("--config", type=Path, default=None, help="JSON config file")
-    return common
-
-
-def _resolve_runtime(args) -> tuple[int, int]:
+def _resolve(args, key: str, default: int) -> int:
+    """The value of `--<key>`: flag > SEGDIAL_<KEY> > `--config` key > default."""
     cfg = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise CliUsageError(f"{args.config}: config must be a JSON object")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise CliUsageError(f"{ENV_PREFIX}{key.upper()} must be an integer, got {env!r}")
-        if key in cfg:
-            value = cfg[key]
-            if not isinstance(value, int) or isinstance(value, bool):  # JSON true decodes to an int
-                raise CliUsageError(f"config key {key!r} must be an integer")
-            return value
-        return default
-
-    seed = pick(args.seed, "seed", 0)
-    jobs = pick(args.jobs, "jobs", 1)
-    if jobs < 1:
-        raise CliUsageError("--jobs must be >= 1")
-    if jobs > MAX_JOBS:
-        raise CliUsageError(f"--jobs must be <= {MAX_JOBS}, got {jobs}")
-    return seed, jobs
+    flag_value = getattr(args, key)
+    if flag_value is not None:
+        return flag_value
+    env = os.environ.get(ENV_PREFIX + key.upper())
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise CliUsageError(f"{ENV_PREFIX}{key.upper()} must be an integer, got {env!r}")
+    if key in cfg:
+        value = cfg[key]
+        if not isinstance(value, int) or isinstance(value, bool):  # JSON true decodes to an int
+            raise CliUsageError(f"config key {key!r} must be an integer")
+        return value
+    return default
 
 
 # target name of each `transform --to` choice
@@ -103,6 +86,8 @@ def _add_arguments(p: _Parser, command: str) -> None:
         p.add_argument("--max-retries", type=int, default=2)
         p.add_argument("--out", type=Path, required=True, help="jobs JSONL output")
         p.add_argument("--dropped-out", type=Path, help="dropped report (default <out>.dropped.jsonl)")
+        p.add_argument("--jobs", type=int, help=f"number of client threads, 1 to {MAX_JOBS} (default 1)")
+        p.add_argument("--config", type=Path, help='JSON config file with an optional "jobs" key')
     elif command == "parse":
         p.add_argument("--responses", type=Path, required=True, help="directory of {image_id}.txt files")
         p.add_argument("--annotations", type=Path, required=True, help="COCO-style instance JSON")
@@ -133,6 +118,8 @@ def _add_arguments(p: _Parser, command: str) -> None:
         p.add_argument("--train-out", type=Path, required=True)
         p.add_argument("--eval-out", type=Path, required=True)
         p.add_argument("--eval-fraction", type=float, default=0.1)
+        p.add_argument("--seed", type=int, help="shuffle seed (default 0)")
+        p.add_argument("--config", type=Path, help='JSON config file with an optional "seed" key')
 
 
 # name: help line, in the order help lists them
@@ -152,41 +139,33 @@ def _run(args) -> int:
     return import_module(f"segdial.commands.{args.command}").run(args)
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The segdial argument parser.
-
-    Every subcommand is registered, so help, usage and errors read the same
-    whatever runs, but only `command` (every subcommand when None) gets its
-    arguments: a run builds the one subparser it uses.
-    """
+def build_parser() -> _Parser:
+    """The segdial argument parser."""
     parser = _Parser(prog="segdial", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    common = _common_parser()
     for name, help_line in _COMMANDS.items():
-        if command not in (None, name):
-            sub.add_parser(name, help=help_line)
-            continue
-        p = sub.add_parser(name, parents=[common], help=help_line)
+        p = sub.add_parser(name, help=help_line)
         _add_arguments(p, name)
         p.set_defaults(func=_run)
     return parser
 
 
-def _command_of(argv: list[str]) -> str | None:
-    """The subcommand argparse picks from `argv`: its first non-option argument."""
-    return next((a for a in argv if not a.startswith("-")), None)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(_command_of(argv))
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
+        if args.command is None:
             parser.print_usage(sys.stderr)
             print("segdial: error: a command is required", file=sys.stderr)
             return 1
-        args.seed, args.jobs = _resolve_runtime(args)
+        if args.command == "curate":
+            args.jobs = _resolve(args, "jobs", 1)
+            if args.jobs < 1:
+                raise CliUsageError("--jobs must be >= 1")
+            if args.jobs > MAX_JOBS:
+                raise CliUsageError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
+        elif args.command == "split":
+            args.seed = _resolve(args, "seed", 0)
         return args.func(args)
     except CliUsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -398,29 +398,29 @@ def _run_pipeline(root, shared, jobs):
     _run_cli(["curate", "--input", gt, "--task", "qa", "--client", "fixture",
               "--fixture-dir", resp_qa, "--out", root / "jobs.jsonl", "--jobs", j])
     _run_cli(["parse", "--responses", resp_qa, "--annotations", gt, "--task", "qa",
-              "--out", records_qa, "--jobs", j])
+              "--out", records_qa])
     _run_cli(["parse", "--responses", resp_inst, "--annotations", gt, "--task", "instseg",
-              "--out", records_inst, "--jobs", j])
+              "--out", records_inst])
     _run_cli(["transform", "--in", records_qa, "--to", "pure",
-              "--out", root / "pure.jsonl", "--jobs", j])
+              "--out", root / "pure.jsonl"])
     _run_cli(["transform", "--in", records_qa, "--to", "sid-instseg",
-              "--out", root / "sid_instseg.jsonl", "--jobs", j])
+              "--out", root / "sid_instseg.jsonl"])
     _run_cli(["transform", "--in", records_qa, "--to", "sid-semseg", "--annotations", gt,
               "--out", root / "sid_semseg.jsonl",
-              "--merged-out", root / "sid_semseg.merged.jsonl", "--jobs", j])
+              "--merged-out", root / "sid_semseg.merged.jsonl"])
     _run_cli(["transform", "--in", records_inst, "--to", "instseg",
-              "--out", root / "instseg.jsonl", "--jobs", j])
+              "--out", root / "instseg.jsonl"])
     _run_cli(["transform", "--in", records_inst, "--to", "semseg", "--annotations", gt,
               "--out", root / "semseg.jsonl",
-              "--merged-out", root / "semseg.merged.jsonl", "--jobs", j])
+              "--merged-out", root / "semseg.merged.jsonl"])
     _run_cli(["match", "--preds", preds_inst, "--gt", gt,
-              "--out", root / "match.jsonl", "--jobs", j])
+              "--out", root / "match.jsonl"])
     _run_cli(["evaluate", "--gt", gt, "--preds", preds_inst, "--mode", "inst",
-              "--out", root / "report_inst.json", "--jobs", j])
+              "--out", root / "report_inst.json"])
     _run_cli(["evaluate", "--gt", gt, "--preds", preds_sem, "--mode", "sem",
-              "--out", root / "report_sem.json", "--jobs", j])
+              "--out", root / "report_sem.json"])
     _run_cli(["split", "--in", records_qa, "--train-out", root / "train.jsonl",
-              "--eval-out", root / "eval.jsonl", "--eval-fraction", "0.25", "--jobs", j])
+              "--eval-out", root / "eval.jsonl", "--eval-fraction", "0.25"])
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
         for p in sorted(root.rglob("*"))

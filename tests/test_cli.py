@@ -166,29 +166,6 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
 
-    def test_a_run_builds_one_subparser_that_reads_as_the_full_parser(self, capsys):
-        # main builds arguments only for the subcommand it runs; help, usage,
-        # errors and parsed values are those of the parser with all seven
-        from segdial.cli import CliUsageError, _command_of, build_parser
-
-        def outcome(parser, argv):
-            try:
-                return vars(parser.parse_args(argv))
-            except CliUsageError as exc:
-                return "usage error", str(exc)
-            except SystemExit as exc:
-                return "exit", exc.code, capsys.readouterr()
-
-        commands = ["curate", "parse", "transform", "match", "evaluate", "report", "split"]
-        runs = [[], ["-h"], ["-h", "split"], ["--help", "curate"], ["bogus"], ["-5", "curate"], ["--seed", "3", "split"], ["", "split"],
-                ["split", "--bogus"], ["split", "parse"], ["evaluate", "--mode", "x"], ["report", "--in"],
-                ["transform", "--to", "bogus", "-h"], ["curate", "--input", "gt.json", "--task", "qa"],
-                ["split", "--in", "a", "--train-out", "b", "--eval-out", "c", "--seed", "2", "--jobs", "3"],
-                ["match", "--preds", "p", "--gt", "g", "--out", "o", "--w-dice", "0.5"]]
-        runs += [[name] for name in commands] + [[name, "--help"] for name in commands]
-        for argv in runs:
-            assert outcome(build_parser(_command_of(argv)), argv) == outcome(build_parser(), argv), argv
-
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--gt", str(tmp_path / "nope.json"),
@@ -575,7 +552,7 @@ class TestMalformedPredictions:
         # raise, and one that both accept gives the same report
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.jsonl"
         write_json(gt, TestMalformedGroundTruth.payload())
-        args = build_parser("evaluate").parse_args(
+        args = build_parser().parse_args(
             ["evaluate", "--gt", str(gt), "--preds", str(preds), "--mode", "inst", "--out", str(tmp_path / "inst.json")]
         )
 
@@ -617,7 +594,7 @@ class TestMalformedPredictions:
         # accept gives the same rows
         gt, preds, out = tmp_path / "gt.json", tmp_path / "preds.jsonl", tmp_path / "assign.jsonl"
         write_json(gt, TestMalformedGroundTruth.payload())
-        args = build_parser("match").parse_args(["match", "--gt", str(gt), "--preds", str(preds), "--out", str(out)])
+        args = build_parser().parse_args(["match", "--gt", str(gt), "--preds", str(preds), "--out", str(out)])
 
         def outcome(run):
             try:
@@ -1165,9 +1142,11 @@ class TestRuntimeResolution:
         assert main(argv + ["--config", str(cfg)]) == 1
         capsys.readouterr()
         # JSON true decodes to a Python bool, an int subclass equal to 1
-        for text, key in (('{"seed": true}', "seed"), ('{"jobs": true}', "jobs"), ('{"seed": false}', "seed")):
+        curate = ["curate", "--input", str(write_gt(tmp_path)), "--task", "qa", "--out", str(tmp_path / "jobs.jsonl")]
+        for command, text, key in ((argv, '{"seed": true}', "seed"), (curate, '{"jobs": true}', "jobs"),
+                                   (argv, '{"seed": false}', "seed")):
             cfg.write_text(text, encoding="utf-8")
-            assert main(argv + ["--config", str(cfg)]) == 1, text
+            assert main(command + ["--config", str(cfg)]) == 1, text
             assert f"config key {key!r} must be an integer" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, tmp_path, capsys):
@@ -1198,39 +1177,92 @@ class TestRuntimeResolution:
         assert f"--jobs must be <= {cli.MAX_JOBS}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["match", "evaluate", "parse", "report"])
-    @pytest.mark.parametrize("source, value", [("--jobs", "0"), ("--jobs", "65"), ("SEGDIAL_JOBS", "abc")])
-    def test_every_subcommand_checks_jobs(self, tmp_path, monkeypatch, capsys, command, source, value):
+    def test_curate_jobs_flag_env_config_default_precedence(self, tmp_path, monkeypatch):
+        from segdial import clients
+
+        seen = []
+        run_jobs = clients.run_jobs
+
+        def spy(jobs, client, max_retries=2, parallelism=1):
+            seen.append(parallelism)
+            return run_jobs(jobs, client, max_retries=max_retries, parallelism=parallelism)
+
+        monkeypatch.setattr(clients, "run_jobs", spy)
+        argv = ["curate", "--input", str(write_gt(tmp_path)), "--task", "qa", "--out", str(tmp_path / "jobs.jsonl"),
+                "--client", "fixture", "--fixture-dir", str(write_qa_responses(tmp_path))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"jobs": 3, "seed": "not read by curate"}', encoding="utf-8")
+        assert main(argv) == 0
+        assert main(argv + ["--config", str(cfg)]) == 0
+        monkeypatch.setenv("SEGDIAL_JOBS", "4")
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert main(argv + ["--config", str(cfg), "--jobs", "5"]) == 0
+        assert seen == [1, 3, 4, 5]
+
+    @pytest.mark.parametrize("command", ["parse", "transform", "match", "evaluate", "report"])
+    def test_other_subcommands_take_no_runtime_options(self, tmp_path, monkeypatch, capsys, command):
+        # only curate reads --jobs and only split reads --seed: the other
+        # subcommands refuse all three flags and never read either variable
         gt = write_gt(tmp_path)
         out = tmp_path / "out.json"
         report = tmp_path / "report.json"
         report.write_text(
             json.dumps({"mode": "sem", "metrics": {"gIoU": 1.0, "cIoU": 1.0}}), encoding="utf-8"
         )
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"jobs": 2, "seed": 1}', encoding="utf-8")
         argv = {
+            "parse": ["parse", "--responses", str(write_qa_responses(tmp_path)),
+                      "--annotations", str(gt), "--task", "qa", "--out", str(out)],
+            "transform": ["transform", "--in", str(write_sid_records(tmp_path)), "--to", "pure", "--out", str(out)],
             "match": ["match", "--preds", str(write_perfect_preds(tmp_path)), "--gt", str(gt),
                       "--out", str(out)],
             "evaluate": ["evaluate", "--gt", str(gt), "--preds", str(write_perfect_preds(tmp_path)),
                          "--mode", "inst", "--out", str(out)],
-            "parse": ["parse", "--responses", str(write_qa_responses(tmp_path)),
-                      "--annotations", str(gt), "--task", "qa", "--out", str(out)],
             "report": ["report", "--in", str(report)],
         }[command]
         inputs = set(tmp_path.iterdir())
 
-        if source == "--jobs":
-            assert main(argv + [source, value]) == 1
-        else:
-            monkeypatch.setenv(source, value)
-            assert main(argv) == 1
-            monkeypatch.delenv(source)
-        captured = capsys.readouterr()
-        assert "SEGDIAL_JOBS must be an integer" in captured.err or "--jobs must be" in captured.err
-        assert captured.out == ""
+        for flag, value in (("--jobs", "2"), ("--seed", "1"), ("--config", str(cfg))):
+            assert main(argv + [flag, value]) == 1, flag
+            captured = capsys.readouterr()
+            assert f"segdial: error: unrecognized arguments: {flag}" in captured.err
+            assert captured.out == ""
+            assert set(tmp_path.iterdir()) == inputs
+
+        def run():
+            assert main(argv) == 0
+            written = {p: p.read_bytes() for p in set(tmp_path.iterdir()) - inputs}
+            for p in written:
+                p.unlink()
+            return capsys.readouterr(), written
+
+        clean = run()
+        monkeypatch.setenv("SEGDIAL_JOBS", "abc")
+        monkeypatch.setenv("SEGDIAL_SEED", "abc")
+        assert run() == clean
+        assert clean[0].out
+
+    def test_curate_takes_no_seed_and_split_no_jobs(self, tmp_path, capsys):
+        curate = ["curate", "--input", str(write_gt(tmp_path)), "--task", "qa", "--out", str(tmp_path / "jobs.jsonl")]
+        split = ["split", "--in", str(write_sid_records(tmp_path)), "--train-out", str(tmp_path / "t.jsonl"),
+                 "--eval-out", str(tmp_path / "e.jsonl")]
+        inputs = set(tmp_path.iterdir())
+        for argv, flag, value in ((curate, "--seed", "1"), (split, "--jobs", "2")):
+            assert main(argv + [flag, value]) == 1, flag
+            captured = capsys.readouterr()
+            assert f"segdial: error: unrecognized arguments: {flag}" in captured.err
+            assert captured.out == ""
         assert set(tmp_path.iterdir()) == inputs
 
-        assert main(argv) == 0  # the same command with a valid --jobs runs
-        assert capsys.readouterr().out
+    def test_help_lists_runtime_options_only_where_they_are_read(self, capsys):
+        for command in ("curate", "parse", "transform", "match", "evaluate", "report", "split"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            assert ("--jobs" in text) == (command == "curate"), command
+            assert ("--seed" in text) == (command == "split"), command
+            assert ("--config" in text) == (command in ("curate", "split")), command
 
 
 class TestCurate:
