@@ -1,5 +1,6 @@
-"""Start-up cost of each subcommand: a fresh interpreter, from spawn to the
-end of importing the modules that subcommand loads.
+"""Start-up cost of each subcommand, and of a few library imports: a fresh
+interpreter, from spawn to the end of importing the modules that
+subcommand loads, or of running the import statement.
 
     pytest perf/test_startup.py --benchmark-only
 
@@ -66,6 +67,8 @@ def _runs(files: dict, out: Path) -> dict[str, list[str]]:
 
 NAMES = ("curate", "parse", "transform_sem", "transform_pure", "split", "match", "evaluate_inst",
          "evaluate_sem", "report")
+# library imports that load no NumPy, timed the same way
+LIBRARY_IMPORTS = ("from segdial import evaluate_ap", "from segdial import Rle")
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +86,9 @@ def modules(tmp_path_factory) -> dict[str, list[str]]:
     return loaded
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_startup(benchmark, modules, name):
-    code = (
-        "import sys\n"
-        + "".join(f"import {m}\n" for m in modules[name])
-        + "sys.stdout.write('.')\nsys.stdout.flush()\nsys.stdin.read()\n"
-    )
+def _time_imports(benchmark, imports: str) -> None:
+    """Time fresh interpreters from spawn to the end of running `imports`."""
+    code = "import sys\n" + imports + "sys.stdout.write('.')\nsys.stdout.flush()\nsys.stdin.read()\n"
     children = []
 
     def spawn():
@@ -104,5 +103,15 @@ def test_startup(benchmark, modules, name):
         child.stdout.close()
         assert child.wait() == 0
 
-    benchmark.extra_info["segdial_modules"] = sorted(m for m in modules[name] if m.startswith("segdial."))
     benchmark.pedantic(spawn, teardown=reap, rounds=ROUNDS, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_startup(benchmark, modules, name):
+    benchmark.extra_info["segdial_modules"] = sorted(m for m in modules[name] if m.startswith("segdial."))
+    _time_imports(benchmark, "".join(f"import {m}\n" for m in modules[name]))
+
+
+@pytest.mark.parametrize("statement", LIBRARY_IMPORTS)
+def test_library_import(benchmark, statement):
+    _time_imports(benchmark, statement + "\n")

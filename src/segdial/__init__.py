@@ -1,17 +1,17 @@
 """Segmentation-dialogue dataset tooling: curation, parsing, transforms, matching, evaluation.
 
-Submodules and the public names below load on first use (PEP 562), so
-importing the package, or one submodule, costs only what that use needs.
+Submodules and the public names below load on first use (PEP 562), each
+name from the module that defines it, so importing the package, or one
+name, costs only what that use needs: only the pixel layer (`mask`),
+`build_cost_matrix` and `hungarian` load NumPy.
 """
 
 import importlib
 
-_EXPORTS = {
+_EXPORTS = {  # module: the public names it defines
+    "geometry": ("BBox", "Polygon", "Rle"),
     "mask": (
-        "BBox",
-        "Polygon",
         "RasterMask",
-        "Rle",
         "area",
         "bbox_of",
         "mask_iou",
@@ -21,22 +21,12 @@ _EXPORTS = {
         "rle_encode",
     ),
     "matching": ("Assignment", "assign_targets", "build_cost_matrix", "hungarian"),
-    "metrics": (
-        "ApBlock",
-        "ApProtocol",
-        "ApReport",
-        "EvalValidationError",
-        "PredictionInstance",
-        "SemSegScore",
-        "evaluate_ap",
-        "evaluate_semseg",
-    ),
+    "ap": ("ApBlock", "ApProtocol", "ApReport", "evaluate_ap"),
+    "semseg": ("SemSegScore", "evaluate_semseg"),
+    "instances": ("CurationError", "EvalValidationError", "ImageRecord", "InstanceAnnotation", "PredictionInstance"),
     "curation": (
-        "CurationError",
         "DropEntry",
         "FilterResult",
-        "ImageRecord",
-        "InstanceAnnotation",
         "PromptJob",
         "annotation_digest",
         "build_caption_prompt",
@@ -63,7 +53,6 @@ _EXPORTS = {
         "to_training_record",
     ),
     "transforms": (
-        "TASK_MODES",
         "TASK_TEMPLATES",
         "MergedAnnotation",
         "TransformError",
@@ -72,6 +61,7 @@ _EXPORTS = {
         "to_semantic",
     ),
     "dataset_io": (
+        "TASK_MODES",
         "CocoDataset",
         "DatasetError",
         "RecordError",
@@ -82,7 +72,7 @@ _EXPORTS = {
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli")
+_SUBMODULES = (*_EXPORTS, "metrics", "cli")
 
 __all__ = list(_OWNER)
 __version__ = "0.1.0"
@@ -100,3 +90,16 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_OWNER, *_SUBMODULES})
+
+
+def _on_first_call(module: str, name: str):
+    """A function that calls `segdial.<module>.<name>`, importing the module on
+    its first call and looking the name up on each, so binding it imports
+    nothing: modules bind the pixel layer's names through it and load no
+    NumPy until one is called."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call

@@ -146,7 +146,6 @@ def build_parser() -> _Parser:
     for name, help_line in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         _add_arguments(p, name)
-        p.set_defaults(func=_run)
     return parser
 
 
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
                 raise CliUsageError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
         elif args.command == "split":
             args.seed = _resolve(args, "seed", 0)
-        return args.func(args)
+        return _run(args)
     except CliUsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -5,13 +5,15 @@ Three prompt kinds are built per image: multi-question instance grounding
 ("caption"). Each prompt is the fixed system template plus a per-image
 annotation digest; the digest line layout is frozen because downstream
 parsers key on it. The image and instance types are those of
-`segdial.instances`, re-exported here.
+`segdial.instances`, re-exported here. The pixel-layer names bound here
+are `segdial._on_first_call` forwarders, so this module loads no NumPy.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
+from segdial import _on_first_call
 from segdial.instances import CurationError, ImageRecord, InstanceAnnotation
 
 __all__ = [
@@ -33,22 +35,9 @@ __all__ = [
 ]
 
 
-def _on_first_call(name: str):
-    """`segdial.mask.<name>`, imported on the first call, so that loading
-    this module loads no NumPy."""
-
-    def call(*args, **kwargs):
-        from segdial import mask
-
-        return getattr(mask, name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
 # the pixel-layer names `bench/tracing.py` rebinds here
-rasterize, rle_decode, bbox_of, area, mask_union = map(
-    _on_first_call, ("rasterize", "rle_decode", "bbox_of", "area", "mask_union")
+rasterize, rle_decode, bbox_of, area, mask_union = (
+    _on_first_call("mask", name) for name in ("rasterize", "rle_decode", "bbox_of", "area", "mask_union")
 )
 
 

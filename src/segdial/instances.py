@@ -8,7 +8,8 @@ becomes a mask through `geometry.bitset` alone.
 
 `match`, `evaluate` and `transform` need these types and nothing of prompt
 building or AP scoring, so they live apart from `segdial.curation` and
-`segdial.metrics`, which re-export them under their public names. The
+`segdial.metrics`, which re-export them; the package resolves their public
+names here. The
 pixel layer, `segdial.mask`, loads only where a `RasterMask` is built
 (`InstanceAnnotation.from_geometry`), so building prompts from areas and
 boxes alone (`curate`), merging instances by their geometry (`transform`)

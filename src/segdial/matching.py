@@ -17,6 +17,7 @@ from itertools import compress, repeat
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
+from segdial import _on_first_call
 from segdial.geometry import Bitset, Rle
 from segdial.instances import as_bitset
 
@@ -37,12 +38,7 @@ class Assignment(NamedTuple):
     total_cost: float
 
 
-def mask_iou(a: RasterMask, b: RasterMask) -> float:
-    """`segdial.mask.mask_iou`, which loads NumPy on the first call
-    (bench/tracing.py rebinds this name)."""
-    from segdial.mask import mask_iou as iou
-
-    return iou(a, b)
+mask_iou = _on_first_call("mask", "mask_iou")  # bench/tracing.py rebinds this name
 
 
 def check_weights(w_iou: float, w_dice: float) -> None:

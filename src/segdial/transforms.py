@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+from segdial import _on_first_call
 from segdial.parsing import (
     TASK_MODES,
     DialogueRecord,
@@ -72,12 +73,7 @@ class MergedAnnotation(NamedTuple):
     mask: RasterMask
 
 
-def mask_union(masks: Sequence[RasterMask]) -> RasterMask:
-    """`segdial.mask.mask_union`, imported on the first call, so that only
-    the semantic targets load the pixel layer and NumPy."""
-    from segdial import mask
-
-    return mask.mask_union(masks)
+mask_union = _on_first_call("mask", "mask_union")  # only `to_semantic` loads the pixel layer
 
 
 def _merge_text(segments: Sequence[Segment]) -> tuple[Segment, ...]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import coco_payload, rect_mask, rect_polygon, rle_obj, write_json
-from segdial.cli import build_parser, main
+from segdial.cli import _run, build_parser, main
 from segdial.commands.evaluate import _inst_metrics_obj
 from segdial.dataset_io import (
     load_coco, read_prediction_masks, read_predictions, read_records, rle_to_obj, write_jsonl,
@@ -568,7 +568,7 @@ class TestMalformedPredictions:
             return _inst_metrics_obj(report)
 
         def from_bitsets():
-            args.func(args)
+            _run(args)
             return json.loads((tmp_path / "inst.json").read_text())
 
         refused = 0
@@ -603,7 +603,7 @@ class TestMalformedPredictions:
                 return type(exc), str(exc)
 
         def from_bitsets():
-            args.func(args)
+            _run(args)
             return [json.loads(line) for line in out.read_text().splitlines()]
 
         refused = 0
@@ -671,6 +671,33 @@ class TestImportBoundary:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['segdial.cli']"
+
+    def test_names_outside_the_pixel_layer_load_no_numpy(self):
+        # each public name comes from the module that defines it, and
+        # `segdial.metrics` reaches `mask_iou` only when it is called
+        import segdial
+
+        names = [name for name in segdial.__all__ if segdial._OWNER[name] != "mask"]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(segdial.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys\n"
+            f"from segdial import {', '.join(names)}\n"
+            "import segdial.metrics\n"
+            "print(sorted(m for m in sys.modules if m in ('numpy', 'segdial.mask') or m.startswith('numpy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_public_names_resolve_from_their_defining_modules(self):
+        import segdial
+
+        for name in segdial.__all__:
+            obj = getattr(segdial, name)
+            if callable(obj):  # the classes and functions
+                assert obj.__module__ == f"segdial.{segdial._OWNER[name]}", name
 
     def test_split_runs_without_numpy(self, tmp_path, capsys):
         records = write_sid_records(tmp_path)

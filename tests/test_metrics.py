@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
-from segdial.ap import _average_precision as ap_of_ranks
+from segdial.ap import _average_precision as ap_of_ranks, _Det, _validate_predictions
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.mask import RasterMask, Rle, area, bbox_of, mask_iou, rle_decode, rle_encode
 from segdial.metrics import (
@@ -18,8 +18,6 @@ from segdial.metrics import (
     ApReport,
     EvalValidationError,
     PredictionInstance,
-    _Det,
-    _validate_predictions,
     evaluate_ap,
     evaluate_semseg,
 )
