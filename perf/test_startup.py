@@ -1,6 +1,7 @@
-"""Start-up cost of each subcommand, and of a few library imports: a fresh
-interpreter, from spawn to the end of importing the modules that
-subcommand loads, or of running the import statement.
+"""Start-up cost of each subcommand, and of a few library imports, and the
+whole life of a few subcommand processes: a fresh interpreter, from spawn
+to the end of importing the modules that subcommand loads, or of running
+the import statement, or to its exit.
 
     pytest perf/test_startup.py --benchmark-only
 
@@ -8,9 +9,11 @@ The child runs with PYTHONDONTWRITEBYTECODE=1, so it neither writes nor
 relies on cached bytecode that an earlier run left behind. A subcommand's
 modules are those that one run of it on the dialogue_build inputs (seed 0,
 mini scale) adds to `sys.modules` beyond a bare interpreter's, imported in
-the order that run first loaded them, so the timings follow the code. Each
-timed round ends when the child reports its imports done; the child's exit
-is not timed.
+the order that run first loaded them, so the timings follow the code. A
+`test_startup` or `test_library_import` round ends when the child reports
+its imports done, so its exit is not timed there. A `test_process_lifetime`
+round runs the subcommand on those inputs as the `segdial` script does, from
+spawn to `wait()`, so it also times the work and the interpreter's exit.
 
 They sit outside `tests/` so the tier-1 run (`testpaths = ["tests"]`) does
 not time them.
@@ -38,6 +41,8 @@ LOADED = (
     "assert main(sys.argv[1:]) == 0\n"
     "print(json.dumps([m for m in sys.modules if m not in before]))\n"
 )
+# Runs `segdial <argv>` the way the installed script does.
+SCRIPT = "import sys\nfrom segdial.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 
 def _env() -> dict:
@@ -69,11 +74,14 @@ NAMES = ("curate", "parse", "transform_sem", "transform_pure", "split", "match",
          "evaluate_sem", "report")
 # library imports that load no NumPy, timed the same way
 LIBRARY_IMPORTS = ("from segdial import evaluate_ap", "from segdial import Rle")
+# two short runs, in which the interpreter's own start and exit are most of the time
+LIFETIMES = ("report", "split")
 
 
 @pytest.fixture(scope="module")
-def modules(tmp_path_factory) -> dict[str, list[str]]:
-    """The modules each subcommand loads, from one run of each in dependency order."""
+def runs(tmp_path_factory) -> dict[str, tuple[list[str], list[str]]]:
+    """Each subcommand's argv and the modules it loads, from one run of each in
+    dependency order, which also leaves every input a later run reads."""
     root = tmp_path_factory.mktemp("startup")
     files = workloads.generate("dialogue_build", 0, root / "in", scale="mini").files
     out = root / "out"
@@ -82,7 +90,7 @@ def modules(tmp_path_factory) -> dict[str, list[str]]:
     for name, argv in _runs(files, out).items():
         proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True, env=_env())
         assert proc.returncode == 0, proc.stderr
-        loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        loaded[name] = (argv, json.loads(proc.stdout.splitlines()[-1]))
     return loaded
 
 
@@ -107,11 +115,24 @@ def _time_imports(benchmark, imports: str) -> None:
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_startup(benchmark, modules, name):
-    benchmark.extra_info["segdial_modules"] = sorted(m for m in modules[name] if m.startswith("segdial."))
-    _time_imports(benchmark, "".join(f"import {m}\n" for m in modules[name]))
+def test_startup(benchmark, runs, name):
+    _, modules = runs[name]
+    benchmark.extra_info["segdial_modules"] = sorted(m for m in modules if m.startswith("segdial."))
+    _time_imports(benchmark, "".join(f"import {m}\n" for m in modules))
 
 
 @pytest.mark.parametrize("statement", LIBRARY_IMPORTS)
 def test_library_import(benchmark, statement):
     _time_imports(benchmark, statement + "\n")
+
+
+@pytest.mark.parametrize("name", LIFETIMES)
+def test_process_lifetime(benchmark, runs, name):
+    argv, _ = runs[name]
+
+    def run():
+        child = subprocess.Popen([sys.executable, "-c", SCRIPT, *argv], stdin=subprocess.DEVNULL,
+                                 stdout=subprocess.DEVNULL, env=_env(), cwd=ROOT)
+        assert child.wait() == 0
+
+    benchmark.pedantic(run, rounds=ROUNDS, warmup_rounds=1)

@@ -12,6 +12,18 @@ from segdial.cli import CliUsageError
 def run(args) -> int:
     if args.max_retries < 0:  # before any output is written, whatever the client
         raise ValueError("max_retries must be >= 0")
+    client = None
+    if args.client == "fixture":
+        if args.fixture_dir is None:
+            raise CliUsageError("--client fixture requires --fixture-dir")
+        client = clients.FixtureModelClient(args.fixture_dir)
+    elif args.client == "http":
+        if args.endpoint is None:
+            raise CliUsageError("--client http requires --endpoint")
+        token = os.environ.get(args.auth_token_env) if args.auth_token_env else None
+        client = clients.HttpModelClient(
+            args.endpoint, auth_token=token, image_root=args.image_root
+        )
     dataset = dataset_io.load_coco_masks(args.input)  # areas and boxes are all it reads
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -38,18 +50,6 @@ def run(args) -> int:
     prompt_jobs = [builders[args.task](img) for img in result.kept]
 
     outcomes: list = [None] * len(prompt_jobs)
-    client = None
-    if args.client == "fixture":
-        if args.fixture_dir is None:
-            raise CliUsageError("--client fixture requires --fixture-dir")
-        client = clients.FixtureModelClient(args.fixture_dir)
-    elif args.client == "http":
-        if args.endpoint is None:
-            raise CliUsageError("--client http requires --endpoint")
-        token = os.environ.get(args.auth_token_env) if args.auth_token_env else None
-        client = clients.HttpModelClient(
-            args.endpoint, auth_token=token, image_root=args.image_root
-        )
     if client is not None:
         outcomes = clients.run_jobs(
             prompt_jobs, client, max_retries=args.max_retries, parallelism=args.jobs

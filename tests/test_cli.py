@@ -197,6 +197,19 @@ class TestExitCodes:
             assert not out.exists()
             assert not (tmp_path / "jobs.dropped.jsonl").exists()
 
+    def test_main_registers_the_exit_freeze_once(self, tmp_path, monkeypatch, capsys):
+        import atexit
+        import gc
+
+        import segdial.cli
+
+        registered = []
+        monkeypatch.setattr(atexit, "register", lambda func, *a, **kw: registered.append(func) or func)
+        monkeypatch.setattr(segdial.cli, "_freeze_at_exit_registered", False, raising=False)
+        assert main([]) == 1
+        assert main(["report", "--in", str(tmp_path / "missing.json")]) == 2
+        assert registered == [gc.freeze]
+
     def test_console_script_is_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "segdial.cli", "--help"], capture_output=True, text=True
@@ -793,15 +806,22 @@ class TestImportBoundary:
         assert [m["rle"] for m in merged] == decoded
 
     def test_report_runs_without_numpy(self, tmp_path, capsys):
+        # a fresh process, which freezes its heap at exit, exits 0, 1 or 2
+        # and prints what an in-process run prints
         report = tmp_path / "inst.json"
         assert main(["evaluate", "--gt", str(write_gt(tmp_path)), "--preds", str(write_perfect_preds(tmp_path)),
                      "--mode", "inst", "--out", str(report)]) == 0
         capsys.readouterr()
-        assert main(["report", "--in", str(report)]) == 0
-        here = capsys.readouterr().out
-        code, fresh, err = _run_fresh(["report", "--in", report], ["numpy"], tmp_path)
-        assert code == 0, err
-        assert fresh == here == INST_REPORT + "\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mode": "banana", "metrics": {}}', encoding="utf-8")
+        runs = []
+        for path, want in ((report, 0), (bad, 1), (tmp_path / "missing.json", 2)):
+            assert main(["report", "--in", str(path)]) == want
+            here = capsys.readouterr()
+            assert _run_fresh(["report", "--in", path], ["numpy"], tmp_path) == (want, here.out, here.err)
+            runs.append(here)
+        assert [r.out for r in runs] == [INST_REPORT + "\n", "", ""]
+        assert runs[1].err.startswith("report mode must be") and runs[2].err.startswith("i/o error: ")
 
     def test_text_subcommands_load_no_numpy(self, tmp_path):
         # `parse` reads only ids and labels, `transform --to pure` only text
@@ -1351,13 +1371,17 @@ class TestCurate:
         assert jobs[1]["attempts"] == 1
 
     def test_fixture_client_requires_directory_flag(self, tmp_path, capsys):
+        # and the http client its endpoint: both refused before any output is written
         gt = write_gt(tmp_path)
-        code = main(
-            ["curate", "--input", str(gt), "--task", "qa",
-             "--out", str(tmp_path / "jobs.jsonl"), "--client", "fixture"]
-        )
-        assert code == 1
-        assert "--client fixture requires --fixture-dir" in capsys.readouterr().err
+        for client, needs in (("fixture", "--fixture-dir"), ("http", "--endpoint")):
+            code = main(
+                ["curate", "--input", str(gt), "--task", "qa",
+                 "--out", str(tmp_path / "jobs.jsonl"), "--client", client]
+            )
+            assert code == 1, client
+            assert f"--client {client} requires {needs}" in capsys.readouterr().err
+            assert not (tmp_path / "jobs.jsonl").exists()
+            assert not (tmp_path / "jobs.dropped.jsonl").exists()
 
 
 class TestParse:
