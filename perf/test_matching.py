@@ -1,8 +1,9 @@
 """Micro-benchmarks of the matcher `hungarian` on the shapes it meets: drawn
 matrices, and the per-image cost matrices that `match` builds on the seed-0
-inputs of the match_dense (8 images) and eval_coco (12 images) workloads,
-which `bench/workloads.py` writes into a temporary directory. Next to them,
-the two layers `match` runs on Python lists: the cost rows of the dense
+inputs of the match_dense (8 images), eval_coco (12 images) and
+dialogue_build (16 images of one prediction each, so 1 x k matrices)
+workloads, which `bench/workloads.py` writes into a temporary directory.
+Next to them, the two layers `match` runs on Python lists: the cost rows of the dense
 100x60 and sparse 24x7 cells of `test_scoring.py` from prebuilt bitsets, and
 the solver `linear_sum_assignment` on the 100x60 and 24x7 matrices.
 
@@ -27,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 from test_scoring import CELLS  # noqa: E402
 
-WORKLOADS = ("match_dense", "eval_coco")
+WORKLOADS = ("match_dense", "eval_coco", "dialogue_build")
 
 
 def _iou_like(rng, n, m, duplicates):

@@ -110,7 +110,6 @@ class ApReport(NamedTuple):
 
 class _Det(NamedTuple):
     index: int  # global input position, the score tie-breaker
-    score: float
     area: int
     mask: Union[Bitset, RasterMask]
 
@@ -142,7 +141,7 @@ def _validate_predictions(
 def _det(index: int, pred: PredictionInstance) -> _Det:
     """The detection of prediction `index`, its mask as a Bitset."""
     mask = as_bitset(pred.mask)
-    return _Det(index, pred.score, mask.area, mask)
+    return _Det(index, mask.area, mask)
 
 
 def _candidates(det: Bitset, truths: Sequence[tuple[int, int, int, int]], floor: float) -> list[tuple[float, int]]:

@@ -72,6 +72,30 @@ def _resolve(args, key: str, default: int) -> int:
     return default
 
 
+def check_output_paths(inputs: dict[str, Path | None], outputs: dict[str, Path | None]) -> None:
+    """CliUsageError, before anything is written, when an output names the
+    file of an input or of another output. Keys are the options' names;
+    None is an option not given. Paths are compared resolved, so `./a` and
+    `a`, or a symlink and its target, are one file; a directory, or a
+    device such as /dev/null, is not compared."""
+
+    def resolved(path: Path | None) -> str | None:
+        if path is None or (path.exists() and not path.is_file()):
+            return None
+        return os.path.realpath(path)  # unlike Path.resolve, no RuntimeError on a symlink loop
+
+    seen: dict[str, str] = {}
+    for option, path in inputs.items():
+        if (key := resolved(path)) is not None:
+            seen.setdefault(key, option)
+    for option, path in outputs.items():
+        if (key := resolved(path)) is None:
+            continue
+        if key in seen:
+            raise CliUsageError(f"{option} and {seen[key]} name the same file: {path}")
+        seen[key] = option
+
+
 # target name of each `transform --to` choice
 _TRANSFORM_TARGETS = {
     "semseg": "semseg",

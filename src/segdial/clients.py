@@ -27,8 +27,8 @@ log = logging.getLogger(__name__)
 
 class ModelClientError(RuntimeError):
     """A failed completion; `retry` is False where asking again cannot
-    help: a missing fixture, an HTTP 4xx other than 408 and 429, or a reply
-    that is not JSON or lacks `text`."""
+    help: a missing or undecodable fixture, an HTTP 4xx other than 408 and
+    429, or a reply that is not JSON or lacks `text`."""
 
     def __init__(self, message: str, retry: bool = True):
         super().__init__(message)
@@ -51,7 +51,10 @@ class FixtureModelClient:
         path = self.directory / f"{job.image_id}.txt"
         if not path.is_file():
             raise ModelClientError(f"no fixture response at {path}", retry=False)
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelClientError(f"fixture response at {path} is not UTF-8: {exc}", retry=False) from exc
 
 
 class HttpModelClient:

@@ -6,12 +6,16 @@ import os
 import sys
 
 from segdial import clients, curation, dataset_io
-from segdial.cli import CliUsageError
+from segdial.cli import CliUsageError, check_output_paths
 
 
 def run(args) -> int:
     if args.max_retries < 0:  # before any output is written, whatever the client
         raise ValueError("max_retries must be >= 0")
+    dropped_out = args.dropped_out or args.out.parent / (args.out.stem + ".dropped.jsonl")
+    check_output_paths(
+        {"--input": args.input, "--config": args.config}, {"--out": args.out, "--dropped-out": dropped_out}
+    )
     client = None
     if args.client == "fixture":
         if args.fixture_dir is None:
@@ -28,7 +32,6 @@ def run(args) -> int:
     for w in dataset.warnings:
         print(f"warning: {w}", file=sys.stderr)
     result = curation.filter_dataset(dataset.images, args.min_image_side, args.min_area)
-    dropped_out = args.dropped_out or args.out.parent / (args.out.stem + ".dropped.jsonl")
     dataset_io.write_jsonl(
         (
             {

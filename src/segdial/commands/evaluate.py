@@ -7,6 +7,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from segdial import dataset_io
+from segdial.cli import check_output_paths
 from segdial.commands.report import render_report
 
 if TYPE_CHECKING:
@@ -33,6 +34,7 @@ def _inst_metrics_obj(report: ap.ApReport) -> dict:
 
 
 def run(args) -> int:
+    check_output_paths({"--gt": args.gt, "--preds": args.preds}, {"--out": args.out})
     # every mask is scored as a bitset built from its code or polygons, so no pixel is drawn
     dataset = dataset_io.load_coco_masks(args.gt)
     for w in dataset.warnings:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from segdial import dataset_io, instances, matching
+from segdial.cli import check_output_paths
 
 
 def run(args) -> int:
     matching.check_weights(args.w_iou, args.w_dice)  # before any file is read
+    check_output_paths({"--preds": args.preds, "--gt": args.gt}, {"--out": args.out})
     # every mask is matched as a bitset built from its code or polygons, so no pixel is drawn
     dataset = dataset_io.load_coco_masks(args.gt)
     preds = dataset_io.read_prediction_masks(args.preds)
@@ -20,8 +22,12 @@ def run(args) -> int:
 
     rows = []
     for img in dataset.images:  # one image's bitsets at a time
+        masks = by_image.get(img.image_id, [])
+        for m in masks:  # every ground truth is on the image's canvas, and an image may have none
+            if (m.width, m.height) != (img.width, img.height):
+                raise ValueError(f"mask canvases differ: {m.width}x{m.height} vs {img.width}x{img.height}")
         assignment = matching.assign_targets(
-            by_image.get(img.image_id, []),
+            masks,
             [a.mask for a in img.annotations],
             w_iou=args.w_iou,
             w_dice=args.w_dice,

@@ -5,9 +5,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from segdial import dataset_io, parsing
+from segdial.cli import check_output_paths
 
 
 def run(args) -> int:
+    diagnostics_out = args.diagnostics or args.out.parent / (args.out.stem + ".diagnostics.jsonl")
+    check_output_paths({"--annotations": args.annotations}, {"--out": args.out, "--diagnostics": diagnostics_out})
     labels_by_image = dataset_io.load_coco_labels(args.annotations)
     records: list[parsing.SerializedRecord] = []
     diag_rows: list[dict] = []
@@ -33,6 +36,8 @@ def run(args) -> int:
         try:
             image_id = int(path.stem)
         except ValueError:
+            image_id = None
+        if image_id is None or str(image_id) != path.stem:  # ` 1`, `+1`, `001` and `1_000` are not `1`
             note(path.name, None, parsing.Diagnostic("error", None, "file name is not an image id"))
             continue
         if image_id not in labels_by_image:
@@ -42,7 +47,11 @@ def run(args) -> int:
                 parsing.Diagnostic("error", None, f"image {image_id} not in the annotations"),
             )
             continue
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            note(path.name, image_id, parsing.Diagnostic("error", None, f"response is not UTF-8: {exc}"))
+            continue
         anns = labels_by_image[image_id]
         n_parsed_files += 1
         if args.task == "instseg":
@@ -59,7 +68,6 @@ def run(args) -> int:
                 records.append(parsing.to_training_record(result.record))
 
     dataset_io.write_records(records, args.out)
-    diagnostics_out = args.diagnostics or args.out.parent / (args.out.stem + ".diagnostics.jsonl")
     dataset_io.write_jsonl(diag_rows, diagnostics_out)
     print(
         f"parse: {len(records)} record(s) from {n_parsed_files} response(s), "

@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 from segdial import dataset_io
-from segdial.cli import CliUsageError
+from segdial.cli import CliUsageError, check_output_paths
 
 
 def run(args) -> int:
     if not (0.0 <= args.eval_fraction <= 1.0):
         raise CliUsageError("--eval-fraction must be in [0, 1]")
+    check_output_paths(
+        {"--in": args.in_path, "--config": args.config}, {"--train-out": args.train_out, "--eval-out": args.eval_out}
+    )
     lines = dataset_io.read_record_lines(args.in_path)  # checked before touching outputs
     indices = list(range(len(lines)))
     random.Random(args.seed).shuffle(indices)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from segdial import dataset_io, parsing, transforms
-from segdial.cli import _TRANSFORM_TARGETS, CliUsageError
+from segdial.cli import _TRANSFORM_TARGETS, CliUsageError, check_output_paths
 
 
 def run(args) -> int:
+    check_output_paths(
+        {"--in": args.in_path, "--annotations": args.annotations}, {"--out": args.out, "--merged-out": args.merged_out}
+    )
     target = _TRANSFORM_TARGETS[args.to]
     needs_annotations = target in ("semseg", "sid_semseg")
     by_image = None

@@ -239,8 +239,8 @@ def bitset_union(masks: Sequence[Bitset]) -> Bitset:
         if (m.width, m.height) != (first.width, first.height):
             raise ValueError(f"mask canvases differ: {first.width}x{first.height} vs {m.width}x{m.height}")
     parts = [m for m in masks if m.area]
-    if len(parts) <= 1:
-        return parts[0] if parts else first
+    if not parts:
+        return first
     base = min(m.offset for m in parts)
     bits = 0
     for m in parts:

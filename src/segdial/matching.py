@@ -433,29 +433,24 @@ def _assign(c: list[list[float]], n_pred: int, n_gt: int) -> Assignment:
             total_cost=0.0,
         )
 
-    if min(n_pred, n_gt) == 1:
-        # one pair is matched: the first minimum in row-major order
-        flat = [x for row in c for x in row]
-        pairs = [divmod(flat.index(min(flat)), n_gt)]
+    rows, cols, u, v = linear_sum_assignment(c)
+    size = max(n_pred, n_gt)
+    tol = max(1e-9, 64 * size * size * sys.float_info.epsilon) * max(1.0, max(map(max, c)))
+    eps = tol / (2 * size + 1)
+    reduced = [list(map(sub, map(sub, row, repeat(ui)), v)) for row, ui in zip(c, u)]  # (c - u) - v
+    longer, matched = (u, rows) if n_pred > n_gt else (v, cols)
+    unmatched = set(range(size)).difference(matched)
+    dual = (
+        min(map(min, reduced)) >= -eps
+        and max(abs(reduced[i][j]) for i, j in zip(rows, cols)) <= eps
+        # padding lines meet the longer side at reduced cost -longer
+        and (n_pred == n_gt or (max(longer) <= eps and max(abs(longer[k]) for k in unmatched) <= eps))
+    )
+    if dual:  # each row's columns within `tol`
+        viable = [list(compress(range(n_gt), map(tol.__ge__, row))) for row in reduced]
     else:
-        rows, cols, u, v = linear_sum_assignment(c)
-        size = max(n_pred, n_gt)
-        tol = max(1e-9, 64 * size * size * sys.float_info.epsilon) * max(1.0, max(map(max, c)))
-        eps = tol / (2 * size + 1)
-        reduced = [list(map(sub, map(sub, row, repeat(ui)), v)) for row, ui in zip(c, u)]  # (c - u) - v
-        longer, matched = (u, rows) if n_pred > n_gt else (v, cols)
-        unmatched = set(range(size)).difference(matched)
-        dual = (
-            min(map(min, reduced)) >= -eps
-            and max(abs(reduced[i][j]) for i, j in zip(rows, cols)) <= eps
-            # padding lines meet the longer side at reduced cost -longer
-            and (n_pred == n_gt or (max(longer) <= eps and max(abs(longer[k]) for k in unmatched) <= eps))
-        )
-        if dual:  # each row's columns within `tol`
-            viable = [list(compress(range(n_gt), map(tol.__ge__, row))) for row in reduced]
-        else:
-            viable = [list(range(n_gt)) for _ in range(n_pred)]
-        pairs = _lexmin_pairs(c, rows, cols, viable)
+        viable = [list(range(n_gt)) for _ in range(n_pred)]
+    pairs = _lexmin_pairs(c, rows, cols, viable)
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     return Assignment(

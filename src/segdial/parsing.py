@@ -225,10 +225,8 @@ def _render_segment(seg: Segment, style: str) -> str:
         return seg.text
     if style == "tags":
         marks = " ".join(f"<{i}; {lab}>" for i, lab in zip(seg.instance_ids, seg.labels))
-    elif style == "tokens":
+    else:  # "tokens"
         marks = " ".join("<SEG>" for _ in seg.instance_ids)
-    else:  # pure text keeps only the surface word
-        return seg.surface
     return f"{seg.surface} {marks}" if seg.surface else marks
 
 

@@ -1312,6 +1312,65 @@ class TestRuntimeResolution:
             assert ("--config" in text) == (command in ("curate", "split")), command
 
 
+class TestOutputPaths:
+    """An output that names an input's file or another output's, defaults
+    included, is a usage error before anything is written."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        """{name: path} of the files the runs below read."""
+        gt = write_gt(tmp_path)
+        (tmp_path / "gt_link.json").symlink_to(gt)
+        write_json(tmp_path / "config.json", {})
+        return {
+            "tmp": tmp_path,
+            "gt": gt,
+            "gt_link": tmp_path / "gt_link.json",
+            "preds": write_perfect_preds(tmp_path),
+            "records": write_sid_records(tmp_path),
+            "responses": write_qa_responses(tmp_path),
+            "config": tmp_path / "config.json",
+            # where `parse --out records.jsonl` and `curate --out jobs.jsonl` put their reports by default
+            "records_diagnostics": write_gt(tmp_path, "records.diagnostics.jsonl"),
+            "jobs_dropped": write_gt(tmp_path, "jobs.dropped.jsonl"),
+        }
+
+    @pytest.mark.parametrize("argv, options", [
+        ("evaluate --gt {gt} --preds {preds} --mode inst --out {gt}", "--out and --gt"),
+        ("evaluate --gt {gt} --preds {preds} --mode sem --out {preds}", "--out and --preds"),
+        ("evaluate --gt {gt} --preds {preds} --mode inst --out {gt_link}", "--out and --gt"),
+        ("match --preds {preds} --gt {gt} --out {preds}", "--out and --preds"),
+        ("match --preds {preds} --gt {gt} --out {tmp}/absent/../gt.json", "--out and --gt"),
+        ("split --in {records} --train-out {tmp}/x.jsonl --eval-out {tmp}/x.jsonl", "--eval-out and --train-out"),
+        ("split --in {records} --train-out {records} --eval-out {tmp}/e.jsonl", "--train-out and --in"),
+        ("split --in {records} --config {config} --train-out {tmp}/t.jsonl --eval-out {config}",
+         "--eval-out and --config"),
+        ("parse --responses {responses} --annotations {gt} --task qa --diagnostics {tmp}/x.jsonl --out {tmp}/x.jsonl",
+         "--diagnostics and --out"),
+        ("parse --responses {responses} --annotations {gt} --task qa --out {gt}", "--out and --annotations"),
+        ("parse --responses {responses} --annotations {records_diagnostics} --task qa --out {tmp}/records.jsonl",
+         "--diagnostics and --annotations"),
+        ("curate --input {gt} --task qa --out {tmp}/jobs.jsonl --dropped-out {tmp}/jobs.jsonl",
+         "--dropped-out and --out"),
+        ("curate --input {gt} --task qa --out {gt}", "--out and --input"),
+        ("curate --input {jobs_dropped} --task qa --out {tmp}/jobs.jsonl", "--dropped-out and --input"),
+        ("curate --input {gt} --config {config} --task qa --out {config}", "--out and --config"),
+        ("transform --in {records} --to pure --out {records}", "--out and --in"),
+        ("transform --in {records} --to sid-semseg --annotations {gt} --out {tmp}/o.jsonl --merged-out {gt}",
+         "--merged-out and --annotations"),
+        ("transform --in {records} --to sid-semseg --annotations {gt} --out {tmp}/o.jsonl --merged-out {tmp}/o.jsonl",
+         "--merged-out and --out"),
+    ])
+    def test_a_colliding_output_is_refused_and_nothing_is_written(self, tmp_path, capsys, argv, options):
+        paths = self._inputs(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([word.format(**paths) for word in argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{options} name the same file: ") and captured.err.count("\n") == 1
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestCurate:
     def test_builds_jobs_and_dropped_report(self, tmp_path, capsys):
         payload = coco_payload(
@@ -1424,6 +1483,47 @@ class TestParse:
         assert by_file["notanid.txt"] == "file name is not an image id"
         assert by_file["99.txt"] == "image 99 not in the annotations"
         assert "no <person>/<robot> markers" in by_file["1.txt"]
+
+    def test_only_the_canonical_name_of_an_image_id_is_read(self, tmp_path, capsys):
+        gt = write_gt(tmp_path)
+        responses = write_qa_responses(tmp_path)
+        (responses / "2.txt").unlink()
+        reply = (responses / "1.txt").read_bytes()
+        aliases = [" 1.txt", "+1.txt", "001.txt", "1_000.txt", "-0.txt"]
+        for name in aliases:
+            (responses / name).write_bytes(reply)
+        out = tmp_path / "records.jsonl"
+        code = main(
+            ["parse", "--responses", str(responses), "--annotations", str(gt),
+             "--task", "qa", "--out", str(out)]
+        )
+        assert code == 0
+        assert "parse: 1 record(s) from 1 response(s), 5 diagnostic(s)" in capsys.readouterr().out
+        assert [r.image_id for r in read_records(out)] == [1]
+        rows = [json.loads(line) for line in (tmp_path / "records.diagnostics.jsonl").read_text().splitlines()]
+        assert sorted((r["file"], r["image_id"], r["severity"], r["message"]) for r in rows) == sorted(
+            (name, None, "error", "file name is not an image id") for name in aliases
+        )
+
+    def test_an_undecodable_response_is_a_diagnostic_for_its_file(self, tmp_path, capsys):
+        gt = write_gt(tmp_path)
+        responses = write_qa_responses(tmp_path)
+        (responses / "1.txt").write_bytes(b"<person>: hi\n<robot>: \xff")
+        out = tmp_path / "records.jsonl"
+        code = main(
+            ["parse", "--responses", str(responses), "--annotations", str(gt),
+             "--task", "qa", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "parse: 1 record(s) from 1 response(s), 1 diagnostic(s)" in captured.out
+        assert [r.image_id for r in read_records(out)] == [2]
+        rows = [json.loads(line) for line in (tmp_path / "records.diagnostics.jsonl").read_text().splitlines()]
+        assert rows == [
+            {"schema_version": 1, "file": "1.txt", "image_id": 1, "severity": "error", "line": None,
+             "message": "response is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 22: "
+                        "invalid start byte"}
+        ]
 
     def test_instseg_responses_make_one_record_per_pair(self, tmp_path):
         gt = write_gt(tmp_path)
@@ -1636,6 +1736,26 @@ class TestMatch:
         rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert rows[1]["pairs"] == []
         assert rows[1]["unmatched_gt_instance_ids"] == [9]
+
+    def test_canvases_are_checked_on_images_without_truth_in_image_order(self, tmp_path, capsys):
+        payload = coco_payload(
+            images=[(1, 512, 512, [(34494, 3, rle_obj(M_KEY1))]), (3, 640, 480, []), (4, 512, 512, [])],
+            categories=[(3, "keyboard")],
+        )
+        gt = tmp_path / "gt.json"
+        write_json(gt, payload)
+        preds, out = tmp_path / "preds.jsonl", tmp_path / "assign.jsonl"
+        for masks, message in (
+            ({3: rect_mask(10, 10, 0, 0, 4, 4)}, "10x10 vs 640x480"),
+            ({4: rect_mask(10, 10, 0, 0, 4, 4), 3: M_KEY1}, "512x512 vs 640x480"),
+            ({4: rect_mask(10, 10, 0, 0, 4, 4), 1: rect_mask(16, 12, 0, 0, 4, 4)}, "16x12 vs 512x512"),
+        ):
+            write_predictions(
+                [PredictionInstance(image_id=i, mask=m, score=1.0, category_id=3) for i, m in masks.items()], preds
+            )
+            assert main(["match", "--preds", str(preds), "--gt", str(gt), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"validation error: mask canvases differ: {message}\n"
+            assert not out.exists()
 
     def test_unknown_prediction_image_rejected(self, tmp_path, capsys):
         gt = write_gt(tmp_path)

@@ -200,6 +200,19 @@ class TestRetryOnlyWhatARetryCanFix:
         assert results[0].attempts == 1
         assert "no fixture response" in results[0].error
 
+    def test_an_undecodable_fixture_is_named_and_tried_once(self, tmp_path):
+        path = tmp_path / "1.txt"
+        path.write_bytes(b"reply \xff")
+        with pytest.raises(ModelClientError) as caught:
+            FixtureModelClient(tmp_path).complete(job_for(1))
+        assert caught.value.retry is False
+        results = run_jobs([job_for(1)], FixtureModelClient(tmp_path), max_retries=2)
+        assert results[0].attempts == 1 and results[0].response is None
+        assert results[0].error == (
+            f"fixture response at {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 6: "
+            "invalid start byte"
+        )
+
     @pytest.mark.parametrize("response", [
         FakeResponse(status_error=http_error(404)),
         FakeResponse(status_error=http_error(400)),

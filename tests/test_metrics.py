@@ -1,6 +1,6 @@
 import math
 import random
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image_with_masks, make_mask, random_micro_dataset, rect_mask
-from segdial.ap import _average_precision as ap_of_ranks, _Det, _validate_predictions
+from segdial.ap import _average_precision as ap_of_ranks, _validate_predictions
 from segdial.curation import ImageRecord, InstanceAnnotation
 from segdial.mask import RasterMask, Rle, area, bbox_of, mask_iou, rle_decode, rle_encode
 from segdial.metrics import (
@@ -298,6 +298,13 @@ class TestEvaluateApAgainstOracle:
 # --- the evaluate_ap that scored one IoU pair and one threshold at a time ------
 # Kept verbatim (only the entry point is renamed) as the reference for the
 # one-candidate-order evaluate_ap.
+
+
+class _Det(NamedTuple):
+    index: int  # global input position, the score tie-breaker
+    score: float
+    area: int
+    mask: RasterMask
 
 
 def _greedy_match(
