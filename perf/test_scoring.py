@@ -1,7 +1,8 @@
 """Micro-benchmarks of the scoring layers: the pairwise cost matrix and
 `evaluate_ap`, on the shapes the benchmark workloads give them; one cell
 scored on bitsets built from run-length codes (what `evaluate --mode inst`
-runs), and the building of those bitsets; and the
+runs), and the building of those bitsets; `evaluate_ap` on whole
+datasets of `RasterMask`s and on the same datasets held as bitsets; and the
 whole-image scores of `evaluate --mode sem` on the eval_coco workload (seed
 0), counted on bitsets (what the CLI runs) next to the same scores through
 the `segdial.mask` names (`rle_decode`, `rasterize`, `mask_union`,
@@ -126,11 +127,26 @@ DATASETS = {
 }
 
 
+def _held_as_bitsets(preds, images):
+    """`preds` and `images` with every mask already a Bitset, so a timing
+    holds the counting and the AP accumulation but no `to_bitset`."""
+    return (
+        [p._replace(mask=as_bitset(p.mask)) for p in preds],
+        [img._replace(annotations=tuple(a._replace(mask=as_bitset(a.mask)) for a in img.annotations))
+         for img in images],
+    )
+
+
+DATASETS.update({f"{name}_bitsets": _held_as_bitsets(*data) for name, data in list(DATASETS.items())})
+
+
 @pytest.mark.parametrize("name", list(DATASETS))
 def test_evaluate_ap(benchmark, name):
     preds, images = DATASETS[name]
     report = benchmark(evaluate_ap, preds, images)
     assert 0.0 <= report.mAP <= 1.0
+    if name.endswith("_bitsets"):
+        assert report == evaluate_ap(*DATASETS[name.removesuffix("_bitsets")])
 
 
 @pytest.fixture(scope="module")

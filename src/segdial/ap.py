@@ -22,13 +22,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from segdial.geometry import Bitset
 from segdial.instances import EvalValidationError, ImageRecord, PredictionInstance, as_bitset
-
-if TYPE_CHECKING:
-    from segdial.mask import RasterMask
 
 __all__ = ["ApBlock", "ApProtocol", "ApReport", "evaluate_ap"]
 
@@ -108,12 +105,6 @@ class ApReport(NamedTuple):
     per_category: Mapping[int, ApBlock]
 
 
-class _Det(NamedTuple):
-    index: int  # global input position, the score tie-breaker
-    area: int
-    mask: Union[Bitset, RasterMask]
-
-
 def _validate_predictions(
     preds: Sequence[PredictionInstance],
     images: Mapping[int, ImageRecord],
@@ -136,12 +127,6 @@ def _validate_predictions(
             )
     if offenders:
         raise EvalValidationError(offenders)
-
-
-def _det(index: int, pred: PredictionInstance) -> _Det:
-    """The detection of prediction `index`, its mask as a Bitset."""
-    mask = as_bitset(pred.mask)
-    return _Det(index, mask.area, mask)
 
 
 def _candidates(det: Bitset, truths: Sequence[tuple[int, int, int, int]], floor: float) -> list[tuple[float, int]]:
@@ -308,12 +293,13 @@ def evaluate_ap(
         gt_outs = [[not in_band(g.area) for g in gts] for _, in_band in bands]
         for (band_name, _), gt_out in zip(bands, gt_outs):
             positives[band_name, cat] += gt_out.count(False)
-        ds = [_det(n, preds[n]) for n in dets.get((image_id, cat), ())]
-        if not ds:
+        cell = dets.get((image_id, cat), ())
+        if not cell:
             continue
-        ranks = [rank[d.index] for d in ds]
+        ds = [as_bitset(preds[n].mask) for n in cell]
+        ranks = [rank[n] for n in cell]
         spans = [(m.offset, m.offset + m.bits.bit_length(), m.bits, m.area) for m in (as_bitset(g.mask) for g in gts)]
-        cands = [_candidates(d.mask, spans, thresholds[0]) for d in ds]
+        cands = [_candidates(d, spans, thresholds[0]) for d in ds]
         # the matches when every ground truth, or none, lies in the band
         plain = _greedy_match(cands, thresholds, [False] * len(gts))
         for (band_name, in_band), gt_out in zip(bands, gt_outs):

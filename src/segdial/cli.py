@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import gc
 import json
 import os
+import stat
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -77,7 +79,9 @@ def check_output_paths(inputs: dict[str, Path | None], outputs: dict[str, Path |
     file of an input or of another output. Keys are the options' names;
     None is an option not given. Paths are compared resolved, so `./a` and
     `a`, or a symlink and its target, are one file; a directory, or a
-    device such as /dev/null, is not compared."""
+    device such as /dev/null, is not compared. Then the OSError that `open`
+    would raise for the first output, in `outputs` order, whose parent is
+    missing or is not a directory, before anything is written."""
 
     def resolved(path: Path | None) -> str | None:
         if path is None or (path.exists() and not path.is_file()):
@@ -94,6 +98,14 @@ def check_output_paths(inputs: dict[str, Path | None], outputs: dict[str, Path |
         if key in seen:
             raise CliUsageError(f"{option} and {seen[key]} name the same file: {path}")
         seen[key] = option
+    for path in outputs.values():
+        try:
+            if path is None or stat.S_ISDIR(os.stat(path.parent).st_mode):
+                continue
+            code = errno.ENOTDIR
+        except OSError as exc:  # a missing parent, or one below a file
+            code = exc.errno
+        raise OSError(code, os.strerror(code), str(path))
 
 
 # target name of each `transform --to` choice

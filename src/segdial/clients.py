@@ -151,7 +151,5 @@ def run_jobs(
         raise ValueError("parallelism must be >= 1")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if parallelism == 1:
-        return [_run_one(job, client, max_retries) for job in jobs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(lambda j: _run_one(j, client, max_retries), jobs))

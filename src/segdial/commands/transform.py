@@ -7,11 +7,13 @@ from segdial.cli import _TRANSFORM_TARGETS, CliUsageError, check_output_paths
 
 
 def run(args) -> int:
+    target = _TRANSFORM_TARGETS[args.to]
+    needs_annotations = target in ("semseg", "sid_semseg")
+    if args.merged_out is not None and not needs_annotations:  # only a semantic target merges masks
+        raise CliUsageError(f"--merged-out needs --to semseg or sid-semseg, got --to {args.to}")
     check_output_paths(
         {"--in": args.in_path, "--annotations": args.annotations}, {"--out": args.out, "--merged-out": args.merged_out}
     )
-    target = _TRANSFORM_TARGETS[args.to]
-    needs_annotations = target in ("semseg", "sid_semseg")
     by_image = None
     if needs_annotations:
         if args.annotations is None:

@@ -516,23 +516,16 @@ def parse_caption_response(
         elif line.strip() and current is not None and current[0] == "A":
             line_start, body = items[current]
             items[current] = (line_start, body + "\n" + line.strip())
-        elif line.strip() and current is None:
-            pass  # preamble outside any pair
 
-    q_indices = sorted(idx for kind, idx in items if kind == "Q")
-    pair_idx = None
-    for idx in q_indices:
-        if ("A", idx) in items:
-            pair_idx = idx
-            break
-    if pair_idx is None:
+    complete = sorted(idx for kind, idx in items if kind == "Q" and ("A", idx) in items)
+    if not complete:
         diags.append(Diagnostic("error", None, "no complete Q/A pair found"))
         return ParseResult(None, tuple(diags))
-    if len([i for i in q_indices if ("A", i) in items]) > 1:
+    if len(complete) > 1:
         diags.append(Diagnostic("warning", None, "multiple QA pairs found, first kept"))
 
-    q_line, question = items[("Q", pair_idx)]
-    a_line, answer = items[("A", pair_idx)]
+    q_line, question = items[("Q", complete[0])]
+    a_line, answer = items[("A", complete[0])]
     if _TAG_RE.search(question):
         diags.append(Diagnostic("error", q_line, "segmentation tag inside the question"))
         return ParseResult(None, tuple(diags))

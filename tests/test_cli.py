@@ -1370,6 +1370,43 @@ class TestOutputPaths:
         assert captured.err.startswith(f"{options} name the same file: ") and captured.err.count("\n") == 1
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    # each writing command with each of its outputs in turn in a missing
+    # directory, or below a regular file
+    @pytest.mark.parametrize("argv, refused", [
+        ("curate --input {gt} --task qa --out {tmp}/nodir/j.jsonl --dropped-out {tmp}/d.jsonl", "{tmp}/nodir/j.jsonl"),
+        ("curate --input {gt} --task qa --out {tmp}/j.jsonl --dropped-out {tmp}/nodir/d.jsonl", "{tmp}/nodir/d.jsonl"),
+        ("curate --input {gt} --task qa --out {tmp}/nodir/j.jsonl", "{tmp}/nodir/j.jsonl"),
+        ("parse --responses {responses} --annotations {gt} --task qa --out {tmp}/nodir/r.jsonl "
+         "--diagnostics {tmp}/d.jsonl", "{tmp}/nodir/r.jsonl"),
+        ("parse --responses {responses} --annotations {gt} --task qa --out {tmp}/r.jsonl "
+         "--diagnostics {tmp}/nodir/d.jsonl", "{tmp}/nodir/d.jsonl"),
+        ("transform --in {records} --to sid-semseg --annotations {gt} --out {tmp}/nodir/o.jsonl "
+         "--merged-out {tmp}/m.jsonl", "{tmp}/nodir/o.jsonl"),
+        ("transform --in {records} --to sid-semseg --annotations {gt} --out {tmp}/o.jsonl "
+         "--merged-out {tmp}/nodir/m.jsonl", "{tmp}/nodir/m.jsonl"),
+        ("transform --in {records} --to pure --out {tmp}/nodir/o.jsonl", "{tmp}/nodir/o.jsonl"),
+        ("match --preds {preds} --gt {gt} --out {tmp}/nodir/a.jsonl", "{tmp}/nodir/a.jsonl"),
+        ("evaluate --gt {gt} --preds {preds} --mode inst --out {tmp}/nodir/inst.json", "{tmp}/nodir/inst.json"),
+        ("evaluate --gt {gt} --preds {sem_preds} --mode sem --out {tmp}/nodir/sem.json", "{tmp}/nodir/sem.json"),
+        ("split --in {records} --train-out {tmp}/nodir/t.jsonl --eval-out {tmp}/e.jsonl", "{tmp}/nodir/t.jsonl"),
+        ("split --in {records} --train-out {tmp}/t.jsonl --eval-out {tmp}/nodir/e.jsonl", "{tmp}/nodir/e.jsonl"),
+        ("split --in {records} --train-out {tmp}/t.jsonl --eval-out {tmp}/nodir/deeper/e.jsonl",
+         "{tmp}/nodir/deeper/e.jsonl"),
+        ("split --in {records} --train-out {tmp}/t.jsonl --eval-out {gt}/e.jsonl", "{gt}/e.jsonl"),
+    ])
+    def test_an_output_without_its_directory_is_refused_and_nothing_is_written(self, tmp_path, capsys, argv, refused):
+        paths = {**self._inputs(tmp_path), "sem_preds": write_sem_preds(tmp_path)}
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main([word.format(**paths) for word in argv.split()]) == 2
+        captured = capsys.readouterr()
+        refused = refused.format(**paths)
+        below_a_file = refused.startswith(str(paths["gt"]))
+        reason = "[Errno 20] Not a directory" if below_a_file else "[Errno 2] No such file or directory"
+        assert captured.out == ""
+        assert captured.err == f"i/o error: {reason}: {refused!r}\n"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestCurate:
     def test_builds_jobs_and_dropped_report(self, tmp_path, capsys):
@@ -1428,6 +1465,33 @@ class TestCurate:
         assert jobs[0]["response"] == "reply one" and jobs[0]["error"] is None
         assert jobs[1]["response"] is None and "no fixture response" in jobs[1]["error"]
         assert jobs[1]["attempts"] == 1
+
+    @pytest.mark.parametrize("token_flags, token", [(["--auth-token-env", "SEGDIAL_TEST_TOKEN"], "s3cret"), ([], None)])
+    def test_http_client_is_built_from_its_flags(self, tmp_path, capsys, monkeypatch, token_flags, token):
+        from segdial import clients
+
+        built = []
+
+        class RecordingClient:  # stands in for HttpModelClient, so nothing is sent
+            def __init__(self, endpoint, auth_token=None, image_root=None):
+                built.append((endpoint, auth_token, image_root))
+
+            def complete(self, job):
+                return f"reply for {job.image_id}"
+
+        monkeypatch.setattr(clients, "HttpModelClient", RecordingClient)
+        monkeypatch.setenv("SEGDIAL_TEST_TOKEN", "s3cret")
+        gt = write_gt(tmp_path)
+        out = tmp_path / "jobs.jsonl"
+        code = main(["curate", "--input", str(gt), "--task", "qa", "--out", str(out), "--client", "http",
+                     "--endpoint", "http://annotator.invalid/v1", *token_flags, "--image-root", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == "curate: kept 2 image(s), dropped 0 entries, wrote 2 job(s)\n"
+        assert built == [("http://annotator.invalid/v1", token, tmp_path)]
+        jobs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(j["response"], j["error"], j["attempts"]) for j in jobs] == [
+            ("reply for 1", None, 1), ("reply for 2", None, 1)
+        ]
 
     def test_fixture_client_requires_directory_flag(self, tmp_path, capsys):
         # and the http client its endpoint: both refused before any output is written
@@ -1548,6 +1612,30 @@ class TestParse:
         assert records[0].turns[1].seg_ids == (34494, 31264)
         assert records[1].turns[1].seg_ids == (34494,)
 
+    def test_instseg_diagnostics_are_written(self, tmp_path, capsys):
+        gt = write_gt(tmp_path)
+        responses = tmp_path / "responses"
+        responses.mkdir()
+        (responses / "1.txt").write_text(
+            "Q1: What do people type on?\n"
+            "A1: instance id is 999, label name is keyboard\n"
+            "Q2 Where might a cat nap?\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "records.jsonl"
+        code = main(["parse", "--responses", str(responses), "--annotations", str(gt),
+                     "--task", "instseg", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "parse: 0 record(s) from 1 response(s), 2 diagnostic(s)\n"
+        assert out.read_bytes() == b""
+        rows = [json.loads(line) for line in (tmp_path / "records.diagnostics.jsonl").read_text().splitlines()]
+        assert rows == [
+            {"schema_version": 1, "file": "1.txt", "image_id": 1, "severity": "warning", "line": 3,
+             "message": "malformed question/answer line"},
+            {"schema_version": 1, "file": "1.txt", "image_id": 1, "severity": "error", "line": 2,
+             "message": "A1 references unknown instance id(s) [999]"},
+        ]
+
     @pytest.mark.parametrize("defect,expected", [
         ({"size": [12, 16], "counts": [20, 6, 160]}, "annotation 11: rle counts sum to 186, expected 192"),
         ({"size": [12, 16], "counts": [-1, 193]}, "annotation 11: rle counts must be non-negative"),
@@ -1611,6 +1699,19 @@ class TestParse:
 
 
 class TestTransform:
+    @pytest.mark.parametrize("target", ["pure", "instseg", "sid-instseg"])
+    def test_merged_out_is_refused_where_nothing_merges(self, tmp_path, capsys, target):
+        gt = write_gt(tmp_path)
+        records = write_sid_records(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        code = main(["transform", "--in", str(records), "--to", target, "--annotations", str(gt),
+                     "--out", str(tmp_path / "o.jsonl"), "--merged-out", str(tmp_path / "m.jsonl")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--merged-out needs --to semseg or sid-semseg, got --to {target}\n"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_to_pure_strips_and_stamps(self, tmp_path):
         records = write_sid_records(tmp_path)
         out = tmp_path / "pure.jsonl"
@@ -1770,6 +1871,13 @@ class TestMatch:
 
 
 class TestEvaluateAndReport:
+    def test_report_of_a_json_array_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        write_json(path, [{"mode": "inst"}])
+        assert main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{path}: report must be a JSON object\n")
+
     def test_inst_mode_perfect_detector(self, tmp_path, capsys):
         gt = write_gt(tmp_path)
         preds = write_perfect_preds(tmp_path)

@@ -260,6 +260,17 @@ class TestLoadCoco:
         assert "annotation 11: malformed rle segmentation" in text
         assert "annotation 12:" in text
 
+    def test_integral_float_rle_numbers_are_read_as_integers(self, tmp_path):
+        m = rect_mask(16, 12, 3, 2, 9, 8)
+        exact = rle_obj(m)
+        floats = {"size": [float(v) for v in exact["size"]], "counts": [float(v) for v in exact["counts"]]}
+        payload = coco_payload(images=[(1, 16, 12, [(10, 1, exact), (11, 1, floats)])], categories=[(1, "cat")])
+        path = tmp_path / "gt.json"
+        write_json(path, payload)
+        first, second = load_coco_masks(path).images[0].annotations
+        assert second.mask == first.mask == Rle(16, 12, exact["counts"])
+        assert {type(v) for v in (second.mask.width, second.mask.height, *second.mask.counts)} == {int}
+
     def test_rle_canvas_mismatch_is_an_error(self, tmp_path):
         m = rect_mask(8, 8, 0, 0, 2, 2)
         payload = coco_payload(
@@ -374,6 +385,17 @@ class TestRecordsJsonl:
         with pytest.raises(RecordError) as checked:
             read_record_lines(bad)
         assert str(checked.value) == str(exc.value)
+
+    def test_a_record_or_turn_that_is_not_an_object_names_the_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(canonical_records(), path)
+        obj = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        for bad, message in [([obj], "line 1: record must be a JSON object"),
+                             ({**obj, "turns": [obj["turns"][0], "robot: hi"]}, "line 1: turn 1 must be an object")]:
+            path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+            for read in (read_records, read_record_lines):
+                with pytest.raises(RecordError, match=message):
+                    read(path)
 
     def test_booleans_are_not_integers(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -165,6 +165,11 @@ class TestFootprint:
             pixels |= oracles.rasterize_reference(poly.vertices, width, height)
         assert footprint(geometry, width, height) == pixel_footprint(pixels)
 
+    @pytest.mark.parametrize("edges", [(3, 0, 2, 0), (0, 3, 0, 2)])
+    def test_a_degenerate_box_is_refused(self, edges):
+        with pytest.raises(ValueError, match=rf"degenerate bbox: BBox\(left={edges[0]}, top={edges[1]}"):
+            BBox(*edges)
+
     def test_refuses_what_decoding_refuses(self):
         triangle = (Polygon(((0, 0), (2, 0), (2, 2))),)
         for geometry, width, height, message in [

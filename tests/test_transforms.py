@@ -211,6 +211,13 @@ class TestToPureText:
         stripped = to_pure_text(record)
         assert stripped.turns[1] == Turn("robot", (TextSpan("a cat and a cat"),))
 
+    def test_empty_spans_are_dropped(self):
+        record = DialogueRecord(
+            1, (Turn("person", (TextSpan(""), TextSpan("go"))), Turn("robot", (TextSpan(""),))), "pure_text"
+        )
+        stripped = to_pure_text(record)
+        assert stripped.turns == (Turn("person", (TextSpan("go"),)), Turn("robot", ()))
+
     def test_idempotent(self):
         record = sid_record(CANONICAL, KEYBOARDS)
         once = to_pure_text(record)
